@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from . import serialize as ser
 from .atlas import indecomposable_reps
-from .decide import classify_case, decide_extension, decide_pair, pair_context
+from .decide import decide_extension, decide_pair, pair_context
 from .errors import DecisionWasNo, SympdiffError
 from .exprparse import parse_poly
 from .fields import field_make
@@ -165,29 +165,30 @@ def _cmd_decide(args) -> int:
     return 0 if report.ok else 2
 
 
+def _emit_no(report, pctx) -> int:
+    _emit({"verdict": "no",
+           "decision": ser.encode_decision_report(report, pctx)})
+    return 2
+
+
 def _cmd_witness(args) -> int:
     pctx, v, pair = _instance(args)
     if v is None:
         report = decide_pair(pair, pctx)
         if not report.ok:
-            _emit({"verdict": "no",
-                   "decision": ser.encode_decision_report(report, pctx)})
-            return 2
+            return _emit_no(report, pctx)
         v = direct_sum(*(companion(f) for f in report.invariant_factors))
     try:
         w = compose_witness(v, pctx, bound=args.bound)
-    except DecisionWasNo:
-        report = decide_extension(v, pctx)
-        _emit({"verdict": "no",
-               "decision": ser.encode_decision_report(report, pctx)})
-        return 2
+    except DecisionWasNo as exc:
+        return _emit_no(exc.report, pctx)
     if w is None:
         _emit({
             "verdict": "yes",
             "witness": None,
             "note": "decision is YES but no constructive witness is implemented "
-                    "for this instance (infinite field or residual dimension "
-                    "above the search bound)",
+                    "for this instance (infinite field, or a residual search "
+                    "above the dimension bound or 2^63 candidates)",
         })
         return 0
     _emit({

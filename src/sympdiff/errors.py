@@ -94,7 +94,12 @@ class NotNonIncreasing(SympdiffError):
 
 
 class DecisionWasNo(SympdiffError):
-    """A witness was requested for a pair that is not a (p,q)-difference."""
+    """A witness was requested for a pair that is not a (p,q)-difference;
+    carries the decision report."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 # ---------------------------------------------------------------- search / construction

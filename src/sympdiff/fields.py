@@ -141,18 +141,35 @@ def _zxgcd(a, b, p):
     return r0, s0, t0
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises FieldSpecError above the range
+    where the fixed bases are proven exact."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_EXACT_BELOW:
+        raise FieldSpecError(f"primality of {n} is not decided above 3.3e24")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -656,14 +673,21 @@ _GF_MOD_RE = re.compile(r"^GF\((\d+)(?:\^(\d+))?\)\|(.+)$")
 _GF_RATF_RE = re.compile(r"^GF\((\d+)\)\(s\)$")
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton iteration."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(n: int):
-    for p in _prime_factors(n):
-        k = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m == 1:
+    """(p, k) with n = p^k and p prime, or None."""
+    for k in range(max(n.bit_length() - 1, 1), 0, -1):
+        p = _iroot(n, k)
+        if p > 1 and p**k == n and _is_prime(p):
             return p, k
     return None
 
@@ -728,8 +752,3 @@ def field_spec(ctx: FieldCtx) -> str:
     if ctx.kind == "quadext":
         return f"{field_spec(ctx.base)}[X]"
     raise FieldSpecError(f"unknown field kind {ctx.kind!r}")
-
-
-def field_enumerate(ctx: FieldCtx):
-    """Deterministically enumerate all scalars of a finite field."""
-    return ctx.elements()

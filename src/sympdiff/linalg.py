@@ -380,10 +380,6 @@ def direct_sum(*mats: Mat) -> Mat:
     return Mat(ctx, out)
 
 
-def hstack(mats: Sequence[Mat]) -> Mat:
-    return Mat.block(mats[0].ctx, [list(mats)])
-
-
 def companion(r: Poly) -> Mat:
     """Companion matrix: subdiagonal ones, last column the negated lower
     coefficients of the monic input."""
@@ -650,24 +646,10 @@ def primary_sequence(M: Mat, g: Poly) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def primary_count(M: Mat, g: Poly, k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seq = primary_sequence(M, g)
-    return seq[k - 1] if k <= len(seq) else 0
-
-
 def jordan_sequence(M: Mat, z) -> Tuple[int, ...]:
     """Counts of Jordan cells at eigenvalue z of size >= 1, >= 2, ..."""
     lin = Poly(M.ctx, (M.ctx.neg(z), M.ctx.one))
     return primary_sequence(M, lin)
-
-
-def jordan_number(M: Mat, z, k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    seq = jordan_sequence(M, z)
-    return seq[k - 1] if k <= len(seq) else 0
 
 
 def exact_cell_counts(seq: Tuple[int, ...]) -> Tuple[int, ...]:

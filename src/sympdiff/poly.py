@@ -872,15 +872,6 @@ def quad_irreducible(f: Poly) -> bool:
     return not roots_in_field(f)
 
 
-def quad_double_root(f: Poly):
-    """The double root of a monic quadratic if it has one in the field."""
-    _require_monic_quadratic(f, "f")
-    roots = roots_in_field(f)
-    if len(roots) == 2 and roots[0] == roots[1]:
-        return roots[0]
-    return None
-
-
 def translate_shifts(p: Poly, q: Poly):
     """All z in the base field with q(t) = p(t + z), by coefficient matching.
 

@@ -93,6 +93,43 @@ def test_witness_no_exits_two_with_decision(capsys):
     assert obj["decision"]["verdict"] == "no"
 
 
+def test_witness_no_reuses_the_decision(capsys, monkeypatch):
+    import sympdiff.cli
+    import sympdiff.witness
+    from sympdiff.decide import decide_extension
+
+    argv = ["--field", "GF(3)", "--p", "t^2+1", "--q", "t^2+1",
+            "--v", "companion:t+1;t^2+2"]
+    code, decided = run(capsys, ["decide"] + argv)
+    assert code == 2
+    calls = []
+
+    def counting(v, pctx):
+        calls.append(v)
+        return decide_extension(v, pctx)
+
+    monkeypatch.setattr(sympdiff.cli, "decide_extension", counting)
+    monkeypatch.setattr(sympdiff.witness, "decide_extension", counting)
+    code, out = run(capsys, ["witness"] + argv)
+    assert code == 2
+    assert len(calls) == 1
+    obj = json.loads(out)
+    assert obj["verdict"] == "no"
+    assert json.dumps(obj["decision"], indent=2) + "\n" == decided
+
+
+def test_witness_residual_above_candidate_cap_is_null(capsys):
+    # GF(5), v = 0 in dimension 4: decided YES, but the residual search
+    # would scan 5^28 > 2^63 candidates
+    code, out = run(capsys, [
+        "witness", "--field", "GF(5)", "--p", "t^2", "--q", "t^2",
+        "--v", "companion:t;t;t;t", "--bound", "8",
+    ])
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["verdict"] == "yes" and obj["witness"] is None
+
+
 def test_witness_yes_without_construction_is_flagged(capsys):
     # decided YES over Q, but the factor is not sigma-decomposable and the
     # brute-force fallback needs a finite field: witness declined with a note

@@ -1,5 +1,6 @@
 """Field contexts: arithmetic laws, canonical forms, spec round-trips."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,13 @@ from sympdiff.errors import (
     ReducibleModulus,
 )
 from sympdiff.exprparse import parse_scalar
-from sympdiff.fields import QuadraticExtension, field_make, field_spec
+from sympdiff.fields import (
+    ExtensionField,
+    PrimeField,
+    QuadraticExtension,
+    field_make,
+    field_spec,
+)
 
 
 def gf7_elems():
@@ -122,6 +129,22 @@ def test_field_make_rejections():
         field_make("R")
     with pytest.raises(NonPrimeCharacteristic):
         field_make("GF(4^2)|t^2+t+1")
+
+
+def test_large_prime_fields_build_quickly():
+    m61 = 2**61 - 1
+    start = time.monotonic()
+    assert isinstance(field_make(f"GF({m61})"), PrimeField)
+    # -1 is a non-residue mod 2^61 - 1 (it is 3 mod 4), so t^2+1 is irreducible
+    ext = field_make(f"GF({m61 ** 2})|t^2+1")
+    assert isinstance(ext, ExtensionField) and (ext.p, ext.k) == (m61, 2)
+    assert time.monotonic() - start < 1.0
+
+
+def test_strong_pseudoprime_is_rejected():
+    # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(FieldSpecError):
+        field_make("GF(3215031751)")
 
 
 def test_elements_enumeration_is_deterministic(F3):

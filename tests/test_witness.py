@@ -2,10 +2,14 @@
 
 import dataclasses
 
+import time
+
 import pytest
 
+from sympdiff import decide, witness
 from sympdiff.decide import pair_context
 from sympdiff.errors import (
+    ConstructionInvariantViolated,
     DecisionWasNo,
     DimensionBoundExceeded,
     InfiniteField,
@@ -86,11 +90,52 @@ def test_compose_witness_mixed_routes(F3):
     assert invariant_factors(w.U).doubled_halves() == invariant_factors(v).factors
 
 
+def test_compose_witness_checks_each_fact_once(F3, monkeypatch):
+    # two duplication-block factors (t^2+2 twice) and a brute-forced
+    # residual (t+1): one SNF of v, one verification of the direct sum
+    pc = pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2-1"))
+    c = companion(parse_poly(F3, "t^2+2"))
+    v = direct_sum(c, c, Mat.diag(F3, [F3.from_int(2)]))
+    verified, snf_of_v = [], []
+
+    def counting_verify(w, pctx):
+        verified.append(w.dimension)
+        return verify_witness(w, pctx)
+
+    def counting_snf(M):
+        if M is v:
+            snf_of_v.append(M)
+        return invariant_factors(M)
+
+    monkeypatch.setattr(witness, "verify_witness", counting_verify)
+    monkeypatch.setattr(witness, "invariant_factors", counting_snf)
+    monkeypatch.setattr(decide, "invariant_factors", counting_snf)
+    w = compose_witness(v, pc)
+    assert w is not None and w.dimension == 10
+    assert verified == [10]  # the assembled witness only, no block on its own
+    assert len(snf_of_v) == 1
+
+
+def test_wrong_symmetrizer_is_caught(Q, monkeypatch):
+    # the identity is symmetric but does not symmetrize C(r) for
+    # r = t^2+3t+5, so H*A is not alternating; verify_witness must catch it
+    pc = pair_context(parse_poly(Q, "t^2+1"), parse_poly(Q, "t^2+1"))
+    r = parse_poly(Q, "t^2+3*t+5")
+    monkeypatch.setattr(
+        witness, "frobenius_symmetrizer", lambda f: Mat.identity(Q, f.degree)
+    )
+    with pytest.raises(ConstructionInvariantViolated):
+        duplication_witness(pc, r)
+    with pytest.raises(ConstructionInvariantViolated):
+        compose_witness(companion(r.compose(pc.sigma)), pc)
+
+
 def test_compose_witness_decision_no_raises(Q):
     pc = pair_context(parse_poly(Q, "t^2-1"), parse_poly(Q, "t^2-1"))
     two = Poly(Q, (Q.from_int(-2), Q.one))
-    with pytest.raises(DecisionWasNo):
+    with pytest.raises(DecisionWasNo) as info:
         compose_witness(companion(two ** 2), pc)
+    assert info.value.report is not None and not info.value.report.ok
 
 
 def test_compose_witness_residual_over_infinite_field_is_none(Q):
@@ -158,6 +203,17 @@ def test_brute_force_guards(Q, F3):
     big = symplectic_extension(Mat.zeros(F3, DEFAULT_SEARCH_BOUND))
     with pytest.raises(DimensionBoundExceeded):
         brute_force_witness(big, pc_3)
+
+
+def test_brute_force_candidate_cap(F5):
+    # 5^28 alternating Grams in dimension 8 do not fit the int64 index
+    pc = pair_context(parse_poly(F5, "t^2"), parse_poly(F5, "t^2"))
+    v = Mat.zeros(F5, 4)
+    start = time.monotonic()
+    with pytest.raises(DimensionBoundExceeded):
+        brute_force_witness(symplectic_extension(v), pc, bound=8)
+    assert compose_witness(v, pc, bound=8) is None  # decided YES, no search
+    assert time.monotonic() - start < 5.0
 
 
 def test_brute_force_trivial_pair(F3):
