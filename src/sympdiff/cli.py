@@ -31,13 +31,13 @@ from typing import List, Optional
 from . import serialize as ser
 from .atlas import indecomposable_reps
 from .decide import decide_extension, decide_pair, pair_context
-from .errors import DecisionWasNo, SympdiffError
+from .errors import SympdiffError
 from .exprparse import parse_poly
 from .fields import field_make
 from .linalg import Mat, companion, direct_sum
 from .oracle import SweepReport, oracle_sweep
 from .poly import Poly, monic_polys
-from .witness import DEFAULT_SEARCH_BOUND, compose_witness, verify_witness
+from .witness import DEFAULT_SEARCH_BOUND, _witness_for_decision, verify_witness
 
 __all__ = ["cli_run", "main"]
 
@@ -173,16 +173,11 @@ def _emit_no(report, pctx) -> int:
 
 def _cmd_witness(args) -> int:
     pctx, v, pair = _instance(args)
-    if v is None:
-        report = decide_pair(pair, pctx)
-        if not report.ok:
-            return _emit_no(report, pctx)
-        v = direct_sum(*(companion(f) for f in report.invariant_factors))
-    try:
-        w = compose_witness(v, pctx, bound=args.bound)
-    except DecisionWasNo as exc:
-        return _emit_no(exc.report, pctx)
-    if w is None:
+    report = decide_extension(v, pctx) if v is not None else decide_pair(pair, pctx)
+    if not report.ok:
+        return _emit_no(report, pctx)
+    found = _witness_for_decision(report, pctx, bound=args.bound)
+    if found is None:
         _emit({
             "verdict": "yes",
             "witness": None,
@@ -191,10 +186,11 @@ def _cmd_witness(args) -> int:
                     "above the dimension bound or 2^63 candidates)",
         })
         return 0
+    w, verification = found
     _emit({
         "verdict": "yes",
         "witness": ser.encode_witness(w),
-        "verification": ser.encode_verification_report(verify_witness(w, pctx)),
+        "verification": ser.encode_verification_report(verification),
     })
     return 0
 

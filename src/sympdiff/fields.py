@@ -716,6 +716,8 @@ def field_make(spec: str) -> FieldCtx:
         k = int(m.group(2)) if m.group(2) else 1
         if k == 1 and _is_prime(n):
             return PrimeField(n)
+        if k == 1 and _prime_power(n) is None:
+            raise FieldSpecError(f"{spec}: {n} is neither a prime nor a prime power")
         raise FieldSpecError(
             f"{spec}: extension fields need an explicit modulus, e.g. GF(4)|t^2+t+1"
         )

@@ -9,6 +9,12 @@ so the chains of the half-dimensional ``v`` enumerate them exactly — and
 every pair of monic quadratics (p, q) over the field, then runs both the
 decision procedure and the brute-force search on ``S(v)`` and tallies the
 agreement matrix.  A correct implementation reports zero disagreements.
+
+The search (``brute_force_witness``) does not scan every candidate: given
+p(U1) = 0, the condition q(U1 - U) = 0 is linear in U1, so it solves that
+system once and scans only its solutions, in the full enumeration's order.
+It finds the same first witness, and it never consults the decision
+procedure, so the two routes stay independent.
 """
 
 from __future__ import annotations

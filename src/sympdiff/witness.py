@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decide import PairCtx, decide_extension
+from .decide import DecisionReport, PairCtx, decide_extension
 from .errors import (
     ConstructionInvariantViolated,
     DecisionWasNo,
@@ -201,13 +201,15 @@ def _block_witness(block: WBlock) -> Witness:
     return Witness(B=block.H, U=block.A - block.B, U1=block.A, U2=block.B)
 
 
-def _verified(w: Witness, pctx: PairCtx, what: str) -> Witness:
+def _verified(
+    w: Witness, pctx: PairCtx, what: str
+) -> Tuple[Witness, VerificationReport]:
     report = verify_witness(w, pctx)
     if not report.ok:
         raise ConstructionInvariantViolated(
             f"{what} fails verification: {'; '.join(report.failures())}"
         )
-    return w
+    return w, report
 
 
 def duplication_witness(pctx: PairCtx, r: Poly) -> Witness:
@@ -216,7 +218,7 @@ def duplication_witness(pctx: PairCtx, r: Poly) -> Witness:
     return _verified(
         _block_witness(w_algebra_block(pctx, r)), pctx,
         f"duplication witness for r={r}",
-    )
+    )[0]
 
 
 def _merge_witnesses(ctx, parts: Sequence[Witness]) -> Witness:
@@ -250,7 +252,16 @@ def compose_witness(
         raise DecisionWasNo(
             report.failing_evidence or "decision is NO", report=report
         )
-    ctx = v.ctx
+    found = _witness_for_decision(report, pctx, bound)
+    return None if found is None else found[0]
+
+
+def _witness_for_decision(
+    report: DecisionReport, pctx: PairCtx, bound: int
+) -> Optional[Tuple[Witness, VerificationReport]]:
+    """``compose_witness`` from a YES decision already made: the witness
+    for the invariant factors in ``report``, with the report of its one
+    verification, or None."""
     parts: List[Witness] = []
     residual: List[Poly] = []
     for f in report.invariant_factors:
@@ -271,7 +282,7 @@ def compose_witness(
             return None
         parts.append(found)
     return _verified(
-        _merge_witnesses(ctx, parts), pctx, "assembled witness"
+        _merge_witnesses(pctx.ctx, parts), pctx, "assembled witness"
     )
 
 
@@ -291,13 +302,83 @@ def _alternating_from_upper(ctx, n: int, vals) -> Mat:
     return Mat(ctx, grid)
 
 
+def _solution_space(Binv: Mat, U: Mat, pctx: PairCtx):
+    """The upper-triangle coordinates of M (U1 = B^{-1} * M, M alternating)
+    that can give a witness, as an affine space, or None when none can.
+
+    With p = t^2 + p1*t + p0 and q = t^2 + q1*t + q0, any U1 with
+    p(U1) = 0 has q(U1 - U) = (q1 - p1)*U1 - (U1*U + U*U1) + U^2 - q1*U
+    + (q0 - p0)*I, so the witnesses lie in the solutions of one linear
+    system in the coordinates.  It is brought to reduced row echelon form
+    with the columns reversed: each dependent coordinate is then a
+    function of earlier (more significant) free coordinates only, so
+    candidates in lexicographic order of the free coordinates are the full
+    lexicographic order restricted to the solutions.  Returns
+    ``(base, directions)``: the solution with every free coordinate zero,
+    and per free coordinate, most significant first, the k-vector that
+    moves it by one and the dependent coordinates with it.
+    """
+    ctx = U.ctx
+    add, mul, sub = ctx.add, ctx.mul, ctx.sub
+    n = U.rows
+    k = n * (n - 1) // 2
+    p0, p1 = pctx.p.coeffs[0], pctx.p.coeffs[1]
+    q0, q1 = pctx.q.coeffs[0], pctx.q.coeffs[1]
+    # Coordinate (a, b) of M stands for E = e_a e_b^T - e_b e_a^T, and
+    # (q1 - p1)*X - (X*U + U*X) at X = B^{-1} * E is W*E - B^{-1}*E*U with
+    # W = (q1 - p1)*B^{-1} - U*B^{-1}.  W*E has column a of W as its
+    # column b and minus column b of W as its column a; B^{-1}*E*U is
+    # (column a of B^{-1})(row b of U) - (column b of B^{-1})(row a of U).
+    W = Binv.scale(sub(q1, p1)) - U @ Binv
+    Bi, Ue, We = Binv.entries, U.entries, W.entries
+    upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    columns = []
+    for a, b in reversed(upper):
+        col = []
+        for r in range(n):
+            for c in range(n):
+                e = sub(mul(Bi[r][b], Ue[a][c]), mul(Bi[r][a], Ue[b][c]))
+                if c == b:
+                    e = add(e, We[r][a])
+                elif c == a:
+                    e = sub(e, We[r][b])
+                col.append(e)
+        columns.append(col)
+    rhs = U.scale(q1) - U @ U - Mat.scalar(ctx, n, sub(q0, p0))
+    columns.append([e for row in rhs.entries for e in row])
+    system = Mat(ctx, list(zip(*columns)))
+    rows, pivots = system._rref()
+    if pivots and pivots[-1] == k:
+        return None
+    base = [ctx.zero] * k
+    for row, c in zip(rows, pivots):
+        base[k - 1 - c] = row[k]
+    directions = []
+    for f in range(k):
+        c_f = k - 1 - f
+        if c_f in pivots:
+            continue
+        d = [ctx.zero] * k
+        d[f] = ctx.one
+        for row, c in zip(rows, pivots):
+            d[k - 1 - c] = ctx.neg(row[c_f])
+        directions.append(d)
+    return base, directions
+
+
 def _generic_search(P: SymplecticPair, pctx: PairCtx) -> Optional[Witness]:
     ctx = P.ctx
     n = P.dimension
     B, U = P.B, P.U
     Binv = B.inverse()
-    k = n * (n - 1) // 2
-    for vals in itertools.product(list(ctx.elements()), repeat=k):
+    space = _solution_space(Binv, U, pctx)
+    if space is None:
+        return None
+    base, directions = space
+    for coords in itertools.product(*(ctx.elements() for _ in directions)):
+        vals = list(base)
+        for c, d in zip(coords, directions):
+            vals = [ctx.add(v, ctx.mul(c, e)) for v, e in zip(vals, d)]
         M = _alternating_from_upper(ctx, n, vals)
         U1 = Binv @ M
         if not mat_poly_eval(pctx.p, U1).is_zero:
@@ -314,31 +395,40 @@ def _generic_search(P: SymplecticPair, pctx: PairCtx) -> Optional[Witness]:
 def _prime_search(
     P: SymplecticPair, pctx: PairCtx, chunk: int = 1 << 15
 ) -> Optional[Witness]:
-    """Vectorized enumeration over prime fields, in the same lexicographic
-    candidate order as the generic path."""
+    """Vectorized search over prime fields: only the solutions of the
+    linear system of ``_solution_space`` are enumerated, in integer
+    lexicographic order of their free coordinates -- the full
+    lexicographic candidate order restricted to the solutions, so the
+    first hit is the one the full scan finds, as on the generic path."""
     ctx = P.ctx
     pr = ctx.characteristic
     n = P.dimension
     k = n * (n - 1) // 2
-    to_np = lambda m: np.array(
-        [[int(e) for e in row] for row in m.entries], dtype=np.int64
+    Binv = P.B.inverse()
+    space = _solution_space(Binv, P.U, pctx)
+    if space is None:
+        return None
+    base, directions = space
+    d = len(directions)
+    to_np = lambda rows: np.array(
+        [[int(e) for e in row] for row in rows], dtype=np.int64
     )
-    Bnp = to_np(P.B)
-    Binv = to_np(P.B.inverse())
-    Unp = to_np(P.U)
+    base_np = to_np([base])
+    dirs = to_np(directions).reshape(d, k)
+    Bnp, Binv_np, Unp = (to_np(m.entries) for m in (P.B, Binv, P.U))
     ident = np.eye(n, dtype=np.int64)
     p0, p1 = int(pctx.p.coeffs[0]), int(pctx.p.coeffs[1])
     q0, q1 = int(pctx.q.coeffs[0]), int(pctx.q.coeffs[1])
     iu = np.triu_indices(n, 1)
-    pows = pr ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    total = pr**k
+    pows = pr ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    total = pr**d
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        vals = (idx[:, None] // pows[None, :]) % pr
+        vals = (base_np + ((idx[:, None] // pows[None, :]) % pr) @ dirs) % pr
         M = np.zeros((len(idx), n, n), dtype=np.int64)
         M[:, iu[0], iu[1]] = vals
         M[:, iu[1], iu[0]] = (-vals) % pr
-        U1 = np.einsum("ij,cjk->cik", Binv, M) % pr
+        U1 = np.einsum("ij,cjk->cik", Binv_np, M) % pr
         PU1 = (U1 @ U1 + p1 * U1 + p0 * ident) % pr
         hits = np.nonzero((PU1 == 0).all(axis=(1, 2)))[0]
         for c in hits:
@@ -364,23 +454,39 @@ def brute_force_witness(
     """Exhaustive search straight from the definition: U1 ranges over
     B^{-1} * (alternating M) in lexicographic order of the strict upper
     triangle of M, U2 := U1 - U; the first candidate with p(U1) = 0,
-    q(U2) = 0 and B*U2 alternating wins.  Raises DimensionBoundExceeded
-    above the dimension bound, or when the candidate count reaches 2^63
-    (the int64 index range of the vectorized search)."""
+    q(U2) = 0 and B*U2 alternating wins.
+
+    A linear prefilter (``_solution_space``) skips the candidates that
+    cannot win: given p(U1) = 0, q(U1 - U) = 0 is linear in U1, so the
+    search solves that system once, returns None at once when it is
+    inconsistent, and otherwise scans only its affine solution space,
+    still checking all three conditions on every hit.  The candidates it
+    scans keep their lexicographic order, so the first witness (or None)
+    is the one the full scan finds.  B*U2 is alternating on every
+    solution, because B*U1 = M and B*U are.  The prefilter uses only the
+    definition, not the decision procedure.
+
+    Prime fields small enough for exact int64 products take the vectorized
+    search, every other field the generic one.  Raises
+    DimensionBoundExceeded above the dimension bound, or when the full
+    candidate count |F|^(n(n-1)/2) reaches 2^63 (the int64 index range of
+    the vectorized search)."""
     ctx = P.ctx
     if ctx.order is None:
         raise InfiniteField("brute force needs a finite field")
     n = P.dimension
     if n > bound:
         raise DimensionBoundExceeded(f"pair dimension {n} exceeds bound {bound}")
-    if ctx.order ** (n * (n - 1) // 2) >= 2**63:
+    k = n * (n - 1) // 2
+    if ctx.order**k >= 2**63:
         raise DimensionBoundExceeded(
             f"pair dimension {n} over {ctx} needs at least 2^63 candidates"
         )
     if n == 0:
         empty = Mat(ctx, [])
         return Witness(B=empty, U=empty, U1=empty, U2=empty)
-    if ctx.kind == "prime":
+    # no int64 sum of products in _prime_search exceeds (n + k) * p^2
+    if ctx.kind == "prime" and (n + k) * ctx.p**2 < 2**63:
         return _prime_search(P, pctx)
     return _generic_search(P, pctx)
 

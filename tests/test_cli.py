@@ -118,6 +118,53 @@ def test_witness_no_reuses_the_decision(capsys, monkeypatch):
     assert json.dumps(obj["decision"], indent=2) + "\n" == decided
 
 
+def test_witness_verifies_once(capsys, monkeypatch):
+    import sympdiff.cli
+    import sympdiff.witness
+    from sympdiff.witness import verify_witness
+
+    calls = []
+
+    def counting(w, pctx):
+        calls.append(w)
+        return verify_witness(w, pctx)
+
+    monkeypatch.setattr(sympdiff.cli, "verify_witness", counting)
+    monkeypatch.setattr(sympdiff.witness, "verify_witness", counting)
+    code, out = run(capsys, [
+        "witness", "--field", "GF(3)", "--p", "t^2+1", "--q", "t^2+1",
+        "--v", "companion:t^2+2",
+    ])
+    assert code == 0
+    assert json.loads(out)["verification"]["ok"] is True
+    assert len(calls) == 1
+
+
+def test_witness_pair_decides_once(capsys, monkeypatch, F3):
+    import sympdiff.cli
+    import sympdiff.decide
+    import sympdiff.witness
+    from sympdiff.decide import decide_extension
+
+    calls = []
+
+    def counting(v, pctx):
+        calls.append(v)
+        return decide_extension(v, pctx)
+
+    for module in (sympdiff.cli, sympdiff.decide, sympdiff.witness):
+        monkeypatch.setattr(module, "decide_extension", counting)
+    P = symplectic_extension(companion(parse_poly(F3, "t^2+2")))
+    code, out = run(capsys, [
+        "witness", "--field", "GF(3)", "--p", "t^2+1", "--q", "t^2+1",
+        "--pair", json.dumps(encode_pair(P)),
+    ])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verdict"] == "yes" and obj["verification"]["ok"] is True
+    assert len(calls) == 1
+
+
 def test_witness_residual_above_candidate_cap_is_null(capsys):
     # GF(5), v = 0 in dimension 4: decided YES, but the residual search
     # would scan 5^28 > 2^63 candidates

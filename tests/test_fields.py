@@ -123,8 +123,10 @@ def test_field_spec_round_trip():
 
 
 def test_field_make_rejections():
-    with pytest.raises(FieldSpecError):
+    with pytest.raises(FieldSpecError, match="6 is neither a prime nor a prime power"):
         field_make("GF(6)")
+    with pytest.raises(FieldSpecError, match="need an explicit modulus"):
+        field_make("GF(9)")
     with pytest.raises(FieldSpecError):
         field_make("R")
     with pytest.raises(NonPrimeCharacteristic):

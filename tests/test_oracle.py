@@ -84,3 +84,10 @@ def test_merged_parts_match_single_sweep(F2):
         (str(i.p), str(i.q), _texts([i.chain])[0], i.decide_yes, i.brute_yes)
         for i in whole.instances
     ]
+
+
+def test_full_sweep_gf2_dim6(F2):
+    report = oracle_sweep(F2, 6)
+    assert report.total == 224
+    assert report.disagreements == []
+    assert report.matrix == {"yes/yes": 66, "yes/no": 0, "no/yes": 0, "no/no": 158}

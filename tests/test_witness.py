@@ -1,9 +1,11 @@
 """Witness construction: duplication blocks, composition, brute force."""
 
 import dataclasses
-
+import random
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from sympdiff import decide, witness
@@ -15,13 +17,16 @@ from sympdiff.errors import (
     InfiniteField,
 )
 from sympdiff.exprparse import parse_poly
-from sympdiff.linalg import Mat, companion, direct_sum, invariant_factors
-from sympdiff.poly import Poly
+from sympdiff.fields import field_make
+from sympdiff.linalg import Mat, companion, direct_sum, invariant_factors, mat_poly_eval
+from sympdiff.oracle import admissible_chains
+from sympdiff.poly import Poly, monic_polys
 from sympdiff.sympform import Witness, symplectic_extension
 from sympdiff.witness import (
     DEFAULT_SEARCH_BOUND,
     _generic_search,
     _prime_search,
+    _solution_space,
     brute_force_witness,
     compose_witness,
     duplication_witness,
@@ -193,6 +198,121 @@ def test_brute_force_no_instance_returns_none(F3):
     two = Poly(F3, (F3.from_int(-2), F3.one))
     P = symplectic_extension(companion(two ** 2))
     assert brute_force_witness(P, pc) is None
+    # the linear condition leaves one candidate, and p(U1) = 0 rejects it
+    assert _solution_space(P.B.inverse(), P.U, pc)[1] == []
+    # p = t^2, q = t^2+t, v = t+1: the linear condition has no solution at
+    # all, so nothing is enumerated
+    pc = pair_context(parse_poly(F3, "t^2"), parse_poly(F3, "t^2+t"))
+    P = symplectic_extension(companion(parse_poly(F3, "t+1")))
+    assert _solution_space(P.B.inverse(), P.U, pc) is None
+    assert brute_force_witness(P, pc) is None
+
+
+def _full_prime_search(P, pctx, chunk=1 << 15):
+    """Reference: every alternating Gram M in lexicographic order of its
+    strict upper triangle, U1 = B^{-1} * M, no linear prefilter."""
+    ctx = P.ctx
+    pr = ctx.characteristic
+    n = P.dimension
+    k = n * (n - 1) // 2
+    to_np = lambda m: np.array(
+        [[int(e) for e in row] for row in m.entries], dtype=np.int64
+    )
+    Bnp = to_np(P.B)
+    Binv = to_np(P.B.inverse())
+    Unp = to_np(P.U)
+    ident = np.eye(n, dtype=np.int64)
+    p0, p1 = int(pctx.p.coeffs[0]), int(pctx.p.coeffs[1])
+    q0, q1 = int(pctx.q.coeffs[0]), int(pctx.q.coeffs[1])
+    iu = np.triu_indices(n, 1)
+    pows = pr ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    total = pr**k
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        vals = (idx[:, None] // pows[None, :]) % pr
+        M = np.zeros((len(idx), n, n), dtype=np.int64)
+        M[:, iu[0], iu[1]] = vals
+        M[:, iu[1], iu[0]] = (-vals) % pr
+        U1 = np.einsum("ij,cjk->cik", Binv, M) % pr
+        PU1 = (U1 @ U1 + p1 * U1 + p0 * ident) % pr
+        hits = np.nonzero((PU1 == 0).all(axis=(1, 2)))[0]
+        for c in hits:
+            U1c = U1[c]
+            U2 = (U1c - Unp) % pr
+            if ((U2 @ U2 + q1 * U2 + q0 * ident) % pr).any():
+                continue
+            BU2 = (Bnp @ U2) % pr
+            if ((BU2 + BU2.T) % pr).any() or np.diag(BU2).any():
+                continue
+            return Witness(
+                B=P.B,
+                U=P.U,
+                U1=Mat.from_ints(ctx, U1c.tolist()),
+                U2=Mat.from_ints(ctx, U2.tolist()),
+            )
+    return None
+
+
+def _sweep_instances(ctx, pair_dim):
+    """(pctx, pair) for every instance of ``oracle_sweep(ctx, pair_dim)``."""
+    chains = admissible_chains(ctx, pair_dim // 2)
+    for p in monic_polys(ctx, 2):
+        for q in monic_polys(ctx, 2):
+            pc = pair_context(p, q)
+            for chain in chains:
+                v = direct_sum(*(companion(f) for f in chain))
+                yield pc, symplectic_extension(v)
+
+
+def _assert_same_first_hit(instances, pair_dim):
+    """The linearized search returns the full enumeration's first witness,
+    or None where it finds none; returns the number of witnesses."""
+    found = 0
+    for pc, P in instances:
+        got = brute_force_witness(P, pc, bound=pair_dim)
+        want = _full_prime_search(P, pc)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.U1, got.U2) == (want.U1, want.U2)
+            found += 1
+    return found
+
+
+def test_linearized_search_matches_full_enumeration(F2, F3):
+    # every GF(3) and GF(2) dimension-4 sweep instance
+    assert _assert_same_first_hit(_sweep_instances(F3, 4), 4) == 414
+    assert _assert_same_first_hit(_sweep_instances(F2, 4), 4) == 59
+
+
+def test_linearized_search_matches_full_enumeration_dim6(F2):
+    # a seeded sample of the GF(2) dimension-6 sweep, plus v = 0 with
+    # p = q = t^2+t+1, whose linear system leaves all 15 coordinates free
+    instances = random.Random(6).sample(list(_sweep_instances(F2, 6)), 10)
+    t2t1 = parse_poly(F2, "t^2+t+1")
+    pc = pair_context(t2t1, t2t1)
+    P = symplectic_extension(Mat.zeros(F2, 3))
+    _, directions = _solution_space(P.B.inverse(), P.U, pc)
+    assert len(directions) == 15
+    assert _assert_same_first_hit(instances + [(pc, P)], 6) == 3
+
+
+def test_brute_force_over_a_large_prime_field():
+    # over GF(2^61 - 1) products of two field elements overflow int64; the
+    # linear system leaves one candidate, and it is a witness.  pair_context
+    # is too slow over this field, so p and q are passed without it.
+    F = field_make("GF(2305843009213693951)")
+    t2m1 = parse_poly(F, "t^2-1")
+    pc = SimpleNamespace(p=t2m1, q=t2m1)
+    P = symplectic_extension(companion(parse_poly(F, "t-2")))
+    _, directions = _solution_space(P.B.inverse(), P.U, pc)
+    assert directions == []
+    w = brute_force_witness(P, pc)
+    assert w is not None
+    assert mat_poly_eval(t2m1, w.U1).is_zero
+    assert mat_poly_eval(t2m1, w.U2).is_zero
+    assert w.U1 - w.U2 == P.U
 
 
 def test_brute_force_guards(Q, F3):
