@@ -33,7 +33,7 @@ from .errors import (
 )
 from .fields import FieldCtx
 from .linalg import Mat, companion, direct_sum
-from .poly import Poly, irreducible_polys, is_irreducible, quad_ext_roots, roots_in_field
+from .poly import Poly, irreducible_polys, is_irreducible, quad_ext_roots
 
 __all__ = ["TableRow", "indecomposable_reps", "norm_quadratic"]
 
@@ -153,7 +153,7 @@ def _regular_rows(pctx: PairCtx, dim_bound: int, irreducibles) -> List[TableRow]
 def _rows_double_double(pctx: PairCtx, bound: int) -> List[TableRow]:
     # single root difference z = x - y; indecomposables C((t-z)^n).
     ctx = pctx.ctx
-    (z,) = dict.fromkeys(roots_in_field(pctx.F))
+    (z,) = pctx.F_roots
     return [
         _row(pctx, 2, {"x": _fmt(ctx, z), "n": n}, _linear(ctx, z) ** n)
         for n in range(1, bound + 1)
@@ -166,7 +166,7 @@ def _rows_simple_simple(pctx: PairCtx, bound: int) -> List[TableRow]:
     ctx = pctx.ctx
     delta = pctx.delta
     rows: List[TableRow] = []
-    for z in dict.fromkeys(roots_in_field(pctx.F)):
+    for z in pctx.F_roots:
         w = ctx.sub(delta, z)
         lin_z, lin_w = _linear(ctx, z), _linear(ctx, w)
         fz, fw = _fmt(ctx, z), _fmt(ctx, w)
@@ -193,7 +193,7 @@ def _rows_mixed(pctx: PairCtx, bound: int) -> List[TableRow]:
     ctx = pctx.ctx
     delta = pctx.delta
     rows: List[TableRow] = []
-    for z in dict.fromkeys(roots_in_field(pctx.F)):
+    for z in pctx.F_roots:
         w = ctx.sub(delta, z)
         lin_z, lin_w = _linear(ctx, z), _linear(ctx, w)
         fz, fw = _fmt(ctx, z), _fmt(ctx, w)

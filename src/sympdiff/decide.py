@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     ConstructionInvariantViolated,
@@ -41,6 +41,7 @@ from .poly import (
     lambda_poly,
     quad_ext_roots,
     roots_in_field,
+    roots_via_sigma,
     sigma_poly,
     trace_of,
     translate_shifts,
@@ -116,6 +117,11 @@ class PairCtx:
     @property
     def sigma(self) -> Poly:
         return sigma_poly(self.ctx, self.delta)
+
+    @property
+    def F_roots(self) -> list:
+        """The distinct roots of F in the base field, in sort_key order."""
+        return roots_via_sigma(self.Lam, self.delta)
 
 
 @dataclass(frozen=True)
@@ -308,10 +314,7 @@ def _root_orbits(pctx: PairCtx):
     """Distinct base-field roots of F, grouped into {z, delta-z} pairs and
     fixed points of the involution."""
     ctx = pctx.ctx
-    distinct: List = []
-    for z in roots_in_field(pctx.F):
-        if z not in distinct:
-            distinct.append(z)
+    distinct = pctx.F_roots
     pairs, fixed, seen = [], [], []
     for z in distinct:
         if z in seen:

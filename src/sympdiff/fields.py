@@ -52,9 +52,8 @@ def _ztrim(cs):
 def _zadd(a, b, p):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
+    out = [(x + y) % p for x, y in zip(a, b)]
+    out += a[len(out):]
     return _ztrim(out)
 
 
@@ -78,9 +77,18 @@ def _zmul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ztrim(out)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _ztrim([c % p for c in out])
+
+
+def _zsubmul(a, q, b, p):
+    """a - q*b in one pass."""
+    out = list(a) + [0] * (len(q) + len(b) - 1 - len(a))
+    for i, x in enumerate(q):
+        for j, y in enumerate(b, i):
+            out[j] -= x * y
+    return _ztrim([c % p for c in out])
 
 
 def _zdivmod(a, b, p):

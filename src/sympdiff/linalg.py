@@ -5,8 +5,10 @@ matrices, evaluation of polynomials at matrices, Smith-normal-form invariant
 factors of ``tI - M`` over ``F[t]``, similarity testing, Jordan / primary
 multiplicities, and the Fitting split.
 
-Matrix products over prime fields go through numpy int64 (exact: the entry
-bound is checked against the int64 range); everything else is pure Python.
+Matrix products and polynomial evaluation over prime fields go through
+numpy int64 (exact: the entry bound is checked against the int64 range); a
+matrix keeps its array, so a chain of products converts each operand once.
+Everything else is pure Python.
 """
 
 from __future__ import annotations
@@ -32,22 +34,41 @@ from .fields import FieldCtx
 from .poly import Poly, is_irreducible, poly_ops
 
 
+def _numpy_exact(ctx: FieldCtx, terms: int) -> bool:
+    """Whether sums of ``terms`` products of GF(p) entries fit in int64."""
+    return ctx.kind == "prime" and terms * (ctx.p - 1) ** 2 < 2 ** 62
+
+
+def _to_np(M: "Mat"):
+    if M._arr is None:  # read-only, so the Mat stays immutable
+        object.__setattr__(M, "_arr", _np.array(M.entries, dtype=_np.int64))
+        M._arr.flags.writeable = False
+    return M._arr
+
+
+def _from_np(ctx: FieldCtx, a) -> "Mat":
+    M = Mat(ctx, a.tolist())
+    a.flags.writeable = False
+    object.__setattr__(M, "_arr", a)
+    return M
+
+
 class Mat:
     """Immutable dense matrix over a field context."""
 
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    __slots__ = ("ctx", "rows", "cols", "entries", "_arr")
 
     def __init__(self, ctx: FieldCtx, entries: Iterable[Iterable], cols: int = None):
-        rows = tuple(tuple(r) for r in entries)
+        rows = tuple(map(tuple, entries))
         m = len(rows)
         n = len(rows[0]) if m else (cols or 0)
-        for r in rows:
-            if len(r) != n:
-                raise DimensionMismatch("ragged rows")
+        if m and len(set(map(len, rows))) != 1:
+            raise DimensionMismatch("ragged rows")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "rows", m)
         object.__setattr__(self, "cols", n)
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_arr", None)  # int64 copy over GF(p)
 
     def __setattr__(self, *_):
         raise AttributeError("Mat is immutable")
@@ -142,7 +163,7 @@ class Mat:
         return Mat(
             self.ctx,
             [
-                [add(a, b) for a, b in zip(ra, rb)]
+                map(add, ra, rb)
                 for ra, rb in zip(self.entries, other.entries)
             ],
         )
@@ -155,14 +176,14 @@ class Mat:
         return Mat(
             self.ctx,
             [
-                [sub(a, b) for a, b in zip(ra, rb)]
+                map(sub, ra, rb)
                 for ra, rb in zip(self.entries, other.entries)
             ],
         )
 
     def __neg__(self):
         neg = self.ctx.neg
-        return Mat(self.ctx, [[neg(a) for a in row] for row in self.entries])
+        return Mat(self.ctx, [map(neg, row) for row in self.entries])
 
     def scale(self, c) -> "Mat":
         mul = self.ctx.mul
@@ -177,11 +198,8 @@ class Mat:
         ctx = self.ctx
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Mat.zeros(ctx, self.rows, other.cols)
-        if ctx.kind == "prime" and self.cols * (ctx.p - 1) ** 2 < 2 ** 62:
-            a = _np.array(self.entries, dtype=_np.int64)
-            b = _np.array(other.entries, dtype=_np.int64)
-            c = (a @ b) % ctx.p
-            return Mat(ctx, [tuple(int(e) for e in row) for row in c])
+        if _numpy_exact(ctx, self.cols):
+            return _from_np(ctx, (_to_np(self) @ _to_np(other)) % ctx.p)
         add, mul, zero = ctx.add, ctx.mul, ctx.zero
         bt = tuple(zip(*other.entries))
         out = []
@@ -370,12 +388,11 @@ def direct_sum(*mats: Mat) -> Mat:
     total_r = sum(m.rows for m in mats)
     total_c = sum(m.cols for m in mats)
     z = ctx.zero
-    out = [[z] * total_c for _ in range(total_r)]
-    ro = co = 0
+    out = []
+    co = 0
     for m in mats:
-        for i in range(m.rows):
-            out[ro + i][co : co + m.cols] = m.entries[i]
-        ro += m.rows
+        left, right = (z,) * co, (z,) * (total_c - co - m.cols)
+        out.extend(left + row + right for row in m.entries)
         co += m.cols
     return Mat(ctx, out)
 
@@ -404,6 +421,14 @@ def mat_poly_eval(f: Poly, M: Mat) -> Mat:
     if f.ctx != M.ctx:
         raise MixedFieldContexts(f"{f.ctx} vs {M.ctx}")
     n = M.rows
+    if n and _numpy_exact(M.ctx, n + 1):  # acc @ M + c*I < (n+1)(p-1)^2
+        acc = _np.zeros((n, n), dtype=_np.int64)
+        diag = acc.reshape(-1)[:: n + 1]  # a view of acc's diagonal
+        for c in reversed(f.coeffs):
+            _np.matmul(acc, _to_np(M), out=acc)
+            diag += c
+            acc %= M.ctx.p
+        return _from_np(M.ctx, acc)
     acc = Mat.zeros(M.ctx, n)
     ident = Mat.identity(M.ctx, n)
     for c in reversed(f.coeffs):
@@ -479,21 +504,14 @@ def invariant_factors(M: Mat) -> InvFactors:
     if n == 0:
         return InvFactors(ctx, (), 0)
     ops = poly_ops(ctx)
-    padd, psub, pmul, pdiv = ops.add, ops.sub, ops.mul, ops.divmod
+    padd, psubmul, pdiv = ops.add, ops.submul, ops.divmod
     zero, one = ctx.zero, ctx.one
 
-    def trim1(c):
-        return (c,) if c != zero else ()
-
-    grid = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append((ctx.neg(M.entries[i][j]), one))
-            else:
-                row.append(trim1(ctx.neg(M.entries[i][j])))
-        grid.append(row)
+    grid = [
+        [(c,) if c != zero else () for c in map(ctx.neg, row)] for row in M.entries
+    ]
+    for i, row in enumerate(grid):
+        row[i] = (row[i][0] if row[i] else zero, one)
 
     deg_guard = 4 * n
 
@@ -514,6 +532,8 @@ def invariant_factors(M: Mat) -> InvFactors:
                     e = row[j]
                     if e and len(e) < blen:
                         bi, bj, blen = i, j, len(e)
+                        if blen == 1:
+                            break
                 if blen == 1:
                     break
             if bi < 0:
@@ -532,14 +552,16 @@ def invariant_factors(M: Mat) -> InvFactors:
             if blen == 1:
                 # constant pivot: one full clearing pass suffices
                 rowk = grid[k]
+                ipiv = ctx.inv(piv[0])
+                live = [j for j in range(k + 1, n) if rowk[j]]
                 for i in range(k + 1, n):
-                    e = grid[i][k]
+                    rowi = grid[i]
+                    e = rowi[k]
                     if e:
-                        q = ops.scale(e, ctx.inv(piv[0]))
-                        rowi = grid[i]
-                        for j in range(k, n):
-                            if rowk[j]:
-                                rowi[j] = psub(rowi[j], pmul(q, rowk[j]))
+                        q = ops.scale(e, ipiv)
+                        rowi[k] = ()  # e - (e / piv) * piv
+                        for j in live:
+                            rowi[j] = psubmul(rowi[j], q, rowk[j])
                 for j in range(k + 1, n):
                     rowk[j] = ()
                 break
@@ -551,7 +573,7 @@ def invariant_factors(M: Mat) -> InvFactors:
                         rowi, rowk = grid[i], grid[k]
                         for j in range(k, n):
                             if rowk[j]:
-                                rowi[j] = psub(rowi[j], pmul(q, rowk[j]))
+                                rowi[j] = psubmul(rowi[j], q, rowk[j])
                     if rem:
                         clean = False
             if not clean:
@@ -563,7 +585,7 @@ def invariant_factors(M: Mat) -> InvFactors:
                     if q:
                         for i in range(k, n):
                             if grid[i][k]:
-                                grid[i][j] = psub(grid[i][j], pmul(q, grid[i][k]))
+                                grid[i][j] = psubmul(grid[i][j], q, grid[i][k])
                     if rem:
                         clean = False
             if not clean:

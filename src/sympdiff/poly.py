@@ -13,15 +13,17 @@ Degree of the zero polynomial is the sentinel ``-1``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import random
+from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import fields
 from .errors import (
     ConstructionInvariantViolated,
     DivisionByZero,
+    FieldSpecError,
     InfiniteField,
     MixedFieldContexts,
     NonMonic,
@@ -40,9 +42,11 @@ from .fields import FieldCtx, QuadraticExtension
 class PolyOps:
     """Bundle of coefficient-tuple operations bound to one field context."""
 
-    __slots__ = ("ctx", "add", "sub", "neg", "mul", "scale", "divmod", "monic")
+    __slots__ = (
+        "ctx", "add", "sub", "neg", "mul", "scale", "divmod", "monic", "submul"
+    )
 
-    def __init__(self, ctx, add, sub, neg, mul, scale, divmod_, monic):
+    def __init__(self, ctx, add, sub, neg, mul, scale, divmod_, monic, submul):
         self.ctx = ctx
         self.add = add
         self.sub = sub
@@ -51,6 +55,7 @@ class PolyOps:
         self.scale = scale
         self.divmod = divmod_
         self.monic = monic
+        self.submul = submul  # submul(a, q, b) = a - q*b
 
 
 def _generic_poly_ops(ctx: FieldCtx) -> PolyOps:
@@ -113,34 +118,25 @@ def _generic_poly_ops(ctx: FieldCtx) -> PolyOps:
         il = cinv(a[-1])
         return tuple(cmul(c, il) for c in a)
 
-    return PolyOps(ctx, add, sub, neg, mul, scale, divmod_, monic)
+    def submul(a, q, b):
+        return sub(a, mul(q, b))
+
+    return PolyOps(ctx, add, sub, neg, mul, scale, divmod_, monic, submul)
 
 
 def _prime_poly_ops(ctx) -> PolyOps:
     p = ctx.p
-
-    def add(a, b):
-        return fields._zadd(a, b, p)
-
-    def sub(a, b):
-        return fields._zsub(a, b, p)
-
-    def neg(a):
-        return fields._zneg(a, p)
-
-    def mul(a, b):
-        return fields._zmul(a, b, p)
-
-    def scale(a, c):
-        return fields._zscale(a, c, p)
-
-    def divmod_(a, b):
-        return fields._zdivmod(a, b, p)
-
-    def monic(a):
-        return fields._zmonic(a, p)
-
-    return PolyOps(ctx, add, sub, neg, mul, scale, divmod_, monic)
+    return PolyOps(
+        ctx,
+        *(
+            functools.partial(f, p=p)
+            for f in (
+                fields._zadd, fields._zsub, fields._zneg, fields._zmul,
+                fields._zscale, fields._zdivmod, fields._zmonic,
+                fields._zsubmul,
+            )
+        ),
+    )
 
 
 _OPS_CACHE: dict = {}
@@ -203,11 +199,6 @@ class Poly:
     @classmethod
     def from_ints(cls, ctx, ints: Iterable[int]):
         return cls(ctx, tuple(ctx.from_int(n) for n in ints))
-
-    @classmethod
-    def monomial(cls, ctx, e: int, c=None):
-        c = ctx.one if c is None else c
-        return cls(ctx, (ctx.zero,) * e + (c,))
 
     # -- basic queries ---------------------------------------------------
 
@@ -301,26 +292,16 @@ class Poly:
 
     def compose(self, other: "Poly") -> "Poly":
         self._check(other)
-        acc = Poly.zero(self.ctx)
+        ops = poly_ops(self.ctx)
+        acc = ()
         for c in reversed(self.coeffs):
-            acc = acc * other + Poly.constant(self.ctx, c)
-        return acc
+            acc = ops.add(ops.mul(acc, other.coeffs), (c,))
+        return Poly(self.ctx, acc)
 
     def translate(self, z) -> "Poly":
         """self(t + z)."""
         shift = Poly(self.ctx, (z, self.ctx.one))
         return self.compose(shift)
-
-    def derivative(self) -> "Poly":
-        ctx = self.ctx
-        return Poly(
-            ctx,
-            tuple(
-                ctx.mul(ctx.from_int(i), c)
-                for i, c in enumerate(self.coeffs)
-                if i >= 1
-            ),
-        )
 
     # -- comparisons and display -------------------------------------------
 
@@ -533,198 +514,238 @@ def decompose_base_sigma(f: Poly, delta) -> Optional[Poly]:
 
 
 # ----------------------------------------------------------------------
-# roots and factorization
+# roots of quadratics, by square roots
 # ----------------------------------------------------------------------
 
 
-def _root_multiplicity(f: Poly, r):
-    ctx = f.ctx
-    lin = Poly(ctx, (ctx.neg(r), ctx.one))
-    m = 0
-    while True:
-        q, rem = divmod(f, lin)
-        if not rem.is_zero:
-            return m
-        f, m = q, m + 1
+def _sqrt_finite(ctx: FieldCtx, a):
+    """A square root of a in a finite field of odd order, or None
+    (Tonelli-Shanks, with the first non-square in ``ctx.elements()``
+    order)."""
+    power, mul, one = ctx.power, ctx.mul, ctx.one
+    half = (ctx.order - 1) // 2
+    if ctx.is_zero(a):
+        return a
+    if power(a, half) != one:
+        return None
+    odd, m = ctx.order - 1, 0
+    while odd % 2 == 0:
+        odd, m = odd // 2, m + 1
+    minus_one = ctx.neg(one)
+    nonsquare = next(z for z in ctx.elements() if power(z, half) == minus_one)
+    z = power(nonsquare, odd)  # of order 2^m
+    x, b = power(a, (odd + 1) // 2), power(a, odd)  # x^2 = a*b throughout
+    while b != one:
+        i, c = 0, b
+        while c != one:  # b has order 2^i, i < m
+            c, i = mul(c, c), i + 1
+        for _ in range(m - i - 1):
+            z = mul(z, z)
+        x, z = mul(x, z), mul(z, z)
+        b, m = mul(b, z), i
+    return x
 
 
-def _roots_by_scan(f: Poly):
-    out = []
-    for x in f.ctx.elements():
-        if f.ctx.is_zero(f.eval(x)):
-            out.extend([x] * _root_multiplicity(f, x))
-    return out
+def _sqrt_rational(a):
+    """A square root of a over Q, or None."""
+    if a < 0:
+        return None
+    n, d = math.isqrt(a.numerator), math.isqrt(a.denominator)
+    if n * n != a.numerator or d * d != a.denominator:
+        return None
+    return Fraction(n, d)
 
 
-def _int_divisors(n: int):
-    n = abs(n)
-    out = set()
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
-
-
-def _roots_rational(f: Poly):
-    from fractions import Fraction
-
-    # clear denominators, divide by integer content
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * den) for c in f.coeffs]
-    g = math.gcd(*ints)
-    if g:
-        ints = [c // g for c in ints]
-    # strip roots at zero
-    out = []
-    k = 0
-    while ints[k] == 0:
-        k += 1
-    out.extend([Fraction(0)] * k)
-    ints = ints[k:]
-    if len(ints) == 1:
-        return out
-    lead, const = ints[-1], ints[0]
-    seen = set()
-    for c in _int_divisors(const):
-        for d in _int_divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * c, d)
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if f.eval(cand) == 0:
-                    out.extend([cand] * _root_multiplicity(f, cand))
-    return out
-
-
-def _roots_ratfunc(f: Poly):
-    """Roots over GF(p)(s): clear denominators, then use that roots of monic
-    integral polynomials are polynomial and divide the constant coefficient."""
-    ctx = f.ctx
+def _sqrt_ratfunc(ctx, a):
+    """A square root of a over GF(p)(s), p odd, or None: for a = N/D it is
+    sqrt(N*D)/D, and the polynomial square root r of w = N*D is matched
+    coefficient by coefficient from the top."""
     p = ctx.p
-    # common denominator
-    den = (1,)
-    for (num, d) in f.coeffs:
-        den = fields._zdivmod(fields._zmul(den, d, p), fields._zgcd(den, d, p), p)[0]
-    ints = []  # GF(p)[s] coefficient tuples
-    for (num, d) in f.coeffs:
-        ints.append(fields._zmul(num, fields._zdivmod(den, d, p)[0], p))
-    # content
-    content = ()
-    for c in ints:
-        content = fields._zgcd(content, c, p) if content else c
-    if len(content) > 1:
-        ints = [fields._zdivmod(c, content, p)[0] for c in ints]
-    out = []
-    k = 0
-    while not ints[k]:
-        k += 1
-    out.extend([ctx.zero] * k)
-    ints = ints[k:]
-    n = len(ints) - 1
-    if n == 0:
-        return out
-    lead = ints[-1]
-    # h(w) = lead^(n-1) * f(w / lead) is monic integral; its roots are
-    # lead * (roots of f), polynomial, and divide h(0).
-    h0 = fields._zmul(ints[0], _zpow(lead, n - 1, p), p)
-    if not h0:
-        raise ConstructionInvariantViolated("constant term vanished unexpectedly")
-    base = fields.PrimeField(p)
-    factors = factor_ff(Poly(base, h0))
-    divisors = [(1,)]
-    for (g, mult) in factors:
-        powers = []
-        acc = (1,)
-        for _ in range(mult + 1):
-            powers.append(acc)
-            acc = fields._zmul(acc, g.coeffs, p)
-        divisors = [fields._zmul(d, pw, p) for d in divisors for pw in powers]
-    lead_inv_scalar = ctx.from_polys((1,), lead)
-    seen = set()
-    for d in sorted(set(divisors)):
-        for c in range(1, p):
-            w = fields._zscale(d, c, p)
-            z = ctx.mul(ctx.from_polys(w), lead_inv_scalar)
-            if z in seen:
-                continue
-            seen.add(z)
-            if ctx.is_zero(f.eval(z)):
-                out.extend([z] * _root_multiplicity(f, z))
-    return out
+    w = fields._zmul(a[0], a[1], p)
+    if not w:
+        return a
+    if len(w) % 2 == 0:  # odd degree
+        return None
+    m = len(w) // 2
+    lead = _sqrt_finite(fields.PrimeField(p), w[-1])
+    if lead is None:
+        return None
+    # the s^(2m-k) coefficient of r^2 is 2*r_m*r_(m-k) plus products of
+    # coefficients r_(m-k+1), ..., r_(m-1) already found
+    r = [0] * m + [lead]
+    inv = pow(2 * lead, -1, p)
+    for k in range(1, m + 1):
+        known = sum(r[i] * r[2 * m - k - i] for i in range(m - k + 1, m))
+        r[m - k] = (w[2 * m - k] - known) * inv % p
+    r = fields._ztrim(r)
+    if fields._zmul(r, r, p) != w:
+        return None
+    return ctx.from_polys(r, a[1])
 
 
-def _zpow(a, e, p):
-    result = (1,)
-    while e:
-        if e & 1:
-            result = fields._zmul(result, a, p)
-        a = fields._zmul(a, a, p)
-        e >>= 1
-    return result
+def _sqrt_char2(ctx, c):
+    """The square root of c in characteristic 2, or None: the inverse of
+    Frobenius, c^(2^(k-1)) over GF(2^k); over GF(2)(s), u for
+    c = u^2 + s*v^2 when v = 0."""
+    if ctx.kind == "ratfunc":
+        u, v = ctx.frobenius_parts(c)
+        return u if ctx.is_zero(v) else None
+    return ctx.power(c, ctx.order // 2)
+
+
+def _gf2_solve(columns, target):
+    """A bit mask x such that the XOR of the columns[i] with bit i set in x
+    is target, or None; vectors are int bit masks (Gaussian elimination
+    over GF(2))."""
+    pivots = {}  # leading bit -> (vector, mask of the columns it sums)
+
+    def reduce(v, x):
+        while v and v.bit_length() in pivots:
+            pv, px = pivots[v.bit_length()]
+            v, x = v ^ pv, x ^ px
+        return v, x
+
+    for i, col in enumerate(columns):
+        v, x = reduce(col, 1 << i)
+        if v:
+            pivots[v.bit_length()] = (v, x)
+    v, x = reduce(target, 0)
+    return None if v else x
+
+
+def _bits(cs):
+    return sum(c << i for i, c in enumerate(cs))
+
+
+def _artin_schreier(ctx, e):
+    """One y with y^2 + y = e in characteristic 2, or None (the other is
+    y + 1).  y -> y^2 + y is GF(2)-linear, so it is solved by linear
+    algebra over GF(2)."""
+    if ctx.kind == "prime":  # over GF(2), y^2 + y vanishes identically
+        return ctx.zero if ctx.is_zero(e) else None
+    if ctx.kind == "extension":  # on the k coordinates
+        k = ctx.k
+        basis = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        x = _gf2_solve([_bits(ctx.add(ctx.mul(g, g), g)) for g in basis], _bits(e))
+        return None if x is None else tuple((x >> i) & 1 for i in range(k))
+    if ctx.kind != "ratfunc":
+        raise FieldSpecError(f"no root finder in characteristic 2 over {ctx}")
+    # GF(2)(s): y = A/E in lowest terms has y^2 + y = (A^2 + E*A)/E^2 in
+    # lowest terms, so e = N/E^2 needs a square denominator, and then
+    # A^2 + E*A = N with deg A <= max(deg E, deg N / 2)
+    num, den = e
+    if any(den[1::2]):
+        return None
+    E = den[::2]  # den = E(s)^2 = E(s^2)
+    m = max(len(E) - 1, (len(num) - 1) // 2)
+    cols = [(1 << 2 * i) ^ (_bits(E) << i) for i in range(m + 1)]
+    x = _gf2_solve(cols, _bits(num))
+    if x is None:
+        return None
+    return ctx.from_polys(tuple((x >> i) & 1 for i in range(m + 1)), E)
 
 
 def roots_in_field(f: Poly):
-    """All roots of f in its own coefficient field, with multiplicity,
-    deterministically ordered."""
+    """All roots of f, of degree at most 2, in its own coefficient field,
+    with multiplicity, in ``ctx.sort_key`` order.
+
+    A quadratic costs one square root.  In odd characteristic the quadratic
+    formula takes the square root of the discriminant: Tonelli-Shanks over
+    GF(p) and GF(p^k), ``isqrt`` of numerator and denominator over Q, a
+    polynomial square root over GF(p)(s).  In characteristic 2, x^2 = c
+    inverts Frobenius, and x^2 + b*x + c with b != 0 becomes
+    y^2 + y = c/b^2 (x = b*y), solved by GF(2)-linear algebra.  The roots of
+    the quartic F = Lam(t^2 - delta*t) come in two such stages
+    (:func:`roots_via_sigma`).
+    """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")
+    if f.degree > 2:
+        raise WrongDegree(f"roots_in_field solves degree <= 2, got {f.degree}")
     ctx = f.ctx
     if f.degree == 0:
         return []
+    f = f.monic()
+    c = f.coeffs[0]
     if f.degree == 1:
-        c0, c1 = f.coeffs
-        return [ctx.neg(ctx.div(c0, c1))]
-    if ctx.order is not None:
-        roots = _roots_by_scan(f)
-    elif ctx.kind == "rationals":
-        roots = _roots_rational(f)
-    elif ctx.kind == "ratfunc":
-        roots = _roots_ratfunc(f)
+        return [ctx.neg(c)]
+    b = f.coeffs[1]
+    if ctx.characteristic == 2:
+        if ctx.is_zero(b):
+            r = _sqrt_char2(ctx, c)
+            return [] if r is None else [r, r]
+        y = _artin_schreier(ctx, ctx.div(c, ctx.mul(b, b)))
+        if y is None:
+            return []
+        roots = [ctx.mul(b, y), ctx.mul(b, ctx.add(y, ctx.one))]
     else:
-        raise InfiniteField(f"cannot find roots over {ctx}")
+        disc = ctx.sub(ctx.mul(b, b), ctx.mul(ctx.from_int(4), c))
+        if ctx.kind == "rationals":
+            r = _sqrt_rational(disc)
+        elif ctx.kind == "ratfunc":
+            r = _sqrt_ratfunc(ctx, disc)
+        elif ctx.order is not None:
+            r = _sqrt_finite(ctx, disc)
+        else:
+            raise InfiniteField(f"cannot find roots over {ctx}")
+        if r is None:
+            return []
+        half, nb = ctx.inv(ctx.from_int(2)), ctx.neg(b)
+        roots = [ctx.mul(ctx.add(nb, r), half), ctx.mul(ctx.sub(nb, r), half)]
     return sorted(roots, key=ctx.sort_key)
 
 
-# -- finite-field factorization ------------------------------------------
+def roots_via_sigma(Lam: Poly, delta):
+    """The distinct roots of F = Lam(t^2 - delta*t) in the base field, in
+    ``ctx.sort_key`` order.
+
+    A root z of F has z^2 - delta*z = s for a root s of Lam in the field,
+    so the roots of F are those of t^2 - delta*t - s over the distinct
+    roots s of Lam: two quadratic stages instead of a quartic.
+    """
+    ctx = Lam.ctx
+    roots = []
+    for s in dict.fromkeys(roots_in_field(Lam)):
+        roots += roots_in_field(Poly(ctx, (ctx.neg(s), ctx.neg(delta), ctx.one)))
+    return sorted(dict.fromkeys(roots), key=ctx.sort_key)
 
 
-def _pth_root(f: Poly) -> Poly:
-    ctx = f.ctx
-    p = ctx.characteristic
-    q = ctx.order
-    e = q // p
-    return Poly(
-        ctx, tuple(ctx.power(f.coeffs[i], e) for i in range(0, len(f.coeffs), p))
-    )
+def _has_rational_root(f: Poly) -> bool:
+    """Whether a cubic over Q has a rational root.
 
-
-def _squarefree_parts(f: Poly):
-    """[(monic squarefree, multiplicity)] with product f (up to the leading
-    coefficient); characteristic-p aware."""
-    out = []
-    e = 1
+    For D the common denominator of monic f, h(w) = D^3 * f(w/D) is a
+    monic integer cubic whose rational roots are integers, all inside the
+    Cauchy bound.  Cut at the integers around the critical points of h, it
+    is monotone on each stretch, which is bisected for an integer zero.
+    """
     f = f.monic()
-    while f.degree > 0:
-        df = f.derivative()
-        if df.is_zero:
-            f = _pth_root(f)
-            e *= f.ctx.characteristic
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    h0, h1, h2 = (int(c * D ** (3 - i)) for i, c in enumerate(f.coeffs[:3]))
+
+    def h(w):
+        return ((w + h2) * w + h1) * w + h0
+
+    bound = 1 + max(abs(h0), abs(h1), abs(h2))
+    cuts = {-bound, bound}
+    disc = h2 * h2 - 3 * h1  # critical points (-h2 +- sqrt(disc)) / 3
+    if disc > 0:
+        r = math.isqrt(disc)
+        for c in ((-h2 - r) // 3, (-h2 + r) // 3):  # critical point in (c-1, c+2)
+            cuts.update(x for x in range(c - 1, c + 3) if -bound < x < bound)
+    cuts = sorted(cuts)
+    for lo, hi in zip(cuts, cuts[1:]):
+        a, b = h(lo), h(hi)
+        if a == 0 or b == 0:
+            return True
+        if (a < 0) == (b < 0):
             continue
-        g = f.gcd(df)
-        w = f // g
-        i = 1
-        while w.degree > 0:
-            y = w.gcd(g)
-            z = w // y
-            if z.degree > 0:
-                out.append((z, e * i))
-            w = y
-            g = g // y
-            i += 1
-        f = g
-    return out
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            v = h(mid)
+            if v == 0:
+                return True
+            lo, hi = (mid, hi) if (v < 0) == (a < 0) else (lo, mid)
+    return False
 
 
 def _pow_mod(a: Poly, e: int, mod: Poly) -> Poly:
@@ -738,87 +759,14 @@ def _pow_mod(a: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
-def _random_poly(ctx, deg, rng, elems):
-    return Poly(ctx, tuple(elems[rng.randrange(len(elems))] for _ in range(deg + 1)))
-
-
-def _equal_degree_split(f: Poly, d: int, rng, elems):
-    """Cantor-Zassenhaus splitting of a product of distinct irreducibles of
-    degree d."""
-    ctx = f.ctx
-    q = ctx.order
-    one = Poly.one(ctx)
-    n = f.degree
-    if n == d:
-        return [f]
-    while True:
-        a = _random_poly(ctx, rng.randrange(1, n), rng, elems)
-        if a.degree < 1:
-            continue
-        g = f.gcd(a)
-        if 0 < g.degree < n:
-            split = g
-        elif q % 2 == 1:
-            b = _pow_mod(a, (q ** d - 1) // 2, f)
-            split = f.gcd(b - one)
-        else:
-            # characteristic 2: use the trace map
-            k = q.bit_length() - 1  # q = 2^k
-            tr = Poly.zero(ctx)
-            cur = a % f
-            for _ in range(d * k):
-                tr = (tr + cur) % f
-                cur = cur * cur % f
-            split = f.gcd(tr)
-        if 0 < split.degree < n:
-            return _equal_degree_split(split, d, rng, elems) + _equal_degree_split(
-                f // split, d, rng, elems
-            )
-
-
-def factor_ff(f: Poly):
-    """Factor f over a finite field into monic irreducibles.
-
-    Returns a deterministically sorted list of (factor, multiplicity); the
-    unit leading coefficient is dropped.
-    """
-    ctx = f.ctx
-    if ctx.order is None:
-        raise InfiniteField(f"factor_ff needs a finite field, got {ctx}")
-    if f.is_zero:
-        raise ZeroPolynomial("cannot factor the zero polynomial")
-    if f.degree == 0:
-        return []
-    rng = random.Random(0xC0FFEE)
-    elems = list(ctx.elements())
-    q = ctx.order
-    t = Poly.t(ctx)
-    out = []
-    for sqf, mult in _squarefree_parts(f):
-        # distinct-degree stage
-        h = t % sqf
-        rest = sqf
-        d = 0
-        while rest.degree >= 2 * (d + 1):
-            d += 1
-            h = _pow_mod(h, q, rest)
-            g = rest.gcd(h - t)
-            if g.degree > 0:
-                for irr in _equal_degree_split(g, d, rng, elems):
-                    out.append((irr.monic(), mult))
-                rest = rest // g
-                h = h % rest
-        if rest.degree > 0:
-            out.append((rest.monic(), mult))
-    out.sort(key=lambda fm: fm[0].sort_key())
-    return out
-
-
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over the coefficient field.
 
-    Complete over finite fields (Rabin test) and for degree <= 3 anywhere
-    (reducible iff it has a root); degree >= 4 over infinite fields raises.
+    Decided over finite fields in every degree (Rabin test); over infinite
+    fields for quadratics (irreducible iff :func:`roots_in_field` finds no
+    root) and for cubics over Q (iff no rational root).  Every other case
+    -- cubics over GF(p)(s), degree >= 4 over Q or GF(p)(s) -- raises
+    NotIrreducible, which the callers read as "trusted".
     """
     if f.degree <= 0:
         return False
@@ -838,8 +786,10 @@ def is_irreducible(f: Poly) -> bool:
             if fm.gcd(g - t).degree > 0:
                 return False
         return True
-    if f.degree <= 3:
+    if f.degree == 2:
         return not roots_in_field(f)
+    if f.degree == 3 and ctx.kind == "rationals":
+        return not _has_rational_root(f)
     raise NotIrreducible(
         f"cannot decide irreducibility of degree {f.degree} over {ctx}"
     )

@@ -39,10 +39,6 @@ class SymplecticPair:
     def dimension(self) -> int:
         return self.B.rows
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.dimension == 0
-
 
 @dataclass(frozen=True)
 class Witness:

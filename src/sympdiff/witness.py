@@ -165,7 +165,12 @@ def w_algebra_block(pctx: PairCtx, r: Poly) -> WBlock:
         [one, zero, cst(mu), lmx],
     ]
     # multiplication matrix of an R-entry on the power basis, once per entry
-    mult = functools.lru_cache(maxsize=None)(lambda e: mat_poly_eval(e, Cr))
+    # (a constant c multiplies as c*I)
+    mult = functools.lru_cache(maxsize=None)(
+        lambda e: mat_poly_eval(e, Cr)
+        if e.degree > 0
+        else Mat.scalar(ctx, d, e.coefficient(0))
+    )
 
     def expand(grid: Sequence[Sequence[Poly]]) -> Mat:
         return Mat.block(ctx, [[mult(e) for e in row] for row in grid])
@@ -366,15 +371,29 @@ def _solution_space(Binv: Mat, U: Mat, pctx: PairCtx):
     return base, directions
 
 
+def _searched_space(P: SymplecticPair, pctx: PairCtx):
+    """B^{-1} and ``_solution_space``, or None when the system is
+    inconsistent.  Raises DimensionBoundExceeded when the solutions number
+    2^63 or more (the int64 index range of ``_prime_search``)."""
+    Binv = P.B.inverse()
+    space = _solution_space(Binv, P.U, pctx)
+    if space is None:
+        return None
+    if P.ctx.order ** len(space[1]) >= 2**63:
+        raise DimensionBoundExceeded(
+            f"pair dimension {P.dimension} over {P.ctx} leaves at least 2^63 candidates"
+        )
+    return Binv, space
+
+
 def _generic_search(P: SymplecticPair, pctx: PairCtx) -> Optional[Witness]:
     ctx = P.ctx
     n = P.dimension
     B, U = P.B, P.U
-    Binv = B.inverse()
-    space = _solution_space(Binv, U, pctx)
-    if space is None:
+    searched = _searched_space(P, pctx)
+    if searched is None:
         return None
-    base, directions = space
+    Binv, (base, directions) = searched
     for coords in itertools.product(*(ctx.elements() for _ in directions)):
         vals = list(base)
         for c, d in zip(coords, directions):
@@ -404,11 +423,10 @@ def _prime_search(
     pr = ctx.characteristic
     n = P.dimension
     k = n * (n - 1) // 2
-    Binv = P.B.inverse()
-    space = _solution_space(Binv, P.U, pctx)
-    if space is None:
+    searched = _searched_space(P, pctx)
+    if searched is None:
         return None
-    base, directions = space
+    Binv, (base, directions) = searched
     d = len(directions)
     to_np = lambda rows: np.array(
         [[int(e) for e in row] for row in rows], dtype=np.int64
@@ -468,9 +486,9 @@ def brute_force_witness(
 
     Prime fields small enough for exact int64 products take the vectorized
     search, every other field the generic one.  Raises
-    DimensionBoundExceeded above the dimension bound, or when the full
-    candidate count |F|^(n(n-1)/2) reaches 2^63 (the int64 index range of
-    the vectorized search)."""
+    DimensionBoundExceeded above the dimension bound, or when the solution
+    space holds 2^63 or more candidates (the int64 index range of the
+    vectorized search)."""
     ctx = P.ctx
     if ctx.order is None:
         raise InfiniteField("brute force needs a finite field")
@@ -478,10 +496,6 @@ def brute_force_witness(
     if n > bound:
         raise DimensionBoundExceeded(f"pair dimension {n} exceeds bound {bound}")
     k = n * (n - 1) // 2
-    if ctx.order**k >= 2**63:
-        raise DimensionBoundExceeded(
-            f"pair dimension {n} over {ctx} needs at least 2^63 candidates"
-        )
     if n == 0:
         empty = Mat(ctx, [])
         return Witness(B=empty, U=empty, U1=empty, U2=empty)

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, with pinned wall-clock budgets.
 
 The suite runs once per session (the duplication sweep dominates: criterion
-2 took 85 s on a 2-CPU Xeon with Python 3.11); each test then asserts its
-criterion passed and stayed within budget, and prints the one-line summary
-for -s / failure output.
+2 took 44 s in a full run on a 2-CPU Xeon with Python 3.11); each test then
+asserts its criterion passed and stayed within budget, and prints the
+one-line summary for -s / failure output.
 """
 
 import pytest

@@ -3,11 +3,14 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
 from sympdiff.cli import cli_run
+from sympdiff.decide import pair_context
 from sympdiff.exprparse import parse_poly
+from sympdiff.fields import field_make
 from sympdiff.linalg import companion
 from sympdiff.serialize import decode_mat, encode_pair
 from sympdiff.sympform import symplectic_extension
@@ -175,6 +178,26 @@ def test_witness_residual_above_candidate_cap_is_null(capsys):
     obj = json.loads(out)
     assert code == 0
     assert obj["verdict"] == "yes" and obj["witness"] is None
+
+
+@pytest.mark.parametrize("spec, p", [
+    ("GF(10000019)", "t^2+3"),
+    ("GF(2305843009213693951)", "t^2+3"),
+    ("Q", "t^2+100000000000000000001"),
+])
+def test_large_fields_answer_quickly(capsys, spec, p):
+    # root finding by square roots: no field scan, no divisor enumeration
+    ctx = field_make(spec)
+    start = time.monotonic()
+    pair_context(parse_poly(ctx, p), parse_poly(ctx, "t^2-1"))
+    assert time.monotonic() - start < 1.0
+    start = time.monotonic()
+    code, out = run(capsys, [
+        "decide", "--field", spec, "--p", p, "--q", "t^2-1",
+        "--v", "companion:t^2+1",
+    ])
+    assert time.monotonic() - start < 1.0
+    assert code == 0 and json.loads(out)["verdict"] == "yes"
 
 
 def test_witness_yes_without_construction_is_flagged(capsys):

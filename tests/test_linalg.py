@@ -239,3 +239,30 @@ def test_invariant_factors_over_ratfunc(F2s):
     D = direct_sum(C, C)
     assert invariant_factors(D).factors == (r, r)
     assert invariant_factors(D).doubled_halves() == (r,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=gf5_mat(4),
+    cs=st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=6),
+)
+def test_mat_poly_eval_matches_rational_horner(M, cs):
+    # over GF(5) Horner's rule runs in int64; the same evaluation over Q,
+    # reduced mod 5, is the reference
+    Q = field_make("Q")
+    got = mat_poly_eval(Poly.from_ints(M.ctx, cs), M)
+    ref = mat_poly_eval(Poly.from_ints(Q, cs), Mat.from_ints(Q, M.entries))
+    assert got.entries == tuple(
+        tuple(int(e) % 5 for e in row) for row in ref.entries
+    )
+
+
+def test_prime_products_leave_operands_unchanged(F5):
+    M = Mat.from_ints(F5, [[1, 2, 3], [4, 0, 1], [2, 2, 2]])
+    before = M.entries
+    P = M @ M
+    mat_poly_eval(parse_poly(F5, "t^3+2*t+1"), M)
+    mat_poly_eval(parse_poly(F5, "t^2+4"), P)
+    assert M.entries == before
+    assert M @ Mat.identity(F5, 3) == M
+    assert P @ Mat.identity(F5, 3) == P == M @ M

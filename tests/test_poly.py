@@ -1,24 +1,28 @@
-"""Polynomial arithmetic, the difference-root quartic, roots/factoring."""
+"""Polynomial arithmetic, the difference-root quartic, roots."""
+
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympdiff.errors import NotIrreducible, ParseError
+from sympdiff.errors import NotIrreducible, ParseError, WrongDegree
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
 from sympdiff.poly import (
     Poly,
     decompose_base_sigma,
     delta_of,
-    factor_ff,
     fundamental_poly,
     irreducible_polys,
     is_irreducible,
     lambda_poly,
     monic_polys,
+    poly_ops,
     quad_ext_roots,
     resultant,
     roots_in_field,
+    roots_via_sigma,
     sigma_poly,
     translate_shifts,
 )
@@ -48,6 +52,26 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=gf5_poly(3), q=gf5_poly(2), b=gf5_poly(3))
+def test_submul_is_difference_with_product(a, q, b):
+    ops = poly_ops(a.ctx)
+    assert ops.submul(a.coeffs, q.coeffs, b.coeffs) == (a - q * b).coeffs
+
+
+def test_submul_over_an_extension_field():
+    ctx = field_make("GF(4)|t^2+t+1")
+    elems = list(ctx.elements())
+    rng = random.Random(5)
+    ops = poly_ops(ctx)
+    for _ in range(200):
+        a, q, b = (
+            Poly(ctx, [rng.choice(elems) for _ in range(rng.randint(0, 4))])
+            for _ in range(3)
+        )
+        assert ops.submul(a.coeffs, q.coeffs, b.coeffs) == (a - q * b).coeffs
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,12 +145,100 @@ def test_decompose_base_sigma_round_trip(F5):
             assert decompose_base_sigma(f + Poly.t(F5), delta) is None
 
 
-def test_roots_in_field_multiplicity(Q):
-    t = Poly.t(Q)
-    two = Poly.constant(Q, Q.from_int(2))
-    f = (t - two) ** 3 * (t + two)
-    roots = roots_in_field(f)
-    assert sorted(roots) == [Q.from_int(-2)] + [Q.from_int(2)] * 3
+def _scan_roots(f):
+    """Reference: every field element tested by evaluation, each root
+    repeated by its multiplicity."""
+    ctx = f.ctx
+    out = []
+    for x in ctx.elements():
+        g, lin = f, Poly(ctx, (ctx.neg(x), ctx.one))
+        while g.degree > 0 and ctx.is_zero(g.eval(x)):
+            out.append(x)
+            g = g // lin
+    return sorted(out, key=ctx.sort_key)
+
+
+def test_roots_in_field_double_root(Q, F3, F2, F2s):
+    for ctx, text, root in [
+        (Q, "t^2-4*t+4", Q.from_int(2)),
+        (Q, "4*t^2+4*t+1", Fraction(-1, 2)),
+        (F3, "t^2+t+1", 1),  # (t - 1)^2
+        (F2, "t^2+1", 1),
+        (F2s, "t^2+s^2", F2s.gen),
+    ]:
+        assert roots_in_field(parse_poly(ctx, text)) == [root, root]
+
+
+def test_roots_via_sigma_repeated_roots(Q):
+    # p = t^2, q = t^2 - 1: F = (t - 1)^2 (t + 1)^2, two distinct roots
+    p, q = parse_poly(Q, "t^2"), parse_poly(Q, "t^2-1")
+    F = fundamental_poly(p, q)
+    assert F == parse_poly(Q, "(t^2-1)^2")
+    assert roots_via_sigma(lambda_poly(p, q), delta_of(p, q)) == [
+        Q.from_int(-1), Q.from_int(1)
+    ]
+    # p = q = t^2: F = t^4, one root
+    p = parse_poly(Q, "t^2")
+    assert roots_via_sigma(lambda_poly(p, p), delta_of(p, p)) == [Q.zero]
+    with pytest.raises(WrongDegree):  # quartics go through roots_via_sigma
+        roots_in_field(F)
+
+
+_SMALL_FIELDS = [
+    "GF(2)", "GF(3)", "GF(4)|t^2+t+1", "GF(5)", "GF(9)|t^2+1", "GF(27)|t^3+2*t+1",
+]
+
+
+@pytest.mark.parametrize("spec", _SMALL_FIELDS)
+def test_quadratic_roots_match_exhaustive_scan(spec):
+    ctx = field_make(spec)
+    for f in monic_polys(ctx, 2):
+        assert roots_in_field(f) == _scan_roots(f), f
+
+
+def _rand_ratfunc(ctx, rng):
+    num = [rng.randrange(ctx.p) for _ in range(rng.randrange(4))]
+    den = [rng.randrange(ctx.p) for _ in range(rng.randrange(3))] + [1]
+    return ctx.from_polys(num, den)
+
+
+def test_seeded_products_and_irreducibles(Q):
+    rng = random.Random(4)
+    big = 10**12
+    draws = {
+        "Q": lambda ctx: Fraction(rng.randrange(-big, big), rng.randrange(1, big)),
+        "GF(3)(s)": lambda ctx: _rand_ratfunc(ctx, rng),
+        "GF(2)(s)": lambda ctx: _rand_ratfunc(ctx, rng),
+    }
+    irreducible = {
+        "Q": ["t^2-2", "t^2+1", "t^2-1000000000039", "3*t^2+t+5"],
+        # s is not a square; t^2 + t + s and t^2 + s*t + 1 have no root and
+        # t^2 + t + 1/s needs a square denominator
+        "GF(3)(s)": ["t^2-s", "t^2-s^3-s-1", "t^2+(s^2+1)*t+s"],
+        "GF(2)(s)": ["t^2+s", "t^2+t+s", "t^2+s*t+1", "s*t^2+s*t+1"],
+    }
+    for spec, draw in draws.items():
+        ctx = field_make(spec)
+        t = Poly.t(ctx)
+        for _ in range(40):
+            a, b = draw(ctx), draw(ctx)
+            f = (t - Poly.constant(ctx, a)) * (t - Poly.constant(ctx, b))
+            assert roots_in_field(f) == sorted([a, b], key=ctx.sort_key)
+            lead = draw(ctx)
+            if not ctx.is_zero(lead):
+                assert roots_in_field(f.scale(lead)) == roots_in_field(f)
+        for text in irreducible[spec]:
+            assert roots_in_field(parse_poly(ctx, text)) == [], text
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)|t^2+t+1", "GF(5)"])
+def test_roots_via_sigma_matches_scan_of_F(spec):
+    ctx = field_make(spec)
+    quadratics = list(monic_polys(ctx, 2))
+    for p in quadratics:
+        for q in quadratics:
+            want = list(dict.fromkeys(_scan_roots(fundamental_poly(p, q))))
+            assert roots_via_sigma(lambda_poly(p, q), delta_of(p, q)) == want
 
 
 def test_roots_rational_fractions(Q):
@@ -203,21 +315,25 @@ def test_irreducible_counts(F3):
     assert sum(1 for f in irreducible_polys(F3, 3) if f.degree == 3) == 8
 
 
-def test_factor_ff_reassembles(F3):
-    for f in monic_polys(F3, 4):
-        prod = Poly.one(F3)
-        for g, m in factor_ff(f):
-            assert is_irreducible(g)
-            prod = prod * g ** m
-        assert prod == f
-
-
 def test_is_irreducible_degree_bounds(Q):
     assert is_irreducible(parse_poly(Q, "t^2+1"))
     assert not is_irreducible(parse_poly(Q, "t^2-1"))
     assert is_irreducible(parse_poly(Q, "t^3-2"))
     with pytest.raises(NotIrreducible):
         is_irreducible(parse_poly(Q, "t^4+1"))
+
+
+def test_is_irreducible_cubic_rule(Q, F2s):
+    # cubics over Q: reducible exactly when a rational root exists
+    assert not is_irreducible(parse_poly(Q, "t^3-8"))
+    assert not is_irreducible(parse_poly(Q, "t^3-1/8"))
+    assert not is_irreducible(parse_poly(Q, "(t-2/3)*(t^2+1)"))
+    assert not is_irreducible(parse_poly(Q, "(t+1000000000039)*(t-7)*(t-1/2)"))
+    assert is_irreducible(parse_poly(Q, "t^3-t-1"))
+    assert is_irreducible(parse_poly(Q, "t^3+1000000000000000000*t+3"))
+    # cubics over GF(p)(s) are trusted, as degree >= 4 is
+    with pytest.raises(NotIrreducible):
+        is_irreducible(parse_poly(F2s, "t^3+s"))
 
 
 def test_parse_requires_explicit_multiplication(Q):

@@ -3,7 +3,6 @@
 import dataclasses
 import random
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,11 +299,10 @@ def test_linearized_search_matches_full_enumeration_dim6(F2):
 
 def test_brute_force_over_a_large_prime_field():
     # over GF(2^61 - 1) products of two field elements overflow int64; the
-    # linear system leaves one candidate, and it is a witness.  pair_context
-    # is too slow over this field, so p and q are passed without it.
+    # linear system leaves one candidate, and it is a witness
     F = field_make("GF(2305843009213693951)")
     t2m1 = parse_poly(F, "t^2-1")
-    pc = SimpleNamespace(p=t2m1, q=t2m1)
+    pc = pair_context(t2m1, t2m1)
     P = symplectic_extension(companion(parse_poly(F, "t-2")))
     _, directions = _solution_space(P.B.inverse(), P.U, pc)
     assert directions == []
@@ -334,6 +332,17 @@ def test_brute_force_candidate_cap(F5):
         brute_force_witness(symplectic_extension(v), pc, bound=8)
     assert compose_witness(v, pc, bound=8) is None  # decided YES, no search
     assert time.monotonic() - start < 5.0
+
+
+def test_candidate_cap_counts_only_the_solution_space(F5):
+    # dimension 8 has 5^28 >= 2^63 alternating Grams, but the linear
+    # system leaves a single candidate, so the residual is searched
+    pc = pair_context(parse_poly(F5, "t^2-1"), parse_poly(F5, "t^2-1"))
+    v = Mat.scalar(F5, 4, 2)
+    P = symplectic_extension(v)
+    assert _solution_space(P.B.inverse(), P.U, pc)[1] == []
+    w = compose_witness(v, pc, bound=8)
+    assert w is not None and verify_witness(w, pc).ok
 
 
 def test_brute_force_trivial_pair(F3):
