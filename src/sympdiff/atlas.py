@@ -28,6 +28,7 @@ from .decide import Family, PairCtx, decide_extension
 from .errors import (
     ConstructionInvariantViolated,
     DifferenceInBaseField,
+    InvalidArgument,
     NeedsIrreducibleInventory,
     NotIrreducible,
 )
@@ -114,12 +115,12 @@ def _inventory(pctx: PairCtx, dim_bound: int, irreducibles) -> List[Poly]:
     pool = []
     for r in irreducibles:
         if r.ctx is not ctx:
-            raise ValueError("inventory polynomial over the wrong field")
+            raise InvalidArgument("inventory polynomial over the wrong field")
         if r.degree < 1 or not r.is_monic:
-            raise ValueError(f"inventory entry {r} is not monic of degree >= 1")
+            raise InvalidArgument(f"inventory entry {r} is not monic of degree >= 1")
         try:
             if not is_irreducible(r):
-                raise ValueError(f"inventory entry {r} is reducible")
+                raise InvalidArgument(f"inventory entry {r} is reducible")
         except NotIrreducible:
             pass  # undecidable degree over an infinite field: trust the caller
         pool.append(r)
@@ -354,7 +355,7 @@ def indecomposable_reps(
     the output is closed under the parameter symmetry x <-> delta - x.
     """
     if dim_bound < 1:
-        raise ValueError("dim_bound must be >= 1")
+        raise InvalidArgument("dim_bound must be >= 1")
     rows = _regular_rows(pctx, dim_bound, irreducibles)
     rows.extend(_EXCEPTIONAL_BUILDER[pctx.case.family](pctx, dim_bound))
     seen = set()
@@ -381,7 +382,7 @@ def norm_quadratic(pctx: PairCtx, root_index: int) -> Poly:
     ctx = pctx.ctx
     K, qroots = quad_ext_roots(pctx.p_norm, pctx.q_norm)
     if not 0 <= root_index < len(qroots):
-        raise ValueError(f"root_index {root_index} out of range")
+        raise InvalidArgument(f"root_index {root_index} out of range")
     y = qroots[root_index]
     d = K.sub(K.gen, y)
     if d[1] == ctx.zero:

@@ -374,6 +374,13 @@ def _regular_evidence(pctx: PairCtx, factors: Sequence[Poly]):
     return tuple(out), ok, failing
 
 
+def _odd_size_violations(factors: Sequence[Poly], g: Poly, m: int):
+    """The exact cell counts of g among the factors, and the odd sizes
+    whose count is not a multiple of m."""
+    cells = exact_cell_counts(count_sequence(factors, g))
+    return cells, [k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % m]
+
+
 def _exceptional_evidence(pctx: PairCtx, factors: Sequence[Poly]):
     family = pctx.case.family
     ctx = pctx.ctx
@@ -442,9 +449,7 @@ def _exceptional_evidence(pctx: PairCtx, factors: Sequence[Poly]):
         ok = True
         failing = None
         for z in pctx.case.zs:
-            seq = count_sequence(factors, _linear(ctx, z))
-            cells = exact_cell_counts(seq)
-            bad = [k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % 2]
+            cells, bad = _odd_size_violations(factors, _linear(ctx, z), 2)
             details.append(
                 {
                     "shift": _fmt(ctx, z),
@@ -470,9 +475,7 @@ def _exceptional_evidence(pctx: PairCtx, factors: Sequence[Poly]):
         )
     if family is Family.IRR_DISTINCT_SPECIAL:
         g = special_quadratic(pctx)
-        seq = count_sequence(factors, g)
-        cells = exact_cell_counts(seq)
-        bad = [k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % 2]
+        cells, bad = _odd_size_violations(factors, g, 2)
         failing = None
         if bad:
             failing = (
@@ -525,8 +528,7 @@ def _pair_level_mod4(pctx: PairCtx, factors: Sequence[Poly]):
         details = []
         ok = True
         for z in pctx.case.zs:
-            cells = exact_cell_counts(count_sequence(factors, _linear(ctx, z)))
-            bad = [k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % 4]
+            cells, bad = _odd_size_violations(factors, _linear(ctx, z), 4)
             details.append(
                 {
                     "shift": _fmt(ctx, z),
@@ -542,8 +544,7 @@ def _pair_level_mod4(pctx: PairCtx, factors: Sequence[Poly]):
         }
     if family is Family.IRR_DISTINCT_SPECIAL:
         g = special_quadratic(pctx)
-        cells = exact_cell_counts(count_sequence(factors, g))
-        bad = [k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % 4]
+        cells, bad = _odd_size_violations(factors, g, 4)
         return (
             not bad,
             {

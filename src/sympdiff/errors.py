@@ -9,6 +9,11 @@ class SympdiffError(Exception):
     """Base class for all errors raised by sympdiff."""
 
 
+class InvalidArgument(SympdiffError, ValueError):
+    """An argument is out of range or inconsistent (a dimension, an index,
+    an inventory entry)."""
+
+
 # ---------------------------------------------------------------- fields
 
 class NonPrimeCharacteristic(SympdiffError):
@@ -46,7 +51,8 @@ class WrongDegree(SympdiffError):
 
 
 class ZeroPolynomial(SympdiffError):
-    """The zero polynomial is not allowed here (division, resultant, ...)."""
+    """The zero polynomial is not allowed here (leading coefficient, roots,
+    Fitting split)."""
 
 
 class NonMonic(SympdiffError):
@@ -103,10 +109,6 @@ class DecisionWasNo(SympdiffError):
 
 
 # ---------------------------------------------------------------- search / construction
-
-class SearchExhausted(SympdiffError):
-    """A bounded search ended without the required object."""
-
 
 class ConstructionInvariantViolated(SympdiffError):
     """A constructed object failed its own self-checks (internal bug)."""

@@ -495,8 +495,10 @@ def invariant_factors(M: Mat) -> InvFactors:
 
     Pivoting picks the minimal-degree nonzero entry (row-major tie-break);
     after clearing a row/column the pivot is made to divide the remaining
-    submatrix by row additions.  A degree guard aborts if any intermediate
-    entry exceeds degree 4n.
+    submatrix by row additions.  The pivot search only considers entries
+    of degree at most 4n: a trailing block with no such entry is left as it
+    stands and the diagonal is read off it (a zero diagonal entry raises
+    ConstructionInvariantViolated).
     """
     M._square()
     ctx = M.ctx
@@ -544,10 +546,6 @@ def invariant_factors(M: Mat) -> InvFactors:
                 for row in grid:
                     row[bj], row[k] = row[k], row[bj]
             piv = grid[k][k]
-            if len(piv) - 1 > deg_guard:
-                raise ConstructionInvariantViolated(
-                    f"SNF degree guard exceeded: degree {len(piv) - 1} > {deg_guard}"
-                )
             clean = True
             if blen == 1:
                 # constant pivot: one full clearing pass suffices

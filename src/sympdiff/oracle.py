@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .decide import decide_pair, pair_context
+from .errors import InvalidArgument
 from .fields import FieldCtx, field_spec
 from .linalg import Mat, companion, direct_sum
 from .poly import Poly, monic_polys
@@ -97,7 +98,7 @@ def admissible_chains(ctx: FieldCtx, half_dim: int) -> List[Tuple[Poly, ...]]:
     profiles of a symplectic pair of dimension ``2 * half_dim``.
     """
     if half_dim < 0:
-        raise ValueError("half_dim must be >= 0")
+        raise InvalidArgument("half_dim must be >= 0")
     if half_dim == 0:
         return [()]
     out: List[Tuple[Poly, ...]] = []
@@ -121,9 +122,9 @@ def oracle_sweep(
     positive (alternating nondegenerate forms only exist in even dimension).
     """
     if ctx.order is None:
-        raise ValueError("oracle sweeps require a finite field")
+        raise InvalidArgument("oracle sweeps require a finite field")
     if pair_dim < 2 or pair_dim % 2:
-        raise ValueError("pair_dim must be a positive even integer")
+        raise InvalidArgument("pair_dim must be a positive even integer")
     start = time.monotonic()
     if ps is None:
         ps = list(monic_polys(ctx, 2))

@@ -353,51 +353,8 @@ def _is_simple(s: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-# resultants and the difference-root polynomial
+# the difference-root polynomial
 # ----------------------------------------------------------------------
-
-
-def sylvester_matrix(a: Poly, b: Poly):
-    """Sylvester matrix of (a, b) as nested lists, rows of ``a`` first."""
-    if a.is_zero or b.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial")
-    m, n = a.degree, b.degree
-    size = m + n
-    zero = a.ctx.zero
-    rows = []
-    ra = list(reversed(a.coeffs))
-    rb = list(reversed(b.coeffs))
-    for i in range(n):
-        rows.append([zero] * i + ra + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + rb + [zero] * (size - i - n - 1))
-    return rows
-
-
-def resultant(a: Poly, b: Poly):
-    """res(a, b) as the Sylvester determinant (scalar in the base field)."""
-    a._check(b)
-    ctx = a.ctx
-    rows = sylvester_matrix(a, b)
-    n = len(rows)
-    det = ctx.one
-    for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k] != ctx.zero), None)
-        if piv is None:
-            return ctx.zero
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            det = ctx.neg(det)
-        det = ctx.mul(det, rows[k][k])
-        ipiv = ctx.inv(rows[k][k])
-        for i in range(k + 1, n):
-            c = rows[i][k]
-            if c != ctx.zero:
-                f = ctx.mul(c, ipiv)
-                rows[i] = [
-                    ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[k])
-                ]
-    return det
 
 
 def _require_monic_quadratic(f: Poly, name: str):
@@ -407,56 +364,32 @@ def _require_monic_quadratic(f: Poly, name: str):
         raise NonMonic(f"{name} must be monic")
 
 
-def _poly_grid_det(grid):
-    """Determinant of a small square grid of Poly entries (cofactor expansion)."""
-    n = len(grid)
-    if n == 0:
-        raise ValueError("empty grid")
-    if n == 1:
-        return grid[0][0]
-    total = None
-    for j, top in enumerate(grid[0]):
-        if top.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = top * _poly_grid_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return Poly.zero(grid[0][0].ctx) if total is None else total
+def _norm_over_p(p: Poly, a: Poly, b: Poly) -> Poly:
+    """N(a*x + b) = a^2*alpha + a*b*lambda + b^2: the norm from F[x]/(p) of
+    a*x + b, for p = x^2 - lambda*x + alpha and a, b polynomials in t."""
+    lam, alpha = trace_of(p), p.coeffs[0]
+    return (a * a).scale(alpha) + (a * b).scale(lam) + b * b
 
 
 def fundamental_poly(p: Poly, q: Poly) -> Poly:
     """The monic quartic whose roots are all differences x - y over the
     algebraic closure, x a root of p and y a root of q.
 
-    Computed as res_x(p(x), q(x - t)), a 4x4 Sylvester determinant over
-    the polynomial ring in t.  Monicity is asserted, not assumed.
+    F(t) = res_x(p(x), q(x - t)) is the norm from F[x]/(p) of q(x - t)
+    reduced mod p.  With p = x^2 - lambda*x + alpha, q = x^2 - mu*x + beta
+    and delta = lambda - mu that remainder is
+    (delta - 2t)*x + (t^2 + mu*t + beta - alpha), so
+    F = N((delta - 2t)*x + (t^2 + mu*t + beta - alpha)).
+    Monicity is asserted, not assumed.
     """
     p._check(q)
     _require_monic_quadratic(p, "p")
     _require_monic_quadratic(q, "q")
     ctx = p.ctx
-    t = Poly.t(ctx)
-    minus_t = -t
-    one = Poly.one(ctx)
-    # coefficients (in t) of q(x - t) as a polynomial in x
-    qx = [Poly.zero(ctx), Poly.zero(ctx), Poly.zero(ctx)]
-    for k, qk in enumerate(q.coeffs):
-        qk_c = Poly.constant(ctx, qk)
-        for j in range(k + 1):
-            binom = Poly.constant(ctx, ctx.from_int(math.comb(k, j)))
-            qx[j] = qx[j] + qk_c * binom * minus_t ** (k - j)
-    px = [Poly.constant(ctx, c) for c in p.coeffs]
-    zero = Poly.zero(ctx)
-    # 4x4 Sylvester grid, p-rows first, highest x-coefficient first
-    grid = [
-        [px[2], px[1], px[0], zero],
-        [zero, px[2], px[1], px[0]],
-        [qx[2], qx[1], qx[0], zero],
-        [zero, qx[2], qx[1], qx[0]],
-    ]
-    F = _poly_grid_det(grid)
+    mu, alpha, beta = trace_of(q), p.coeffs[0], q.coeffs[0]
+    a = Poly(ctx, (delta_of(p, q), ctx.from_int(-2)))
+    b = Poly(ctx, (ctx.sub(beta, alpha), mu, ctx.one))
+    F = _norm_over_p(p, a, b)
     if F.degree != 4 or not F.is_monic:
         raise ConstructionInvariantViolated(
             f"difference-root polynomial is not a monic quartic: {F}"
@@ -477,17 +410,22 @@ def delta_of(p: Poly, q: Poly):
 
 def lambda_poly(p: Poly, q: Poly) -> Poly:
     """The monic quadratic L with F(t) = L(t^2 - delta*t) for F the
-    difference-root quartic and delta = trace(p) - trace(q)."""
+    difference-root quartic and delta = trace(p) - trace(q).
+
+    L(0) = F(0) = res(p, q) is the norm from F[x]/(p) of q mod p, that is
+    N(delta*x + (beta - alpha)) for p = x^2 - lambda*x + alpha and
+    q = x^2 - mu*x + beta.
+    """
     p._check(q)
     _require_monic_quadratic(p, "p")
     _require_monic_quadratic(q, "q")
     ctx = p.ctx
     lam, mu = trace_of(p), trace_of(q)
-    lin = ctx.sub(
-        ctx.mul(ctx.from_int(2), ctx.add(p.coeffs[0], q.coeffs[0])),
-        ctx.mul(lam, mu),
-    )
-    const = resultant(p, q)
+    alpha, beta = p.coeffs[0], q.coeffs[0]
+    lin = ctx.sub(ctx.mul(ctx.from_int(2), ctx.add(alpha, beta)), ctx.mul(lam, mu))
+    const = _norm_over_p(
+        p, Poly.constant(ctx, delta_of(p, q)), Poly.constant(ctx, ctx.sub(beta, alpha))
+    ).coefficient(0)
     return Poly(ctx, (const, lin, ctx.one))
 
 

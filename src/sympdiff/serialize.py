@@ -72,20 +72,24 @@ def decode_scalar(ctx: FieldCtx, obj) -> Any:
     if isinstance(obj, str):
         return parse_scalar(ctx, obj)
     kind = ctx.kind
-    if kind == "extension" and isinstance(obj, list):
-        cs = [int(c) for c in obj]
-        if len(cs) > ctx.k:
-            raise SerializationError(
-                f"extension scalar has {len(cs)} coefficients, field degree is {ctx.k}"
-            )
-        return ctx._pad(tuple(c % ctx.p for c in cs))
-    if kind == "ratfunc" and isinstance(obj, dict):
-        try:
+    try:
+        if kind == "extension" and isinstance(obj, list):
+            cs = [int(c) for c in obj]
+            if len(cs) > ctx.k:
+                raise SerializationError(
+                    f"extension scalar has {len(cs)} coefficients, field degree is {ctx.k}"
+                )
+            return ctx._pad(tuple(c % ctx.p for c in cs))
+        if kind == "ratfunc" and isinstance(obj, dict):
             num = tuple(int(c) % ctx.p for c in obj["num"])
             den = tuple(int(c) % ctx.p for c in obj["den"])
-        except KeyError as exc:
-            raise SerializationError(f"rational-function scalar missing {exc}") from None
-        return ctx._canon(num, den)
+            return ctx._canon(num, den)
+    except KeyError as exc:
+        raise SerializationError(f"rational-function scalar missing {exc}") from None
+    except (TypeError, ValueError):
+        raise SerializationError(
+            f"{obj!r} has a coefficient that is not an integer"
+        ) from None
     raise SerializationError(f"cannot decode {obj!r} as a scalar over {ctx}")
 
 
@@ -143,9 +147,15 @@ def decode_mat(obj, ctx: Optional[FieldCtx] = None) -> Mat:
         raise SerializationError(f"cannot decode {obj!r} as a matrix")
     fctx = _field_of(obj, ctx)
     entries = obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise SerializationError("matrix entries must be a list of rows")
     rows = obj.get("rows", len(entries))
     cols = obj.get("cols", len(entries[0]) if entries else 0)
-    if len(entries) != rows or any(len(r) != cols for r in entries):
+    if (
+        not isinstance(cols, int)
+        or len(entries) != rows
+        or any(len(r) != cols for r in entries)
+    ):
         raise SerializationError("matrix entries do not match the declared shape")
     grid = [[decode_scalar(fctx, e) for e in row] for row in entries]
     return Mat(fctx, grid, cols=cols)

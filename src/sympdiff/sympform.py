@@ -10,19 +10,18 @@ extension S(v) of some endomorphism v.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import (
     DimensionMismatch,
     InvalidPair,
+    NonMonic,
     NotSquare,
-    SearchExhausted,
+    WrongDegree,
 )
 from .fields import FieldCtx
-from .linalg import InvFactors, Mat, companion, direct_sum, invariant_factors, restrict, similar
+from .linalg import InvFactors, Mat, direct_sum, invariant_factors, restrict, similar
 from .poly import Poly
 
 
@@ -159,99 +158,29 @@ def isometry_test(P1: SymplecticPair, P2: SymplecticPair) -> bool:
 # Frobenius symmetrizer
 # ----------------------------------------------------------------------
 
-_SYMMETRIZER_CACHE: dict = {}
-
 
 def frobenius_symmetrizer(r: Poly) -> Mat:
-    """An invertible symmetric s with s*C(r) symmetric.
+    """An invertible symmetric s with s*C(r) symmetric: the Hankel
+    (trace-form) matrix s_ij = h_(i+j) of the monic r of degree d.
 
-    Solves the linear system {s = s^T, s*C(r) symmetric} and picks an
-    invertible point deterministically: nullspace basis vectors first, then
-    0/1 combinations, then seeded pseudo-random combinations.  Existence is
-    classical, so exhaustion signals a bug.
+    h_0 = ... = h_(d-2) = 0, h_(d-1) = 1 and h_k = -sum_i r_i*h_(k-d+i)
+    for k >= d, so (s*C(r))_ij = h_(i+j+1).  s is anti-triangular with
+    ones on the anti-diagonal, hence invertible.
     """
-    key = (r.ctx, r.coeffs)
-    cached = _SYMMETRIZER_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if r.degree < 1:
+        raise WrongDegree("symmetrizer needs degree >= 1")
+    if not r.is_monic:
+        raise NonMonic(f"symmetrizer of non-monic {r}")
     ctx = r.ctx
-    C = companion(r)
     d = r.degree
-    # unknowns: s_{ij} for i <= j (s symmetric by construction)
-    unknowns = [(i, j) for i in range(d) for j in range(i, d)]
-    index = {ij: k for k, ij in enumerate(unknowns)}
-
-    def s_entry_coeffs(i, j):
-        # coefficient vector of s_{ij} as a linear form in the unknowns
-        vec = [ctx.zero] * len(unknowns)
-        vec[index[(i, j) if i <= j else (j, i)]] = ctx.one
-        return vec
-
-    rows = []
-    # (s C)_{ij} = sum_k s_{ik} C_{kj}; impose (s C)_{ij} = (s C)_{ji}, i < j
-    for i in range(d):
-        for j in range(i + 1, d):
-            row = [ctx.zero] * len(unknowns)
-            for k in range(d):
-                cij = C.entries[k][j]
-                if not ctx.is_zero(cij):
-                    for pos, coef in enumerate(s_entry_coeffs(i, k)):
-                        if not ctx.is_zero(coef):
-                            row[pos] = ctx.add(row[pos], ctx.mul(coef, cij))
-                cji = C.entries[k][i]
-                if not ctx.is_zero(cji):
-                    for pos, coef in enumerate(s_entry_coeffs(j, k)):
-                        if not ctx.is_zero(coef):
-                            row[pos] = ctx.sub(row[pos], ctx.mul(coef, cji))
-            rows.append(row)
-    system = Mat(ctx, rows) if rows else Mat(ctx, [], cols=len(unknowns))
-    basis = system.kernel_basis()  # columns = solutions
-
-    def to_matrix(coords):
-        grid = [[ctx.zero] * d for _ in range(d)]
-        for (i, j), k in index.items():
-            grid[i][j] = coords[k]
-            grid[j][i] = coords[k]
-        return Mat(ctx, grid)
-
-    candidates = []
-    ncols = basis.cols
-    for c in range(ncols):
-        candidates.append(basis.col(c))
-
-    def combos():
-        for c in candidates:
-            yield c
-        for mask in itertools.product((0, 1), repeat=ncols):
-            if sum(mask) <= 1:
-                continue
-            vec = [ctx.zero] * len(unknowns)
-            for c, m in zip(candidates, mask):
-                if m:
-                    vec = [ctx.add(a, b) for a, b in zip(vec, c)]
-            yield tuple(vec)
-        rng = random.Random(20110209)
-        if ctx.order is not None:
-            elems = list(ctx.elements())
-            pick = lambda: elems[rng.randrange(len(elems))]
-        else:
-            pick = lambda: ctx.from_int(rng.randrange(1, 10))
-        for _ in range(10000):
-            vec = [ctx.zero] * len(unknowns)
-            for c in candidates:
-                w = pick()
-                vec = [ctx.add(a, ctx.mul(w, b)) for a, b in zip(vec, c)]
-            yield tuple(vec)
-
-    for coords in combos():
-        s = to_matrix(coords)
-        if s.is_invertible():
-            sc = s @ C
-            if sc != sc.transpose() or s != s.transpose():
-                raise SearchExhausted("symmetrizer solution fails symmetry")
-            _SYMMETRIZER_CACHE[key] = s
-            return s
-    raise SearchExhausted(f"no invertible symmetrizer found for {r}")
+    low = r.coeffs[:-1]
+    h = [ctx.zero] * (d - 1) + [ctx.one]
+    for k in range(d, 2 * d - 1):
+        acc = ctx.zero
+        for ri, hj in zip(low, h[k - d:]):
+            acc = ctx.sub(acc, ctx.mul(ri, hj))
+        h.append(acc)
+    return Mat(ctx, [h[i:i + d] for i in range(d)])
 
 
 # ----------------------------------------------------------------------

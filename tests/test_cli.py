@@ -293,6 +293,29 @@ def test_errors_are_structured_json(capsys):
         assert "error" in json.loads(out)
 
 
+_PQ = ["--p", "t^2+1", "--q", "t^2+1"]
+
+
+@pytest.mark.parametrize("argv, error_type", [
+    (["oracle", "--field", "GF(2)", "--dim", "3"], "InvalidArgument"),
+    (["enumerate", "--field", "GF(3)", *_PQ, "--dim", "0"], "InvalidArgument"),
+    (["enumerate", "--field", "Q", *_PQ, "--dim", "4", "--inventory", "t^2-1"],
+     "InvalidArgument"),
+    (["decide", "--field", "Q", *_PQ, "--v", '{"entries": 5}'],
+     "SerializationError"),
+    (["decide", "--field", "GF(4)|t^2+t+1", *_PQ,
+      "--v", '{"rows": 1, "cols": 1, "entries": [[[1, "a"]]]}'],
+     "SerializationError"),
+    (["decide", "--field", "GF(2)(s)", *_PQ,
+      "--v", '{"rows": 1, "cols": 1, "entries": [[{"num": 5, "den": [1]}]]}'],
+     "SerializationError"),
+])
+def test_malformed_arguments_are_structured_errors(capsys, argv, error_type):
+    code, out = run(capsys, argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == error_type
+
+
 def test_selftest_exit_code_tracks_results(capsys, monkeypatch):
     import sympdiff.acceptance as acceptance
 

@@ -20,7 +20,6 @@ from sympdiff.poly import (
     monic_polys,
     poly_ops,
     quad_ext_roots,
-    resultant,
     roots_in_field,
     roots_via_sigma,
     sigma_poly,
@@ -93,32 +92,43 @@ def quadratics_over(ctx, consts):
     return out
 
 
-def test_fundamental_poly_matches_root_differences(Q):
+def test_fundamental_poly_matches_root_differences(Q, F5):
     # split quadratics: F must be exactly prod (t - (x_i - y_j))
-    for p_roots in [(1, 2), (0, 3), (-1, -1)]:
-        for q_roots in [(0, 1), (2, 2), (-3, 5)]:
-            t = Poly.t(Q)
+    splits = {
+        Q: ([(1, 2), (0, 3), (-1, -1)], [(0, 1), (2, 2), (-3, 5)]),
+        F5: ([(1, 2), (0, 4), (3, 3)], [(0, 1), (2, 2), (4, 3)]),
+    }
+    for ctx, (p_splits, q_splits) in splits.items():
+        t = Poly.t(ctx)
 
-            def from_roots(rr):
-                f = Poly.one(Q)
-                for r in rr:
-                    f = f * (t - Poly.constant(Q, Q.from_int(r)))
-                return f
+        def from_roots(rr):
+            f = Poly.one(ctx)
+            for r in rr:
+                f = f * (t - Poly.constant(ctx, ctx.from_int(r)))
+            return f
 
-            p, q = from_roots(p_roots), from_roots(q_roots)
-            F = fundamental_poly(p, q)
-            expected = Poly.one(Q)
-            for x in p_roots:
-                for y in q_roots:
-                    expected = expected * (t - Poly.constant(Q, Q.from_int(x - y)))
-            assert F == expected
+        for p_roots in p_splits:
+            for q_roots in q_splits:
+                p, q = from_roots(p_roots), from_roots(q_roots)
+                F = fundamental_poly(p, q)
+                expected = Poly.one(ctx)
+                for x in p_roots:
+                    for y in q_roots:
+                        expected = expected * from_roots([x - y])
+                assert F == expected
 
 
-def test_fundamental_equals_lambda_of_sigma(F3, F5, Q):
-    for ctx in (F3, F5, Q):
-        consts = [ctx.from_int(n) for n in range(-1, 2)]
-        for p in quadratics_over(ctx, consts):
-            for q in quadratics_over(ctx, consts):
+def test_fundamental_equals_lambda_of_sigma(F2, F3, F5, Q, F2s):
+    # in characteristic 2 the x-coefficient delta - 2t of q(x - t) mod p
+    # collapses to the constant delta
+    F4 = field_make("GF(4)|t^2+t+1")
+    s = parse_poly(F2s, "s").coefficient(0)
+    consts = {ctx: [ctx.from_int(n) for n in range(-1, 2)] for ctx in (F2, F3, F5, Q)}
+    consts[F4] = list(F4.elements())
+    consts[F2s] = [F2s.zero, F2s.one, s, F2s.inv(s), F2s.add(s, F2s.one)]
+    for ctx, cs in consts.items():
+        for p in quadratics_over(ctx, cs):
+            for q in quadratics_over(ctx, cs):
                 F = fundamental_poly(p, q)
                 lam = lambda_poly(p, q)
                 sig = sigma_poly(ctx, delta_of(p, q))
@@ -126,12 +136,13 @@ def test_fundamental_equals_lambda_of_sigma(F3, F5, Q):
 
 
 def test_resultant_vanishes_iff_common_root(F5):
+    # Lambda(0) = F(0) = res(a, b)
     t = Poly.t(F5)
     a = (t - Poly.constant(F5, 2)) * (t - Poly.constant(F5, 3))
     b = (t - Poly.constant(F5, 3)) * (t - Poly.constant(F5, 4))
     c = (t - Poly.constant(F5, 1)) * (t - Poly.constant(F5, 4))
-    assert F5.is_zero(resultant(a, b))
-    assert not F5.is_zero(resultant(a, c))
+    assert F5.is_zero(lambda_poly(a, b).coefficient(0))
+    assert not F5.is_zero(lambda_poly(a, c).coefficient(0))
 
 
 def test_decompose_base_sigma_round_trip(F5):

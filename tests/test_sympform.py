@@ -4,6 +4,7 @@ import pytest
 
 from sympdiff.errors import InvalidPair, NotStable
 from sympdiff.exprparse import parse_poly
+from sympdiff.fields import field_make
 from sympdiff.linalg import Mat, companion, direct_sum, invariant_factors
 from sympdiff.poly import Poly
 from sympdiff.sympform import (
@@ -84,14 +85,24 @@ def test_isometry_test_similarity(F5):
     assert not isometry_test(P1, P3)
 
 
-def test_frobenius_symmetrizer_properties(F2, F5, Q):
-    for ctx, text in [
+def test_frobenius_symmetrizer_properties(F2, F5, Q, F2s):
+    F4 = field_make("GF(4)|t^2+t+1")
+    g = (0, 1)  # a generator of GF(4)
+    for ctx, r in [
         (F5, "t^3+2*t+1"),
         (F5, "t^2+2"),
+        (F5, "t+3"),
         (Q, "t^4-2"),
+        (Q, "t-1/2"),
+        (Q, "t^6-3*t^4+t-5"),
         (F2, "t^2+t+1"),
+        (F4, Poly(F4, (F4.one, g, F4.zero, F4.one))),  # t^3 + g*t + 1
+        (F4, Poly(F4, (g, F4.one))),  # t + g
+        (F2s, "t^2+s*t+1"),
+        (F2s, "t^3+(s+1)/s*t^2+s"),
     ]:
-        r = parse_poly(ctx, text)
+        if isinstance(r, str):
+            r = parse_poly(ctx, r)
         s = frobenius_symmetrizer(r)
         assert s.is_invertible()
         assert s == s.transpose()
