@@ -22,17 +22,7 @@ from .errors import (
     WrongDegree,
 )
 from .fields import FieldCtx
-from .linalg import (
-    Mat,
-    companion,
-    direct_sum,
-    exact_cell_counts,
-    fitting_split,
-    invariant_factors,
-    jordan_sequence,
-    primary_sequence,
-    restrict,
-)
+from .linalg import Mat, companion, direct_sum, exact_cell_counts, invariant_factors
 from .poly import (
     Poly,
     decompose_base_sigma,
@@ -46,7 +36,7 @@ from .poly import (
     trace_of,
     translate_shifts,
 )
-from .sympform import SymplecticPair, induced_pair, require_valid
+from .sympform import SymplecticPair, require_valid
 
 
 class Family(enum.Enum):
@@ -578,57 +568,3 @@ def decide_pair(P: SymplecticPair, pctx: PairCtx) -> DecisionReport:
             f"extension decision: {pair_ev}"
         )
     return replace(report, pair_level=pair_ev)
-
-
-def split_parts(
-    P: SymplecticPair, pctx: PairCtx
-) -> Tuple[SymplecticPair, SymplecticPair]:
-    """(regular, exceptional) orthogonal parts of a valid pair, via the
-    Fitting decomposition along F(U)."""
-    require_valid(P.B, P.U)
-    E, R = fitting_split(P.U, pctx.F)
-    return induced_pair(P, R), induced_pair(P, E)
-
-
-def _restricted(v: Mat, W: Mat) -> Mat:
-    return restrict(v, W) if W.cols else Mat(v.ctx, [])
-
-
-def experimental_synthesis_check(v: Mat, pctx: PairCtx) -> Optional[bool]:
-    """Second route for the families where p or q splits: Fitting-split v
-    itself, test the regular half by base-sigma decomposition and the
-    exceptional half by the endomorphism-level count criteria (computed by
-    matrix ranks, not from invariant factors).  None outside those
-    families."""
-    family = pctx.case.family
-    if not family.one_of_pq_splits:
-        return None
-    if v.ctx != pctx.ctx:
-        raise MixedFieldContexts(f"{v.ctx} vs {pctx.ctx}")
-    E, R = fitting_split(v, pctx.F)
-    v_reg = _restricted(v, R)
-    v_exc = _restricted(v, E)
-    reg_ok = all(
-        decompose_base_sigma(f, pctx.delta) is not None
-        for f in invariant_factors(v_reg).factors
-    )
-    if family in (Family.SPLIT_DOUBLE_DOUBLE, Family.IRR_SPLIT_EQ):
-        return reg_ok
-    if family in (Family.SPLIT_SIMPLE_SIMPLE, Family.SPLIT_MIXED):
-        shift = 1 if family is Family.SPLIT_SIMPLE_SIMPLE else 2
-        pairs, _ = _root_orbits(pctx)
-        exc_ok = all(
-            intertwined(
-                jordan_sequence(v_exc, z), jordan_sequence(v_exc, w), shift
-            )
-            for z, w in pairs
-        )
-        return reg_ok and exc_ok
-    # p irreducible, q split with distinct translates
-    y1, y2 = pctx.case.ys
-    g1 = pctx.p_norm.translate(y1)
-    g2 = pctx.p_norm.translate(y2)
-    exc_ok = intertwined(
-        primary_sequence(v_exc, g1), primary_sequence(v_exc, g2), 1
-    )
-    return reg_ok and exc_ok

@@ -1,19 +1,26 @@
 """Exact dense linear algebra over a field context.
 
 Provides the :class:`Mat` value class (immutable, tuple-backed), companion
-matrices, evaluation of polynomials at matrices, Smith-normal-form invariant
-factors of ``tI - M`` over ``F[t]``, similarity testing, Jordan / primary
-multiplicities, and the Fitting split.
+matrices, evaluation of polynomials at matrices, invariant factors,
+similarity testing, Jordan / primary multiplicities, and the Fitting split.
+
+Invariant factors come from Krylov chains e, Me, M^2 e, ... built with field
+arithmetic only: the relations that close the chains form a small
+upper-triangular matrix over ``F[t]`` presenting the same module as
+``tI - M``, and only that k x k matrix (k = number of chains) is brought to
+Smith normal form.
 
 Matrix products and polynomial evaluation over prime fields go through
 numpy int64 (exact: the entry bound is checked against the int64 range); a
 matrix keeps its array, so a chain of products converts each operand once.
-Everything else is pure Python.
+The chain elimination over prime fields runs on plain ints.  Everything else
+is pure Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul as _mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
@@ -437,7 +444,7 @@ def mat_poly_eval(f: Poly, M: Mat) -> Mat:
 
 
 # ----------------------------------------------------------------------
-# invariant factors via Smith normal form of tI - M
+# invariant factors from Krylov chains
 # ----------------------------------------------------------------------
 
 
@@ -455,7 +462,7 @@ class InvFactors:
         for f in self.factors:
             if not f.is_monic or f.degree < 1:
                 raise ConstructionInvariantViolated(f"bad invariant factor {f}")
-            if prev is not None and not (f % prev).is_zero:
+            if prev is not None and f != prev and (f % prev).coeffs:
                 raise ConstructionInvariantViolated(
                     f"divisibility chain broken: {prev} does not divide {f}"
                 )
@@ -486,19 +493,216 @@ class InvFactors:
         return "[" + ", ".join(str(f) for f in self.factors) + "]"
 
 
-_SNF_MAX_STEPS_PER_PIVOT = 4096
+def _trim(cs, zero) -> tuple:
+    n = len(cs)
+    while n and cs[n - 1] == zero:
+        n -= 1
+    return tuple(cs[:n])
+
+
+def _vector_kernel(M: Mat):
+    """(reduce, scale, apply) on coordinate lists: w minus the multiples of
+    echelon rows that clear their pivot columns, c*v, and M @ x.  Over
+    GF(p) they run on plain ints."""
+    ctx, rows = M.ctx, M.entries
+    if ctx.kind == "prime":
+        p = ctx.p
+
+        def reduce(w, echelon):
+            for c, row in echelon:
+                f = w[c]
+                if f:
+                    w = [(x - f * y) % p for x, y in zip(w, row)]
+            return w
+
+        def scale(v, c):
+            return [x * c % p for x in v]
+
+        def apply(x):
+            return [sum(map(_mul, r, x)) % p for r in rows]
+
+        return reduce, scale, apply
+    zero, sub, mul = ctx.zero, ctx.sub, ctx.mul
+
+    def reduce(w, echelon):
+        for c, row in echelon:
+            f = w[c]
+            if f != zero:
+                w = [x if y == zero else sub(x, mul(f, y)) for x, y in zip(w, row)]
+        return w
+
+    def scale(v, c):
+        return [x if x == zero else mul(x, c) for x in v]
+
+    def apply(x):
+        live = [(j, c) for j, c in enumerate(x) if c != zero]
+        return [
+            ctx.sum(mul(r[j], c) for j, c in live if r[j] != zero) for r in rows
+        ]
+
+    return reduce, scale, apply
+
+
+def _relation_matrix(M: Mat) -> Tuple[List[tuple], dict]:
+    """Upper-triangular k x k presentation over F[t] of the module of M, as
+    (diagonal, {(i, j): nonzero entry above the diagonal}).
+
+    Chain j starts at the first unit vector e_s outside the span so far and
+    runs e_s, M e_s, ..., M^(d-1) e_s.  Each new vector is reduced against
+    one echelon form whose rows carry their coordinates over the chain
+    basis; M^d e_s reduces to zero, leaving the relation
+    M^d e_s - sum_i h_ij(M) e_i = 0 with h_ij read off chain i's
+    coordinates.  Column j of the matrix is that relation: g_j = t^d - h_jj
+    on the diagonal and -h_ij above it, with deg h_ij < deg g_i.
+    """
+    ctx = M.ctx
+    n = M.rows
+    zero, one = ctx.zero, ctx.one
+    rows = M.entries
+    if all(e == zero for i, r in enumerate(rows) for j, e in enumerate(r) if i != j):
+        # diagonal M: every e_s is a chain of length one
+        return [(ctx.neg(rows[i][i]), one) for i in range(n)], {}
+    reduce, scale, apply = _vector_kernel(M)
+    echelon = []  # (pivot column, [vector | coordinates over the basis])
+    starts: List[int] = []  # basis index of each chain's first vector
+    diag: List[tuple] = []
+    above: dict = {}
+    size = 0
+    for s in range(n):
+        if size == n:
+            break
+        start = size
+        x = [zero] * n
+        x[s] = one
+        while True:
+            # x with its coordinates, as if it were basis vector number size
+            w = x + [zero] * (n + 1)
+            w[n + size] = one
+            w = reduce(w, echelon)
+            for piv in range(n):
+                if w[piv] != zero:
+                    break
+            else:
+                break
+            lead = w[piv]
+            echelon.append((piv, w if lead == one else scale(w, ctx.inv(lead))))
+            size += 1
+            x = apply(x)
+        if size > start:
+            # w's coordinate half is now the relation closing this chain
+            j = len(starts)
+            for i, (lo, hi) in enumerate(zip(starts, starts[1:] + [start])):
+                h = _trim(w[n + lo:n + hi], zero)
+                if h:
+                    above[i, j] = h
+            starts.append(start)
+            diag.append(tuple(w[n + start:n + size + 1]))
+    return diag, above
+
+
+def _gcd(a: tuple, b: tuple, ops) -> tuple:
+    while b:
+        if len(b) == 1:
+            return (ops.ctx.one,)
+        a, b = b, ops.divmod(a, b)[1]
+    return ops.monic(a)
+
+
+def _divisibility_chain(orders: List[tuple], ops) -> List[tuple]:
+    """Smith diagonal of diag(orders): replace each pair by (gcd, lcm).
+    Ascending degrees make most pairs divide already."""
+    d = sorted(orders, key=len)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if a == b or len(a) == 1 or not ops.divmod(b, a)[1]:
+                continue  # a divides b already
+            g = _gcd(a, b, ops)
+            if g != a:
+                d[i], d[j] = g, ops.mul(ops.divmod(a, g)[0], b)
+    return d
+
+
+def _smith_diagonal(grid: List[List[tuple]], ops) -> List[tuple]:
+    """Monic diagonal of the Smith normal form of a nonsingular square
+    matrix over F[t] (entries as coefficient tuples), in divisibility order.
+
+    Each pass moves a minimal-degree entry of the trailing block to the
+    pivot (row-major tie-break) and divides it into its row and column;
+    once both are clear, a row holding an entry the pivot does not divide
+    is added to the pivot row.  A pass that leaves a remainder lowers the
+    pivot degree, so the loop ends.
+    """
+    submul, pdiv = ops.submul, ops.divmod
+    n = len(grid)
+    for k in range(n):
+        while True:
+            _, bi, bj = min(
+                (len(e), i, j)
+                for i in range(k, n)
+                for j, e in enumerate(grid[i][k:], k)
+                if e
+            )
+            grid[bi], grid[k] = grid[k], grid[bi]
+            for row in grid:
+                row[bj], row[k] = row[k], row[bj]
+            rowk = grid[k]
+            piv = rowk[k]
+            clean = True
+            for i in range(k + 1, n):
+                if grid[i][k]:
+                    q, rem = pdiv(grid[i][k], piv)
+                    grid[i] = [
+                        submul(a, q, b) if b else a for a, b in zip(grid[i], rowk)
+                    ]
+                    clean = clean and not rem
+            if not clean:
+                continue
+            # column k is clear but for the pivot, so a column operation
+            # changes row k only: each entry becomes its remainder
+            rowk[k + 1:] = [e and pdiv(e, piv)[1] for e in rowk[k + 1:]]
+            if any(rowk[k + 1:]):
+                continue
+            if len(piv) == 1:
+                break  # a constant pivot divides everything
+            offender = next(
+                (
+                    row
+                    for row in grid[k + 1:]
+                    if any(e and pdiv(e, piv)[1] for e in row[k + 1:])
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            grid[k] = [ops.add(a, b) for a, b in zip(rowk, offender)]
+    return [ops.monic(grid[k][k]) for k in range(n)]
+
+
+def _blocks(k: int, above: dict) -> List[List[int]]:
+    """Index sets that make a k x k matrix with off-diagonal entries at the
+    keys of ``above`` block diagonal under one permutation of its rows and
+    columns: the connected parts of those entries."""
+    label = list(range(k))
+    for i, j in above:
+        if label[j] != label[i]:
+            old, new = label[j], label[i]
+            label = [new if x == old else x for x in label]
+    groups: dict = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return list(groups.values())
 
 
 def invariant_factors(M: Mat) -> InvFactors:
-    """Invariant factors of M: the nonconstant diagonal of the Smith normal
-    form of tI - M over F[t].
+    """Invariant factors of M, from the relation matrix R of its Krylov
+    chains (:func:`_relation_matrix`), which presents the same F[t]-module
+    as tI - M.
 
-    Pivoting picks the minimal-degree nonzero entry (row-major tie-break);
-    after clearing a row/column the pivot is made to divide the remaining
-    submatrix by row additions.  The pivot search only considers entries
-    of degree at most 4n: a trailing block with no such entry is left as it
-    stands and the diagonal is read off it (a zero diagonal entry raises
-    ConstructionInvariantViolated).
+    R splits into blocks (:func:`_blocks`).  A 1 x 1 block is its chain's
+    closing polynomial, a 2 x 2 block [[g1, h], [0, g2]] has Smith diagonal
+    (d, g1*g2/d) with d = gcd(g1, h, g2), and larger blocks go through
+    :func:`_smith_diagonal`; gcd/lcm then merges the blocks' diagonals.
     """
     M._square()
     ctx = M.ctx
@@ -506,114 +710,28 @@ def invariant_factors(M: Mat) -> InvFactors:
     if n == 0:
         return InvFactors(ctx, (), 0)
     ops = poly_ops(ctx)
-    padd, psubmul, pdiv = ops.add, ops.submul, ops.divmod
-    zero, one = ctx.zero, ctx.one
-
-    grid = [
-        [(c,) if c != zero else () for c in map(ctx.neg, row)] for row in M.entries
-    ]
-    for i, row in enumerate(grid):
-        row[i] = (row[i][0] if row[i] else zero, one)
-
-    deg_guard = 4 * n
-
-    for k in range(n):
-        steps = 0
-        while True:
-            steps += 1
-            if steps > _SNF_MAX_STEPS_PER_PIVOT:
-                raise ConstructionInvariantViolated(
-                    "Smith normal form failed to converge"
-                )
-            # minimal-degree nonzero pivot in the trailing submatrix
-            bi = bj = -1
-            blen = deg_guard + 2
-            for i in range(k, n):
-                row = grid[i]
-                for j in range(k, n):
-                    e = row[j]
-                    if e and len(e) < blen:
-                        bi, bj, blen = i, j, len(e)
-                        if blen == 1:
-                            break
-                if blen == 1:
-                    break
-            if bi < 0:
-                break  # trailing block is zero
-            if bi != k:
-                grid[bi], grid[k] = grid[k], grid[bi]
-            if bj != k:
-                for row in grid:
-                    row[bj], row[k] = row[k], row[bj]
-            piv = grid[k][k]
-            clean = True
-            if blen == 1:
-                # constant pivot: one full clearing pass suffices
-                rowk = grid[k]
-                ipiv = ctx.inv(piv[0])
-                live = [j for j in range(k + 1, n) if rowk[j]]
-                for i in range(k + 1, n):
-                    rowi = grid[i]
-                    e = rowi[k]
-                    if e:
-                        q = ops.scale(e, ipiv)
-                        rowi[k] = ()  # e - (e / piv) * piv
-                        for j in live:
-                            rowi[j] = psubmul(rowi[j], q, rowk[j])
-                for j in range(k + 1, n):
-                    rowk[j] = ()
-                break
-            for i in range(k + 1, n):
-                e = grid[i][k]
-                if e:
-                    q, rem = pdiv(e, piv)
-                    if q:
-                        rowi, rowk = grid[i], grid[k]
-                        for j in range(k, n):
-                            if rowk[j]:
-                                rowi[j] = psubmul(rowi[j], q, rowk[j])
-                    if rem:
-                        clean = False
-            if not clean:
-                continue
-            for j in range(k + 1, n):
-                e = grid[k][j]
-                if e:
-                    q, rem = pdiv(e, piv)
-                    if q:
-                        for i in range(k, n):
-                            if grid[i][k]:
-                                grid[i][j] = psubmul(grid[i][j], q, grid[i][k])
-                    if rem:
-                        clean = False
-            if not clean:
-                continue
-            # pivot row/col clear; enforce divisibility into the rest
-            offender = None
-            for i in range(k + 1, n):
-                row = grid[i]
-                for j in range(k + 1, n):
-                    e = row[j]
-                    if e and pdiv(e, piv)[1]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            rowo = grid[offender]
-            rowk = grid[k]
-            for j in range(k, n):
-                rowk[j] = padd(rowk[j], rowo[j])
-
-    diag = []
-    for k in range(n):
-        e = grid[k][k]
-        if not e:
-            raise ConstructionInvariantViolated("zero diagonal in SNF of tI - M")
-        diag.append(ops.monic(e))
-    factors = tuple(Poly(ctx, e) for e in diag if len(e) > 1)
-    return InvFactors(ctx, factors, n)
+    diag, above = _relation_matrix(M)
+    if above:
+        orders = []
+        for block in _blocks(len(diag), above):
+            if len(block) == 1:
+                orders.append(diag[block[0]])
+            elif len(block) == 2:
+                i, j = block
+                g1, g2 = diag[i], diag[j]
+                d = _gcd(g2, _gcd(g1, above[i, j], ops), ops)
+                if len(d) > 1:
+                    g1 = ops.divmod(g1, d)[0]
+                orders += [d, ops.mul(g1, g2)]
+            else:
+                grid = [
+                    [diag[i] if i == j else above.get((i, j), ()) for j in block]
+                    for i in block
+                ]
+                orders += _smith_diagonal(grid, ops)
+        diag = [e for e in orders if len(e) > 1]
+    chain = _divisibility_chain(diag, ops)
+    return InvFactors(ctx, tuple(Poly(ctx, e) for e in chain if len(e) > 1), n)
 
 
 def similar(M1: Mat, M2: Mat) -> bool:

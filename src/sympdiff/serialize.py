@@ -72,25 +72,34 @@ def decode_scalar(ctx: FieldCtx, obj) -> Any:
     if isinstance(obj, str):
         return parse_scalar(ctx, obj)
     kind = ctx.kind
-    try:
-        if kind == "extension" and isinstance(obj, list):
-            cs = [int(c) for c in obj]
-            if len(cs) > ctx.k:
-                raise SerializationError(
-                    f"extension scalar has {len(cs)} coefficients, field degree is {ctx.k}"
-                )
-            return ctx._pad(tuple(c % ctx.p for c in cs))
-        if kind == "ratfunc" and isinstance(obj, dict):
-            num = tuple(int(c) % ctx.p for c in obj["num"])
-            den = tuple(int(c) % ctx.p for c in obj["den"])
-            return ctx._canon(num, den)
-    except KeyError as exc:
-        raise SerializationError(f"rational-function scalar missing {exc}") from None
-    except (TypeError, ValueError):
-        raise SerializationError(
-            f"{obj!r} has a coefficient that is not an integer"
-        ) from None
+    if kind == "extension" and isinstance(obj, list):
+        cs = _int_coeffs(obj, obj)
+        if len(cs) > ctx.k:
+            raise SerializationError(
+                f"extension scalar has {len(cs)} coefficients, field degree is {ctx.k}"
+            )
+        return ctx._pad(tuple(c % ctx.p for c in cs))
+    if kind == "ratfunc" and isinstance(obj, dict):
+        try:
+            num, den = obj["num"], obj["den"]
+        except KeyError as exc:
+            raise SerializationError(
+                f"rational-function scalar missing {exc}"
+            ) from None
+        num = tuple(c % ctx.p for c in _int_coeffs(num, obj))
+        den = tuple(c % ctx.p for c in _int_coeffs(den, obj))
+        return ctx._canon(num, den)
     raise SerializationError(f"cannot decode {obj!r} as a scalar over {ctx}")
+
+
+def _int_coeffs(cs, obj) -> list:
+    """The coefficient list ``cs`` of the scalar ``obj``: plain JSON integers
+    only, so floats, strings and booleans are refused rather than cast."""
+    if not isinstance(cs, list) or any(
+        type(c) is not int for c in cs  # bool is a subclass of int
+    ):
+        raise SerializationError(f"{obj!r} has a coefficient that is not an integer")
+    return cs
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Matrices: elimination, companion forms, invariant factors, Jordan data."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympdiff.errors import NotStable, SingularMatrix
 from sympdiff.exprparse import parse_poly
-from sympdiff.fields import field_make
+from sympdiff.fields import QuadraticExtension, field_make
 from sympdiff.linalg import (
     Mat,
     companion,
@@ -19,6 +21,8 @@ from sympdiff.linalg import (
     similar,
 )
 from sympdiff.poly import Poly
+
+from snf_reference import snf_invariant_factors
 
 
 def gf5_mat(n):
@@ -266,3 +270,132 @@ def test_prime_products_leave_operands_unchanged(F5):
     assert M.entries == before
     assert M @ Mat.identity(F5, 3) == M
     assert P @ Mat.identity(F5, 3) == P == M @ M
+
+
+# ----------------------------------------------------------------------
+# invariant factors against the n x n Smith normal form of tI - M
+# ----------------------------------------------------------------------
+
+F4 = field_make("GF(4)|t^2+t+1")
+ORACLE_CONTEXTS = [
+    field_make("GF(2)"),
+    field_make("GF(3)"),
+    field_make("GF(5)"),
+    field_make("GF(100003)"),
+    F4,
+    field_make("GF(27)|t^3+2*t+1"),
+    field_make("Q"),
+    field_make("GF(2)(s)"),
+    field_make("GF(3)(s)"),
+    QuadraticExtension(field_make("GF(5)"), alpha=1, lam=1),  # X^2 - X + 1
+    QuadraticExtension(field_make("Q"), alpha=1, lam=0),  # Q(i)
+]
+
+
+def _scalar(ctx, a: int, b: int):
+    """A scalar of ctx from two small integers."""
+    if ctx.kind == "extension":
+        return ctx._pad((a % ctx.p, b % ctx.p))
+    if ctx.kind == "ratfunc":
+        return ctx.from_polys((a % ctx.p, b % ctx.p))
+    if ctx.kind == "quadext":
+        return (ctx.base.from_int(a), ctx.base.from_int(b))
+    return ctx.from_int(a + 2 * b)
+
+
+def _conjugate(D: Mat, ops) -> Mat:
+    """P D P^-1 for P the product of the elementary matrices E_ij(c) in
+    ``ops``: row_i += c * row_j, then col_j -= c * col_i."""
+    ctx = D.ctx
+    g = [list(row) for row in D.entries]
+    for i, j, c in ops:
+        g[i] = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(g[i], g[j])]
+        for row in g:
+            row[j] = ctx.sub(row[j], ctx.mul(c, row[i]))
+    return Mat(ctx, g)
+
+
+@st.composite
+def oracle_matrices(draw):
+    ctx = draw(st.sampled_from(ORACLE_CONTEXTS))
+    small = st.integers(min_value=-2, max_value=2)
+    scalar = st.builds(lambda a, b: _scalar(ctx, a, b), small, small)
+    kind = draw(st.sampled_from(["random", "scalar", "blocks", "companions"]))
+    n = draw(st.integers(min_value=1, max_value=8))
+    if kind == "random":
+        return Mat(ctx, draw(st.lists(
+            st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n
+        )))
+    if kind == "scalar":
+        return Mat.scalar(ctx, n, draw(scalar))
+    if kind == "blocks":
+        # repeated small blocks: many equal and shared invariant factors
+        b = draw(st.integers(min_value=1, max_value=3))
+        pool = [
+            Mat(ctx, draw(st.lists(
+                st.lists(scalar, min_size=b, max_size=b), min_size=b, max_size=b
+            )))
+            for _ in range(2)
+        ]
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8 // b))
+        return direct_sum(*picks)
+    polys = draw(st.lists(
+        st.lists(scalar, min_size=1, max_size=3), min_size=1, max_size=3
+    ))
+    D = direct_sum(*(companion(Poly(ctx, tuple(cs) + (ctx.one,))) for cs in polys))
+    n = D.rows
+    if n == 1:
+        return D
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    ).filter(lambda ij: ij[0] != ij[1])
+    ops = draw(st.lists(st.tuples(pairs, scalar), max_size=2 * n))
+    return _conjugate(D, [(i, j, c) for (i, j), c in ops])
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=oracle_matrices())
+def test_invariant_factors_match_smith_form_of_tI_minus_M(M):
+    assert invariant_factors(M).factors == snf_invariant_factors(M)
+
+
+def _sweeps(n: int, count: int, mults, seed: int):
+    """Elementary operations of ``count`` bidiagonal sweeps, |i - j| = 1."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        pairs = [(i + 1, i) for i in range(n - 1)]
+        out += pairs if k % 2 == 0 else [(j, i) for i, j in reversed(pairs)]
+    return [(i, j, rng.choice(mults)) for i, j in out]
+
+
+def test_dense_ratfunc_conjugate_answers(F2s):
+    # a companion conjugated by six sweeps over GF(2)(s): the entries are
+    # dense rational functions, where the n x n Smith form of tI - M swells
+    # past the degree cap
+    s = F2s.gen
+    mults = [F2s.one, s, F2s.add(s, F2s.one)]
+    f = parse_poly(F2s, "t^6+s*t^3+t+s+1")
+    g = parse_poly(F2s, "t^2+s*t+1")
+    for D, want in [
+        (companion(f), (f,)),
+        (direct_sum(companion(g), companion(g), companion(g)), (g, g, g)),
+    ]:
+        M = _conjugate(D, _sweeps(6, 6, mults, seed=6))
+        assert sum(e != F2s.zero for row in M.entries for e in row) > 30
+        assert invariant_factors(M).factors == want
+
+
+def test_rational_conjugate_at_n32(Q):
+    # P D P^-1 with D a direct sum of companions along a divisibility chain
+    poly = lambda text: parse_poly(Q, text)
+    a = poly("t^2+1")
+    b = a * poly("t^3-2*t+5")
+    c = b * poly("(t-1)^2*(t^2+t+3)")
+    d = c * poly("(t+4)^7")
+    D = direct_sum(*(companion(f) for f in (a, b, c, d)))
+    assert D.rows == 32
+    mults = [Q.from_int(c) for c in (-2, -1, 1, 2)]
+    M = _conjugate(D, _sweeps(32, 2, mults, seed=32))
+    assert invariant_factors(M).factors == (a, b, c, d)

@@ -100,6 +100,33 @@ def test_scalar_rejections(F3, F2s):
         decode_scalar(F3, 1.5)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1.7, True],  # would truncate to (1, 1)
+        [1, True],
+        [0, "1"],
+        [1.0],
+    ],
+)
+def test_extension_coefficients_must_be_ints(obj):
+    with pytest.raises(SerializationError):
+        decode_scalar(F4, obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"num": [1.9, "1"], "den": [1]},  # would truncate to s+1
+        {"num": [1, 1], "den": [True]},
+        {"num": [1], "den": "1"},
+    ],
+)
+def test_ratfunc_coefficients_must_be_ints(F2s, obj):
+    with pytest.raises(SerializationError):
+        decode_scalar(F2s, obj)
+
+
 # ----------------------------------------------------------------------
 # polynomials
 # ----------------------------------------------------------------------
