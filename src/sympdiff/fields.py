@@ -116,6 +116,8 @@ def _zmonic(a, p):
 
 def _zgcd(a, b, p):
     while b:
+        if len(b) == 1:
+            return (1,)
         a, b = b, _zdivmod(a, b, p)[1]
     return _zmonic(a, p)
 

@@ -493,13 +493,6 @@ class InvFactors:
         return "[" + ", ".join(str(f) for f in self.factors) + "]"
 
 
-def _trim(cs, zero) -> tuple:
-    n = len(cs)
-    while n and cs[n - 1] == zero:
-        n -= 1
-    return tuple(cs[:n])
-
-
 def _vector_kernel(M: Mat):
     """(reduce, scale, apply) on coordinate lists: w minus the multiples of
     echelon rows that clear their pivot columns, c*v, and M @ x.  Over
@@ -558,10 +551,7 @@ def _relation_matrix(M: Mat) -> Tuple[List[tuple], dict]:
     ctx = M.ctx
     n = M.rows
     zero, one = ctx.zero, ctx.one
-    rows = M.entries
-    if all(e == zero for i, r in enumerate(rows) for j, e in enumerate(r) if i != j):
-        # diagonal M: every e_s is a chain of length one
-        return [(ctx.neg(rows[i][i]), one) for i in range(n)], {}
+    trim = poly_ops(ctx).trim
     reduce, scale, apply = _vector_kernel(M)
     echelon = []  # (pivot column, [vector | coordinates over the basis])
     starts: List[int] = []  # basis index of each chain's first vector
@@ -592,20 +582,12 @@ def _relation_matrix(M: Mat) -> Tuple[List[tuple], dict]:
             # w's coordinate half is now the relation closing this chain
             j = len(starts)
             for i, (lo, hi) in enumerate(zip(starts, starts[1:] + [start])):
-                h = _trim(w[n + lo:n + hi], zero)
+                h = trim(w[n + lo:n + hi])
                 if h:
                     above[i, j] = h
             starts.append(start)
             diag.append(tuple(w[n + start:n + size + 1]))
     return diag, above
-
-
-def _gcd(a: tuple, b: tuple, ops) -> tuple:
-    while b:
-        if len(b) == 1:
-            return (ops.ctx.one,)
-        a, b = b, ops.divmod(a, b)[1]
-    return ops.monic(a)
 
 
 def _divisibility_chain(orders: List[tuple], ops) -> List[tuple]:
@@ -617,7 +599,7 @@ def _divisibility_chain(orders: List[tuple], ops) -> List[tuple]:
             a, b = d[i], d[j]
             if a == b or len(a) == 1 or not ops.divmod(b, a)[1]:
                 continue  # a divides b already
-            g = _gcd(a, b, ops)
+            g = ops.gcd(a, b)
             if g != a:
                 d[i], d[j] = g, ops.mul(ops.divmod(a, g)[0], b)
     return d
@@ -644,8 +626,9 @@ def _smith_diagonal(grid: List[List[tuple]], ops) -> List[tuple]:
                 if e
             )
             grid[bi], grid[k] = grid[k], grid[bi]
-            for row in grid:
-                row[bj], row[k] = row[k], row[bj]
+            if bj != k:
+                for row in grid:
+                    row[bj], row[k] = row[k], row[bj]
             rowk = grid[k]
             piv = rowk[k]
             clean = True
@@ -658,13 +641,13 @@ def _smith_diagonal(grid: List[List[tuple]], ops) -> List[tuple]:
                     clean = clean and not rem
             if not clean:
                 continue
+            if len(piv) == 1:
+                break  # a unit pivot: column operations clear row k
             # column k is clear but for the pivot, so a column operation
             # changes row k only: each entry becomes its remainder
             rowk[k + 1:] = [e and pdiv(e, piv)[1] for e in rowk[k + 1:]]
             if any(rowk[k + 1:]):
                 continue
-            if len(piv) == 1:
-                break  # a constant pivot divides everything
             offender = next(
                 (
                     row
@@ -679,30 +662,15 @@ def _smith_diagonal(grid: List[List[tuple]], ops) -> List[tuple]:
     return [ops.monic(grid[k][k]) for k in range(n)]
 
 
-def _blocks(k: int, above: dict) -> List[List[int]]:
-    """Index sets that make a k x k matrix with off-diagonal entries at the
-    keys of ``above`` block diagonal under one permutation of its rows and
-    columns: the connected parts of those entries."""
-    label = list(range(k))
-    for i, j in above:
-        if label[j] != label[i]:
-            old, new = label[j], label[i]
-            label = [new if x == old else x for x in label]
-    groups: dict = {}
-    for i, x in enumerate(label):
-        groups.setdefault(x, []).append(i)
-    return list(groups.values())
-
-
 def invariant_factors(M: Mat) -> InvFactors:
     """Invariant factors of M, from the relation matrix R of its Krylov
     chains (:func:`_relation_matrix`), which presents the same F[t]-module
     as tI - M.
 
-    R splits into blocks (:func:`_blocks`).  A 1 x 1 block is its chain's
-    closing polynomial, a 2 x 2 block [[g1, h], [0, g2]] has Smith diagonal
-    (d, g1*g2/d) with d = gcd(g1, h, g2), and larger blocks go through
-    :func:`_smith_diagonal`; gcd/lcm then merges the blocks' diagonals.
+    A diagonal R (no entries above the diagonal) gives them by gcd/lcm of
+    the chains' closing polynomials, and R = [[g1, h], [0, g2]] has Smith
+    diagonal (d, g1*g2/d) with d = gcd(g1, h, g2); any other R goes through
+    :func:`_smith_diagonal`.
     """
     M._square()
     ctx = M.ctx
@@ -711,26 +679,21 @@ def invariant_factors(M: Mat) -> InvFactors:
         return InvFactors(ctx, (), 0)
     ops = poly_ops(ctx)
     diag, above = _relation_matrix(M)
-    if above:
-        orders = []
-        for block in _blocks(len(diag), above):
-            if len(block) == 1:
-                orders.append(diag[block[0]])
-            elif len(block) == 2:
-                i, j = block
-                g1, g2 = diag[i], diag[j]
-                d = _gcd(g2, _gcd(g1, above[i, j], ops), ops)
-                if len(d) > 1:
-                    g1 = ops.divmod(g1, d)[0]
-                orders += [d, ops.mul(g1, g2)]
-            else:
-                grid = [
-                    [diag[i] if i == j else above.get((i, j), ()) for j in block]
-                    for i in block
-                ]
-                orders += _smith_diagonal(grid, ops)
-        diag = [e for e in orders if len(e) > 1]
-    chain = _divisibility_chain(diag, ops)
+    k = len(diag)
+    if not above:
+        chain = _divisibility_chain(diag, ops)
+    elif k == 2:
+        (g1, g2), h = diag, above[0, 1]
+        d = ops.gcd(g2, ops.gcd(g1, h))
+        chain = [d, ops.mul(ops.divmod(g1, d)[0] if len(d) > 1 else g1, g2)]
+    else:
+        chain = _smith_diagonal(
+            [
+                [diag[i] if i == j else above.get((i, j), ()) for j in range(k)]
+                for i in range(k)
+            ],
+            ops,
+        )
     return InvFactors(ctx, tuple(Poly(ctx, e) for e in chain if len(e) > 1), n)
 
 

@@ -43,11 +43,15 @@ class PolyOps:
     """Bundle of coefficient-tuple operations bound to one field context."""
 
     __slots__ = (
-        "ctx", "add", "sub", "neg", "mul", "scale", "divmod", "monic", "submul"
+        "ctx", "trim", "add", "sub", "neg", "mul", "scale", "divmod", "monic",
+        "submul", "gcd",
     )
 
-    def __init__(self, ctx, add, sub, neg, mul, scale, divmod_, monic, submul):
+    def __init__(
+        self, ctx, trim, add, sub, neg, mul, scale, divmod_, monic, submul, gcd
+    ):
         self.ctx = ctx
+        self.trim = trim  # drop trailing zeros, as a tuple
         self.add = add
         self.sub = sub
         self.neg = neg
@@ -56,6 +60,7 @@ class PolyOps:
         self.divmod = divmod_
         self.monic = monic
         self.submul = submul  # submul(a, q, b) = a - q*b
+        self.gcd = gcd  # monic gcd
 
 
 def _generic_poly_ops(ctx: FieldCtx) -> PolyOps:
@@ -121,19 +126,29 @@ def _generic_poly_ops(ctx: FieldCtx) -> PolyOps:
     def submul(a, q, b):
         return sub(a, mul(q, b))
 
-    return PolyOps(ctx, add, sub, neg, mul, scale, divmod_, monic, submul)
+    def gcd(a, b):
+        while b:
+            if len(b) == 1:
+                return (ctx.one,)
+            a, b = b, divmod_(a, b)[1]
+        return monic(a)
+
+    return PolyOps(
+        ctx, trim, add, sub, neg, mul, scale, divmod_, monic, submul, gcd
+    )
 
 
 def _prime_poly_ops(ctx) -> PolyOps:
     p = ctx.p
     return PolyOps(
         ctx,
+        fields._ztrim,
         *(
             functools.partial(f, p=p)
             for f in (
                 fields._zadd, fields._zsub, fields._zneg, fields._zmul,
                 fields._zscale, fields._zdivmod, fields._zmonic,
-                fields._zsubmul,
+                fields._zsubmul, fields._zgcd,
             )
         ),
     )
@@ -275,11 +290,7 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         self._check(other)
-        ops = poly_ops(self.ctx)
-        a, b = self.coeffs, other.coeffs
-        while b:
-            a, b = b, ops.divmod(a, b)[1]
-        return Poly(self.ctx, ops.monic(a))
+        return Poly(self.ctx, poly_ops(self.ctx).gcd(self.coeffs, other.coeffs))
 
     # -- evaluation and substitution ---------------------------------------
 

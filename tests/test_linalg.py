@@ -342,6 +342,8 @@ def oracle_matrices(draw):
     polys = draw(st.lists(
         st.lists(scalar, min_size=1, max_size=3), min_size=1, max_size=3
     ))
+    while sum(map(len, polys)) > 8:
+        polys.pop()
     D = direct_sum(*(companion(Poly(ctx, tuple(cs) + (ctx.one,))) for cs in polys))
     n = D.rows
     if n == 1:
@@ -350,11 +352,14 @@ def oracle_matrices(draw):
         st.integers(min_value=0, max_value=n - 1),
         st.integers(min_value=0, max_value=n - 1),
     ).filter(lambda ij: ij[0] != ij[1])
-    ops = draw(st.lists(st.tuples(pairs, scalar), max_size=2 * n))
+    # the oracle's entries swell with each operation over GF(p)(s)
+    ops = draw(st.lists(
+        st.tuples(pairs, scalar), max_size=n if ctx.kind == "ratfunc" else 2 * n
+    ))
     return _conjugate(D, [(i, j, c) for (i, j), c in ops])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(M=oracle_matrices())
 def test_invariant_factors_match_smith_form_of_tI_minus_M(M):
     assert invariant_factors(M).factors == snf_invariant_factors(M)
