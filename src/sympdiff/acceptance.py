@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .atlas import indecomposable_reps
 from .decide import _strip_supported, decide_extension, decide_pair, pair_context
-from .errors import SympdiffError
 from .exprparse import parse_poly
 from .fields import field_make
 from .linalg import (

@@ -22,7 +22,7 @@ its extension must decide YES — so a bug in either module surfaces as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .decide import Family, PairCtx, decide_extension
 from .errors import (

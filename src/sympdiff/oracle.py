@@ -12,16 +12,17 @@ agreement matrix.  A correct implementation reports zero disagreements.
 
 The search (``brute_force_witness``) does not scan every candidate: given
 p(U1) = 0, the condition q(U1 - U) = 0 is linear in U1, so it solves that
-system once and scans only its solutions, in the full enumeration's order.
-It finds the same first witness, and it never consults the decision
-procedure, so the two routes stay independent.
+system once and scans only its solutions, in the full enumeration's order,
+in growing chunks that stop at the first hit.  It finds the same first
+witness, and it never consults the decision procedure, so the two routes
+stay independent.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decide import decide_pair, pair_context
 from .errors import InvalidArgument

@@ -21,8 +21,7 @@ human-facing output and have no decoder.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from .decide import CaseTag, DecisionReport, PairCtx
 from .errors import SerializationError

@@ -411,18 +411,35 @@ def _generic_search(P: SymplecticPair, pctx: PairCtx) -> Optional[Witness]:
     return None
 
 
-def _prime_search(
-    P: SymplecticPair, pctx: PairCtx, chunk: int = 1 << 15
-) -> Optional[Witness]:
+# The vectorized search scans its candidates in chunks that double from
+# the first size to the last, so a witness at index i costs O(i)
+# candidates and a scan of N candidates O(log N + N / _LAST_CHUNK) chunks.
+_FIRST_CHUNK, _LAST_CHUNK = 64, 1 << 15
+
+
+def _digits(idx, pr: int, width: int):
+    """The ``width`` base-``pr`` digits of each index, most significant
+    first."""
+    return idx[:, None] // pr ** np.arange(width - 1, -1, -1, dtype=np.int64) % pr
+
+
+def _prime_search(P: SymplecticPair, pctx: PairCtx) -> Optional[Witness]:
     """Vectorized search over prime fields: only the solutions of the
     linear system of ``_solution_space`` are enumerated, in integer
     lexicographic order of their free coordinates -- the full
     lexicographic candidate order restricted to the solutions, so the
-    first hit is the one the full scan finds, as on the generic path."""
+    first hit is the one the full scan finds, as on the generic path.
+
+    U1 = B^{-1} * M is linear in M, so the candidate with free coordinates
+    c is U1 = U0 + sum_f c_f * D_f, with U0 = B^{-1} * M(base) and D_f =
+    B^{-1} * M(direction f) computed once.  The sum over the m lowest free
+    coordinates (p^m <= the first chunk) is tabulated once, so a chunk
+    costs one small product for its high coordinates and one broadcast
+    sum.  The scan goes in growing chunks and stops at the chunk of its
+    first hit."""
     ctx = P.ctx
     pr = ctx.characteristic
     n = P.dimension
-    k = n * (n - 1) // 2
     searched = _searched_space(P, pctx)
     if searched is None:
         return None
@@ -431,25 +448,39 @@ def _prime_search(
     to_np = lambda rows: np.array(
         [[int(e) for e in row] for row in rows], dtype=np.int64
     )
-    base_np = to_np([base])
-    dirs = to_np(directions).reshape(d, k)
-    Bnp, Binv_np, Unp = (to_np(m.entries) for m in (P.B, Binv, P.U))
-    ident = np.eye(n, dtype=np.int64)
-    p0, p1 = int(pctx.p.coeffs[0]), int(pctx.p.coeffs[1])
-    q0, q1 = int(pctx.q.coeffs[0]), int(pctx.q.coeffs[1])
+    Bnp, Binv_np, Unp = (to_np(A.entries) for A in (P.B, Binv, P.U))
+    vals = to_np([base] + directions)
+    M = np.zeros((d + 1, n, n), dtype=np.int64)
     iu = np.triu_indices(n, 1)
-    pows = pr ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    total = pr**d
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        vals = (base_np + ((idx[:, None] // pows[None, :]) % pr) @ dirs) % pr
-        M = np.zeros((len(idx), n, n), dtype=np.int64)
-        M[:, iu[0], iu[1]] = vals
-        M[:, iu[1], iu[0]] = (-vals) % pr
-        U1 = np.einsum("ij,cjk->cik", Binv_np, M) % pr
-        PU1 = (U1 @ U1 + p1 * U1 + p0 * ident) % pr
-        hits = np.nonzero((PU1 == 0).all(axis=(1, 2)))[0]
-        for c in hits:
+    M[:, iu[0], iu[1]] = vals
+    M[:, iu[1], iu[0]] = -vals
+    UM = (Binv_np @ M % pr).reshape(d + 1, n * n)
+    U0, D = UM[:1], UM[1:]
+    m = 0
+    while m < d and pr ** (m + 1) <= _FIRST_CHUNK:
+        m += 1
+    low = U0
+    if m:
+        low = (U0 + _digits(np.arange(pr**m), pr, m) @ D[d - m :]) % pr
+    highs = pr ** (d - m)
+    ident = np.eye(n, dtype=np.int64)
+    p1_ident = int(pctx.p.coeffs[1]) * ident
+    # p(U1) = 0 exactly when U1 * (U1 + p1*I) = -p0*I
+    minus_p0 = (-int(pctx.p.coeffs[0]) % pr) * ident
+    q0, q1 = int(pctx.q.coeffs[0]), int(pctx.q.coeffs[1])
+    # chunk sizes count values of the high coordinates, len(low) candidates each
+    start, size = 0, max(1, _FIRST_CHUNK // len(low))
+    last = max(1, _LAST_CHUNK // len(low))
+    while start < highs:
+        U1 = low
+        if m < d:
+            hi = np.arange(start, min(start + size, highs), dtype=np.int64)
+            U1 = (_digits(hi, pr, d - m) @ D[: d - m] % pr)[:, None] + low
+            U1 -= pr * (U1 >= pr)
+        start, size = start + size, min(2 * size, last)
+        U1 = U1.reshape(-1, n, n)
+        PU1 = U1 @ (U1 + p1_ident) % pr
+        for c in np.flatnonzero((PU1 == minus_p0).all(axis=(1, 2))):
             U1c = U1[c]
             U2 = (U1c - Unp) % pr
             if ((U2 @ U2 + q1 * U2 + q0 * ident) % pr).any():
@@ -485,7 +516,9 @@ def brute_force_witness(
     definition, not the decision procedure.
 
     Prime fields small enough for exact int64 products take the vectorized
-    search, every other field the generic one.  Raises
+    search, every other field the generic one.  Both stop at the first
+    hit; the vectorized one scans in chunks that double from 64 to 2^15
+    candidates, so a witness at index i costs O(i) candidates.  Raises
     DimensionBoundExceeded above the dimension bound, or when the solution
     space holds 2^63 or more candidates (the int64 index range of the
     vectorized search)."""
@@ -499,8 +532,11 @@ def brute_force_witness(
     if n == 0:
         empty = Mat(ctx, [])
         return Witness(B=empty, U=empty, U1=empty, U2=empty)
-    # no int64 sum of products in _prime_search exceeds (n + k) * p^2
-    if ctx.kind == "prime" and (n + k) * ctx.p**2 < 2**63:
+    # every int64 sum in _prime_search stays below max(k, n + 1) * p^2:
+    # U0 + sum_f c_f * D_f adds a residue to at most k products of
+    # residues, and B^{-1} * M, U1 * (U1 + p1*I), q(U2) and B*U2 add at
+    # most n + 1 (the one diagonal entry of U1 + p1*I in a sum is below 2p)
+    if ctx.kind == "prime" and max(k, n + 1) * ctx.p**2 < 2**63:
         return _prime_search(P, pctx)
     return _generic_search(P, pctx)
 

@@ -286,15 +286,68 @@ def test_linearized_search_matches_full_enumeration(F2, F3):
 
 
 def test_linearized_search_matches_full_enumeration_dim6(F2):
-    # a seeded sample of the GF(2) dimension-6 sweep, plus v = 0 with
-    # p = q = t^2+t+1, whose linear system leaves all 15 coordinates free
-    instances = random.Random(6).sample(list(_sweep_instances(F2, 6)), 10)
-    t2t1 = parse_poly(F2, "t^2+t+1")
-    pc = pair_context(t2t1, t2t1)
-    P = symplectic_extension(Mat.zeros(F2, 3))
-    _, directions = _solution_space(P.B.inverse(), P.U, pc)
-    assert len(directions) == 15
-    assert _assert_same_first_hit(instances + [(pc, P)], 6) == 3
+    # a seeded sample of the GF(2) dimension-6 sweep, plus the eight sweep
+    # instances whose linear system leaves all 15 coordinates free: scalar
+    # v (0 or I3) with the (p, q) for which the condition is vacuous
+    instances = list(_sweep_instances(F2, 6))
+    spaces = [_solution_space(P.B.inverse(), P.U, pc) for pc, P in instances]
+    free15 = [
+        inst for inst, space in zip(instances, spaces)
+        if space is not None and len(space[1]) == 15
+    ]
+    assert len(free15) == 8
+    assert all(P.U.is_zero or P.U == Mat.scalar(F2, 6, F2.one) for _, P in free15)
+    sample = random.Random(6).sample(instances, 10)
+    assert _assert_same_first_hit(sample + free15, 6) == 3 + 6
+    # v = I3, p = t^2+1, q = t^2: with every coordinate free, the index of
+    # a candidate is its upper triangle of M = B*U1 read in base 2; 1184
+    # lies in the fifth chunk of the doubling scan
+    pc = pair_context(parse_poly(F2, "t^2+1"), parse_poly(F2, "t^2"))
+    P = symplectic_extension(Mat.scalar(F2, 3, F2.one))
+    M = P.B @ brute_force_witness(P, pc, bound=6).U1
+    upper = [int(M.entries[a][b]) for a in range(6) for b in range(a + 1, 6)]
+    assert int("".join(map(str, upper)), 2) == 1184
+
+
+def test_prime_search_over_a_prime_near_1000(monkeypatch):
+    # U = u*I with q(t) = p(t + u), so that the linear condition is
+    # vacuous: the one coordinate x of U1 = x*B^{-1}*E is free, and the
+    # first hit is the first root of p in that order (or none)
+    F = field_make("GF(997)")
+    chunks = []
+    digits = witness._digits
+    monkeypatch.setattr(
+        witness, "_digits", lambda *a: chunks.append(a) or digits(*a)
+    )
+    hits = 0
+    for pt, qt in [
+        ("(t-700)*(t-900)", "(t-695)*(t-895)"),
+        ("t^2+1", "t^2+10*t+26"),
+        ("t^2-5", "t^2+10*t+20"),  # 5 is not a square mod 997
+    ]:
+        pc = pair_context(parse_poly(F, pt), parse_poly(F, qt))
+        P = symplectic_extension(Mat.scalar(F, 1, F.from_int(5)))
+        assert len(_solution_space(P.B.inverse(), P.U, pc)[1]) == 1
+        chunks.clear()
+        a = _prime_search(P, pc)
+        b = _generic_search(P, pc)
+        if a is None:
+            assert b is None
+            # all 997 candidates in chunks of 64, 128, 256, 512 and the
+            # rest (p > 64 leaves no low coordinates to tabulate)
+            assert len(chunks) == 5
+        else:
+            assert b is not None and (a.U1, a.U2) == (b.U1, b.U2)
+            hits += 1
+    assert hits == 2
+    # over GF(100003) the chunks stop doubling at 2^15 candidates: 12
+    # chunks, not one per value of the coordinate
+    F = field_make("GF(100003)")
+    pc = pair_context(parse_poly(F, "t^2-5"), parse_poly(F, "t^2+10*t+20"))
+    P = symplectic_extension(Mat.scalar(F, 1, F.from_int(5)))
+    chunks.clear()
+    assert _prime_search(P, pc) is None
+    assert len(chunks) == 12
 
 
 def test_brute_force_over_a_large_prime_field():
