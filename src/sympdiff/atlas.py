@@ -12,7 +12,10 @@ This module enumerates those representatives up to a dimension bound on
 * **exceptional rows** (family ids 2-10, one id per case): shapes built from
   the in-field roots of ``F``, the translates ``p(t + y)`` by roots of ``q``,
   the norm quadratics of out-of-field root differences, or powers of ``F``
-  itself.
+  itself.  A norm quadratic is ``h = t^2 - delta*t - s`` for a root ``s`` of
+  ``Lam`` (``F = Lam(t^2 - delta*t)``) where ``h`` has no root in the field:
+  its roots are a difference ``x - y`` of roots of ``p`` and ``q`` and its
+  conjugate.
 
 Each emitted representative is self-checked against the decision procedure —
 its extension must decide YES — so a bug in either module surfaces as
@@ -34,7 +37,7 @@ from .errors import (
 )
 from .fields import FieldCtx
 from .linalg import Mat, companion, direct_sum
-from .poly import Poly, irreducible_polys, is_irreducible, quad_ext_roots
+from .poly import Poly, irreducible_polys, is_irreducible, roots_in_field
 
 __all__ = ["TableRow", "indecomposable_reps", "norm_quadratic"]
 
@@ -249,23 +252,16 @@ def _rows_irr_split_neq(pctx: PairCtx, bound: int) -> List[TableRow]:
 
 
 def _rows_same_field(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # out-of-field differences x - y contribute C(h^n) for the norm quadratic
-    # h = t^2 - delta*t + N(x - y); in-field differences z contribute doubled
-    # Jordan blocks in odd sizes and single blocks in even sizes.
+    # a root s of Lam with h = t^2 - delta*t - s irreducible (the difference
+    # x - y out of the field) contributes C(h^n); in-field differences z
+    # contribute doubled Jordan blocks in odd sizes and single blocks in
+    # even sizes.
     ctx = pctx.ctx
-    delta = pctx.delta
     rows: List[TableRow] = []
-    seen_quads = set()
-    K, qroots = quad_ext_roots(pctx.p_norm, pctx.q_norm)
-    x = K.gen  # the class of t, a root of p in K
-    for y in dict.fromkeys(qroots):
-        d = K.sub(x, y)
-        if d[1] == ctx.zero:
+    for s in dict.fromkeys(roots_in_field(pctx.Lam)):
+        h = pctx.sigma - Poly.constant(ctx, s)
+        if roots_in_field(h):
             continue  # in-field difference, handled via the shift rows below
-        h = Poly(ctx, (K.norm(d), ctx.neg(delta), ctx.one))
-        if h in seen_quads:
-            continue
-        seen_quads.add(h)
         for n in range(1, bound // 2 + 1):
             rows.append(
                 _row(pctx, 7, {"norm_quadratic": str(h), "n": n}, h ** n)
@@ -370,23 +366,23 @@ def indecomposable_reps(
 
 
 def norm_quadratic(pctx: PairCtx, root_index: int) -> Poly:
-    """Norm quadratic t^2 - delta*t + N(x - y) of an out-of-field difference.
+    """Norm quadratic h = t^2 - delta*t - s of an out-of-field difference.
 
-    ``x`` is the class of t in K = F[t]/(p) — a root of p — and ``y`` is the
-    root of q in K selected by ``root_index`` (0 or 1, in the deterministic
-    order returned by the root solver).  N is the determinant of
-    multiplication by x - y on K.  Raises DifferenceInBaseField when x - y
-    lies in the base field (that difference contributes shift rows instead,
-    carrying no norm quadratic).
+    ``s`` is the root of Lam selected by ``root_index`` (0 or 1, counted
+    with multiplicity in ``sort_key`` order).  Each root is s = sigma(x - y)
+    for a root x of p and a root y of q, and h has the roots x - y and its
+    conjugate, so h = t^2 - delta*t + N(x - y).  Raises
+    DifferenceInBaseField when h has a root in the base field (that
+    difference contributes shift rows instead, carrying no norm quadratic).
     """
     ctx = pctx.ctx
-    K, qroots = quad_ext_roots(pctx.p_norm, pctx.q_norm)
-    if not 0 <= root_index < len(qroots):
+    sroots = roots_in_field(pctx.Lam)
+    if not 0 <= root_index < len(sroots):
         raise InvalidArgument(f"root_index {root_index} out of range")
-    y = qroots[root_index]
-    d = K.sub(K.gen, y)
-    if d[1] == ctx.zero:
+    h = pctx.sigma - Poly.constant(ctx, sroots[root_index])
+    zs = roots_in_field(h)
+    if zs:
         raise DifferenceInBaseField(
-            f"x - y = {_fmt(ctx, d[0])} lies in the base field"
+            f"x - y = {_fmt(ctx, zs[0])} lies in the base field"
         )
-    return Poly(ctx, (K.norm(d), ctx.neg(pctx.delta), ctx.one))
+    return h

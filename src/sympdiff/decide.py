@@ -29,12 +29,10 @@ from .poly import (
     delta_of,
     fundamental_poly,
     lambda_poly,
-    quad_ext_roots,
     roots_in_field,
     roots_via_sigma,
     sigma_poly,
     trace_of,
-    translate_shifts,
 )
 from .sympform import SymplecticPair, require_valid
 
@@ -160,10 +158,21 @@ def swap_pair(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
 def classify_case(p: Poly, q: Poly) -> CaseTag:
     """Deterministic classification of the (p, q) instance.
 
-    Splitting-field equality of two irreducible quadratics is decided by
-    root-finding for q inside the quadratic extension F[t]/(p); the swap
-    symmetry is applied exactly when {p split, q irreducible} or {p double
-    root, q simple roots}.
+    The swap symmetry is applied exactly when {p split, q irreducible} or
+    {p double root, q simple roots}.
+
+    Two irreducible quadratics share a splitting field exactly when
+    Lam = lambda_poly(p, q) has a root in F.  Its roots are s1 = sigma(x - y)
+    and s2 = sigma(x - y') for a root x of p and the roots y, y' of q, and
+    s1 - s2 = (y' - y)(x - x').  In a shared field conjugation fixes both.
+    Otherwise, for p and q separable, an automorphism of the compositum
+    swaps them and they differ, so neither lies in F.  In characteristic 2,
+    if exactly one of p, q is inseparable, s1 = s2 = alpha + beta + c*r lies
+    outside F (c the nonzero trace, r the root of the inseparable one).  If
+    both are, s1 = alpha + beta lies in F, and the rule relies on
+    [F : F^2] <= 2 (true over GF(2^k) and GF(2)(s)): both then split over
+    F^(1/2).  The shifts z with q(t) = p(t + z) are the in-field roots of
+    F = Lam(sigma).
     """
     p._check(q)
     _require_quadratic(p, "p")
@@ -197,11 +206,10 @@ def classify_case(p: Poly, q: Poly) -> CaseTag:
             return CaseTag(Family.IRR_SPLIT_EQ, swapped, ys=(y1, y2))
         return CaseTag(Family.IRR_SPLIT_NEQ, swapped, ys=(y1, y2))
     # both irreducible
-    _, roots = quad_ext_roots(p, q)
-    if roots:
-        return CaseTag(
-            Family.IRR_SAME_FIELD, swapped, zs=tuple(translate_shifts(p, q))
-        )
+    Lam = lambda_poly(p, q)
+    if roots_in_field(Lam):
+        zs = tuple(roots_via_sigma(Lam, delta_of(p, q)))
+        return CaseTag(Family.IRR_SAME_FIELD, swapped, zs=zs)
     if ctx.characteristic == 2:
         lam, mu = trace_of(p), trace_of(q)
         if ctx.is_zero(lam) and ctx.is_zero(mu):

@@ -11,7 +11,6 @@ context                           scalar representation
 ``ExtensionField(p, k, mod)``     ``tuple`` of ``k`` ints (coeffs of 1, g, ...)
 ``RationalFunctionField(p)``      ``(num, den)`` pair of int tuples over GF(p),
                                   denominator monic, fraction reduced
-``QuadraticExtension(base, ...)`` ``(a, b)`` pair of base scalars (a + b*X)
 ================================  =============================================
 
 Representations are canonical, so scalar equality is structural ``==``.
@@ -122,17 +121,6 @@ def _zgcd(a, b, p):
     return _zmonic(a, p)
 
 
-def _zpow_mod(base, e, mod, p):
-    result = (1,)
-    base = _zdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _zdivmod(_zmul(result, base, p), mod, p)[1]
-        base = _zdivmod(_zmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
 def _zxgcd(a, b, p):
     """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
     r0, r1 = a, b
@@ -195,24 +183,6 @@ def _prime_factors(n: int):
     if n > 1:
         out.append(n)
     return out
-
-
-def _zirreducible(f, p) -> bool:
-    """Rabin irreducibility test for a monic polynomial over GF(p)."""
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    x = (0, 1)
-    h = _zpow_mod(x, p ** d, f, p)
-    if _zsub(h, x, p):
-        return False
-    for ell in _prime_factors(d):
-        g = _zpow_mod(x, p ** (d // ell), f, p)
-        if _zgcd(_zsub(g, x, p), f, p) != (1,):
-            return False
-    return True
 
 
 def _zformat(cs, var="s"):
@@ -397,7 +367,9 @@ class ExtensionField(FieldCtx):
             )
         if modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic")
-        if not _zirreducible(modulus, p):
+        from .poly import Poly, is_irreducible  # late import; avoids a cycle
+
+        if not is_irreducible(Poly(PrimeField(p), modulus)):
             raise ReducibleModulus(
                 f"{_zformat(modulus, 't')} is reducible over GF({p})"
             )
@@ -575,103 +547,6 @@ class RationalFunctionField(FieldCtx):
         return hash(("ratfunc", self.p))
 
 
-class QuadraticExtension(FieldCtx):
-    """base[X] / (X^2 - lam*X + alpha) for an irreducible monic quadratic.
-
-    Internal layer used for splitting-field comparisons and norms; scalars
-    are pairs ``(a, b)`` of base scalars meaning ``a + b*X``.  The caller is
-    responsible for the modulus being irreducible over the base.
-    """
-
-    kind = "quadext"
-
-    def __init__(self, base: FieldCtx, alpha, lam):
-        self.base = base
-        self.alpha = alpha  # X^2 = lam*X - alpha
-        self.lam = lam
-        self.characteristic = base.characteristic
-        self.order = None if base.order is None else base.order ** 2
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.zero)
-        self.gen = (base.zero, base.one)
-
-    def add(self, a, b):
-        F = self.base
-        return (F.add(a[0], b[0]), F.add(a[1], b[1]))
-
-    def sub(self, a, b):
-        F = self.base
-        return (F.sub(a[0], b[0]), F.sub(a[1], b[1]))
-
-    def neg(self, a):
-        F = self.base
-        return (F.neg(a[0]), F.neg(a[1]))
-
-    def mul(self, a, b):
-        F = self.base
-        a0, a1 = a
-        b0, b1 = b
-        cross = F.mul(a1, b1)
-        re = F.sub(F.mul(a0, b0), F.mul(self.alpha, cross))
-        im = F.add(F.add(F.mul(a0, b1), F.mul(a1, b0)), F.mul(self.lam, cross))
-        return (re, im)
-
-    def conj(self, a):
-        """The image of a under X -> lam - X."""
-        F = self.base
-        a0, a1 = a
-        return (F.add(a0, F.mul(self.lam, a1)), F.neg(a1))
-
-    def norm(self, a):
-        """a * conj(a), an element of the base field."""
-        F = self.base
-        a0, a1 = a
-        return F.add(
-            F.add(F.mul(a0, a0), F.mul(self.lam, F.mul(a0, a1))),
-            F.mul(self.alpha, F.mul(a1, a1)),
-        )
-
-    def inv(self, a):
-        F = self.base
-        n = self.norm(a)
-        if F.is_zero(n):
-            raise DivisionByZero("1/0 in quadratic extension")
-        c = F.inv(n)
-        b0, b1 = self.conj(a)
-        return (F.mul(b0, c), F.mul(b1, c))
-
-    def from_int(self, n):
-        return (self.base.from_int(n), self.base.zero)
-
-    def embed(self, a):
-        return (a, self.base.zero)
-
-    def elements(self):
-        for a in self.base.elements():
-            for b in self.base.elements():
-                yield (a, b)
-
-    def format(self, a):
-        F = self.base
-        if F.is_zero(a[1]):
-            return F.format(a[0])
-        return f"({F.format(a[0])})+({F.format(a[1])})*X"
-
-    def sort_key(self, a):
-        return (self.base.sort_key(a[0]), self.base.sort_key(a[1]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticExtension)
-            and other.base == self.base
-            and other.alpha == self.alpha
-            and other.lam == self.lam
-        )
-
-    def __hash__(self):
-        return hash(("quadext", self.base, self.alpha, self.lam))
-
-
 # ----------------------------------------------------------------------
 # field specification strings
 # ----------------------------------------------------------------------
@@ -761,6 +636,4 @@ def field_spec(ctx: FieldCtx) -> str:
         return f"GF({ctx.p}^{ctx.k})|{_zformat(ctx.modulus, 't')}"
     if ctx.kind == "ratfunc":
         return f"GF({ctx.p})(s)"
-    if ctx.kind == "quadext":
-        return f"{field_spec(ctx.base)}[X]"
     raise FieldSpecError(f"unknown field kind {ctx.kind!r}")

@@ -241,10 +241,6 @@ class Mat:
             return Mat(self.ctx, [], cols=self.rows)
         return Mat(self.ctx, tuple(zip(*self.entries)))
 
-    def trace(self):
-        self._square()
-        return self.ctx.sum(self.entries[i][i] for i in range(self.rows))
-
     # -- elimination-based queries ------------------------------------------
 
     def _rref(self):

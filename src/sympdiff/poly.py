@@ -31,7 +31,7 @@ from .errors import (
     WrongDegree,
     ZeroPolynomial,
 )
-from .fields import FieldCtx, QuadraticExtension
+from .fields import FieldCtx
 
 
 # ----------------------------------------------------------------------
@@ -697,13 +697,14 @@ def _has_rational_root(f: Poly) -> bool:
     return False
 
 
-def _pow_mod(a: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(a.ctx)
-    a = a % mod
+def _pow_mod(ops: PolyOps, a, e: int, mod):
+    """a^e modulo ``mod``, on coefficient tuples."""
+    result = (ops.ctx.one,)
+    a = ops.divmod(a, mod)[1]
     while e:
         if e & 1:
-            result = result * a % mod
-        a = a * a % mod
+            result = ops.divmod(ops.mul(result, a), mod)[1]
+        a = ops.divmod(ops.mul(a, a), mod)[1]
         e >>= 1
     return result
 
@@ -723,16 +724,16 @@ def is_irreducible(f: Poly) -> bool:
         return True
     ctx = f.ctx
     if ctx.order is not None:
+        ops = poly_ops(ctx)
         q = ctx.order
         d = f.degree
-        fm = f.monic()
-        t = Poly.t(ctx)
-        h = _pow_mod(t, q ** d, fm)
-        if not (h - t % fm).is_zero:
+        fm = f.monic().coeffs
+        t = (ctx.zero, ctx.one)  # reduced modulo fm, as d >= 2
+        if ops.sub(_pow_mod(ops, t, q ** d, fm), t):
             return False
         for ell in fields._prime_factors(d):
-            g = _pow_mod(t, q ** (d // ell), fm)
-            if fm.gcd(g - t).degree > 0:
+            g = _pow_mod(ops, t, q ** (d // ell), fm)
+            if len(ops.gcd(fm, ops.sub(g, t))) > 1:
                 return False
         return True
     if f.degree == 2:
@@ -762,102 +763,10 @@ def irreducible_polys(ctx: FieldCtx, max_degree: int):
 
 
 # ----------------------------------------------------------------------
-# monic quadratics: utilities used by the case classifier
+# monic quadratics
 # ----------------------------------------------------------------------
 
 
 def quad_irreducible(f: Poly) -> bool:
     _require_monic_quadratic(f, "f")
     return not roots_in_field(f)
-
-
-def translate_shifts(p: Poly, q: Poly):
-    """All z in the base field with q(t) = p(t + z), by coefficient matching.
-
-    Away from characteristic 2 there is at most one candidate; in
-    characteristic 2 the matching reduces to a quadratic in z.
-    """
-    p._check(q)
-    _require_monic_quadratic(p, "p")
-    _require_monic_quadratic(q, "q")
-    ctx = p.ctx
-    if ctx.characteristic != 2:
-        z = ctx.div(delta_of(p, q), ctx.from_int(2))
-        return [z] if p.translate(z) == q else []
-    if trace_of(p) != trace_of(q):
-        return []
-    # constant terms: z^2 - lam*z + p0 = q0
-    lam = trace_of(p)
-    g = Poly(ctx, (ctx.sub(p.coeffs[0], q.coeffs[0]), ctx.neg(lam), ctx.one))
-    zs = []
-    for z in roots_in_field(g):
-        if z not in zs and p.translate(z) == q:
-            zs.append(z)
-    return zs
-
-
-def quad_ext_roots(p: Poly, q: Poly):
-    """Roots of q inside K = F[t]/(p), for p a monic irreducible quadratic.
-
-    Returns (K, roots) where K is the quadratic-extension context and roots
-    is the multiplicity-counted list of (a, b) scalars a + b*X, X the class
-    of t.  Solved by coefficient matching over the base field — never by
-    constructing a splitting field.
-    """
-    p._check(q)
-    _require_monic_quadratic(p, "p")
-    _require_monic_quadratic(q, "q")
-    ctx = p.ctx
-    alpha, lam = p.coeffs[0], ctx.neg(p.coeffs[1])
-    beta, mu = q.coeffs[0], ctx.neg(q.coeffs[1])
-    K = QuadraticExtension(ctx, alpha, lam)
-    roots = []
-    if ctx.characteristic != 2:
-        # X-component of q(a + bX) vanishes iff 2a + lam*b = mu (b = 0 would
-        # put a root of q in the base field)
-        half = ctx.inv(ctx.from_int(2))
-        a_of_b = Poly(ctx, (ctx.mul(mu, half), ctx.neg(ctx.mul(lam, half))))
-        b_poly = Poly.t(ctx)
-        P = (
-            a_of_b * a_of_b
-            - Poly.constant(ctx, alpha) * b_poly * b_poly
-            - Poly.constant(ctx, mu) * a_of_b
-            + Poly.constant(ctx, beta)
-        )
-        for b0 in roots_in_field(P):
-            if not ctx.is_zero(b0):
-                roots.append((a_of_b.eval(b0), b0))
-    elif not ctx.is_zero(lam):
-        if ctx.is_zero(mu):
-            return K, []  # q inseparable, p separable: fields differ
-        b0 = ctx.div(mu, lam)
-        g = Poly(
-            ctx,
-            (
-                ctx.add(beta, ctx.mul(alpha, ctx.mul(b0, b0))),
-                mu,
-                ctx.one,
-            ),
-        )
-        for a0 in roots_in_field(g):
-            roots.append((a0, b0))
-    else:
-        # p inseparable (char 2, trace 0)
-        if not ctx.is_zero(mu):
-            return K, []
-        if ctx.order is not None:
-            # every scalar of a finite field of characteristic 2 is a square,
-            # so an inseparable quadratic over it is never irreducible
-            raise NotIrreducible("inseparable quadratics over perfect fields split")
-        ae, ao = ctx.frobenius_parts(alpha)
-        be, bo = ctx.frobenius_parts(beta)
-        if ctx.is_zero(ao):
-            raise NotIrreducible("p is a square, not irreducible")
-        b0 = ctx.div(bo, ao)
-        a0 = ctx.add(be, ctx.mul(ae, b0))
-        roots = [(a0, b0), (a0, b0)]  # (t - y)^2
-    for y in roots:
-        val = K.add(K.mul(y, y), K.add(K.mul(K.embed(ctx.neg(mu)), y), K.embed(beta)))
-        if val != K.zero:
-            raise ConstructionInvariantViolated("claimed extension root fails q")
-    return K, sorted(roots, key=K.sort_key)

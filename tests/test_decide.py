@@ -1,7 +1,9 @@
 """Case classification and the two-route decision procedure."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,13 @@ from sympdiff.linalg import (
     primary_sequence,
     restrict,
 )
-from sympdiff.poly import Poly, decompose_base_sigma, quad_irreducible
+from sympdiff.poly import (
+    Poly,
+    decompose_base_sigma,
+    delta_of,
+    monic_polys,
+    roots_in_field,
+)
 from sympdiff.sympform import (
     SymplecticPair,
     induced_pair,
@@ -153,6 +161,131 @@ def test_same_field_shifts_recorded(Q):
     assert pc.case.zs == (Q.zero,)
     pc2 = pair_context(parse_poly(Q, "t^2+1"), parse_poly(Q, "t^2+4"))
     assert pc2.case.zs == ()
+
+
+def _disc(p: Poly):
+    ctx = p.ctx
+    lam, alpha = p.coeffs[1], p.coeffs[0]
+    return ctx.sub(ctx.mul(lam, lam), ctx.mul(ctx.from_int(4), alpha))
+
+
+def _is_square_q(d: Fraction) -> bool:
+    return d >= 0 and all(
+        math.isqrt(n) ** 2 == n for n in (d.numerator, d.denominator)
+    )
+
+
+F3_BASE = field_make("GF(3)")
+
+
+def _is_square_gf3s(d) -> bool:
+    """d = N/D in GF(3)(s) is a square iff N*D = g^2 in GF(3)[s]; found by
+    scanning the monic g of half the degree (1 is the only nonzero square
+    of GF(3))."""
+    nd = Poly(F3_BASE, d[0]) * Poly(F3_BASE, d[1])
+    if nd.is_zero or nd.degree % 2 or nd.coeffs[-1] != 1:
+        return nd.is_zero
+    return any(g * g == nd for g in monic_polys(F3_BASE, nd.degree // 2))
+
+
+def test_same_field_and_shifts_against_references():
+    # finite fields: the quadratic extension is unique, so every pair of
+    # irreducible quadratics shares it, and the shifts are a scan of the field
+    for spec in ("GF(3)", "GF(4)|t^2+t+1", "GF(5)", "GF(9)|t^2+1"):
+        ctx = field_make(spec)
+        elems = list(ctx.elements())
+        irr = [
+            f for f in monic_polys(ctx, 2)
+            if all(not ctx.is_zero(f.eval(x)) for x in elems)
+        ]
+        for p, q in itertools.product(irr, repeat=2):
+            tag = classify_case(p, q)
+            assert tag.family is Family.IRR_SAME_FIELD and not tag.swapped
+            scan = [z for z in elems if p.translate(z) == q]
+            assert tag.zs == tuple(sorted(scan, key=ctx.sort_key)), (spec, p, q)
+
+    # Q and GF(3)(s): same field iff disc(p) * disc(q) is a square; the only
+    # shift candidate is delta / 2
+    Q, F3s = field_make("Q"), field_make("GF(3)(s)")
+    rng = random.Random(8)
+    draws = {
+        Q: (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 3)), _is_square_q),
+        F3s: (
+            lambda: F3s.from_polys([rng.randrange(3) for _ in range(2)]),
+            _is_square_gf3s,
+        ),
+    }
+    for ctx, (draw, is_square) in draws.items():
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 40:
+            p = Poly(ctx, (draw(), draw(), ctx.one))
+            dp = _disc(p)
+            if is_square(dp):
+                continue
+            mu, c = draw(), draw()
+            if rng.random() < 0.5:  # disc(q) = disc(p) * c^2
+                beta = ctx.div(
+                    ctx.sub(ctx.mul(mu, mu), ctx.mul(dp, ctx.mul(c, c))),
+                    ctx.from_int(4),
+                )
+            else:
+                beta = draw()
+            q = Poly(ctx, (beta, ctx.neg(mu), ctx.one))
+            dq = _disc(q)
+            if is_square(dq):
+                continue
+            same = is_square(ctx.mul(dp, dq))
+            seen[same] += 1
+            tag = classify_case(p, q)
+            assert (tag.family is Family.IRR_SAME_FIELD) == same, (p, q)
+            z = ctx.div(delta_of(p, q), ctx.from_int(2))
+            if same:
+                assert tag.zs == ((z,) if p.translate(z) == q else ()), (p, q)
+
+    # GF(2)(s), separable: t^2 + lam*t + alpha has the splitting field of
+    # y^2 + y + alpha/lam^2, and two such fields agree iff y^2 + y + (a + b)
+    # has a root.  p carries a = c_p + y1^2 + y1 with c_p of odd pole order
+    # at infinity (so p is irreducible); q adds c0 + y0^2 + y0 to a, and
+    # c0 + (y^2 + y) is never 0 for c0 in {1, 1/s, 1/(s+1)}: a constant
+    # outside GF(2) or an odd-order pole.
+    F2s = field_make("GF(2)(s)")
+    s = F2s.gen
+    t = Poly.t(F2s)
+
+    def k(x):
+        return Poly.constant(F2s, x)
+
+    def artin_schreier(c):
+        return t * t + t + k(c)
+
+    pool = [F2s.zero, F2s.one, s, F2s.add(s, F2s.one), F2s.inv(s)]
+    for c_p in (s, F2s.mul(s, F2s.mul(s, s))):
+        for c0 in (F2s.zero, F2s.one, F2s.inv(s), F2s.inv(F2s.add(s, F2s.one))):
+            for y0, y1, lam, mu in itertools.islice(
+                itertools.product(pool, pool, pool[1:], pool[1:]), 0, None, 7
+            ):
+                a = F2s.add(c_p, F2s.add(F2s.mul(y1, y1), y1))
+                b = F2s.add(F2s.add(a, c0), F2s.add(F2s.mul(y0, y0), y0))
+                p = t * t + k(lam) * t + k(F2s.mul(a, F2s.mul(lam, lam)))
+                q = t * t + k(mu) * t + k(F2s.mul(b, F2s.mul(mu, mu)))
+                same = bool(roots_in_field(artin_schreier(F2s.add(a, b))))
+                assert same == (c0 == F2s.zero)
+                tag = classify_case(p, q)
+                assert (tag.family is Family.IRR_SAME_FIELD) == same, (p, q)
+                if same:
+                    assert all(p.translate(z) == q for z in tag.zs)
+                    if lam != mu:
+                        assert tag.zs == ()
+
+    # GF(2)(s), inseparable: any two share F^(1/2); q(t) = p(t + z) iff
+    # z^2 = p(0) + q(0)
+    p = parse_poly(F2s, "t^2+s")
+    for qt, zs in (
+        ("t^2+s", (F2s.zero,)), ("t^2+s+1", (F2s.one,)),
+        ("t^2+s^3", ()), ("t^2+1/s", ()),
+    ):
+        tag = classify_case(p, parse_poly(F2s, qt))
+        assert tag.family is Family.IRR_SAME_FIELD and tag.zs == zs, qt
 
 
 def test_intertwined_sequences():

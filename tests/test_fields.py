@@ -16,7 +16,6 @@ from sympdiff.exprparse import parse_scalar
 from sympdiff.fields import (
     ExtensionField,
     PrimeField,
-    QuadraticExtension,
     field_make,
     field_spec,
 )
@@ -100,20 +99,6 @@ def test_ratfunc_field_laws(F2s):
             lhs = F2s.mul(a, F2s.add(b, c))
             rhs = F2s.add(F2s.mul(a, b), F2s.mul(a, c))
             assert lhs == rhs
-
-
-def test_quadratic_extension_norm_and_conjugation(F5):
-    # X^2 = X - 1 is irreducible over GF(5)  (t^2 - t + 1 has no root)
-    K = QuadraticExtension(F5, alpha=1, lam=1)
-    for a0 in range(5):
-        for a1 in range(5):
-            a = (a0, a1)
-            n = K.norm(a)
-            prod = K.mul(a, K.conj(a))
-            assert prod == K.embed(n)
-            # multiplicativity on a fixed second argument
-            b = (2, 3)
-            assert K.norm(K.mul(a, b)) == F5.mul(n, K.norm(b))
 
 
 def test_field_spec_round_trip():

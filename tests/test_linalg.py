@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sympdiff.errors import NotStable, SingularMatrix
 from sympdiff.exprparse import parse_poly
-from sympdiff.fields import QuadraticExtension, field_make
+from sympdiff.fields import field_make
 from sympdiff.linalg import (
     Mat,
     companion,
@@ -287,8 +287,6 @@ ORACLE_CONTEXTS = [
     field_make("Q"),
     field_make("GF(2)(s)"),
     field_make("GF(3)(s)"),
-    QuadraticExtension(field_make("GF(5)"), alpha=1, lam=1),  # X^2 - X + 1
-    QuadraticExtension(field_make("Q"), alpha=1, lam=0),  # Q(i)
 ]
 
 
@@ -298,8 +296,6 @@ def _scalar(ctx, a: int, b: int):
         return ctx._pad((a % ctx.p, b % ctx.p))
     if ctx.kind == "ratfunc":
         return ctx.from_polys((a % ctx.p, b % ctx.p))
-    if ctx.kind == "quadext":
-        return (ctx.base.from_int(a), ctx.base.from_int(b))
     return ctx.from_int(a + 2 * b)
 
 

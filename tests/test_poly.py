@@ -19,11 +19,9 @@ from sympdiff.poly import (
     lambda_poly,
     monic_polys,
     poly_ops,
-    quad_ext_roots,
     roots_in_field,
     roots_via_sigma,
     sigma_poly,
-    translate_shifts,
 )
 
 
@@ -267,57 +265,6 @@ def test_roots_over_rational_functions(F2s):
     assert sorted(roots, key=F2s.sort_key) == sorted(
         [s, F2s.div(F2s.one, F2s.add(s, F2s.one))], key=F2s.sort_key
     )
-
-
-def test_translate_shifts(F5, F2):
-    p = parse_poly(F5, "t^2+t+1")
-    assert translate_shifts(p, p.translate(F5.from_int(2))) == [F5.from_int(2)]
-    assert translate_shifts(p, parse_poly(F5, "t^2+t+2")) == []
-    # characteristic 2: t^2 + t is fixed by both shifts z = 0 and z = 1
-    r = parse_poly(F2, "t^2+t")
-    assert sorted(translate_shifts(r, r)) == [0, 1]
-
-
-def test_quad_ext_roots_against_evaluation(F3, F5):
-    for ctx in (F3, F5):
-        consts = list(ctx.elements())
-        quads = [f for f in quadratics_over(ctx, consts) if not roots_in_field(f)]
-        for p in quads:
-            for q in quads:
-                K, roots = quad_ext_roots(p, q)
-                # every reported root really is one
-                for y in roots:
-                    qy = K.add(
-                        K.mul(y, y),
-                        K.add(
-                            K.mul(K.embed(q.coeffs[1]), y), K.embed(q.coeffs[0])
-                        ),
-                    )
-                    assert qy == K.zero
-                # exhaustive check over the 2-dimensional extension
-                found = [
-                    x
-                    for x in K.elements()
-                    if K.add(
-                        K.mul(x, x),
-                        K.add(K.mul(K.embed(q.coeffs[1]), x), K.embed(q.coeffs[0])),
-                    )
-                    == K.zero
-                ]
-                assert set(roots) == set(found)
-                assert len(roots) == 2  # q splits in the unique quadratic extension
-
-
-def test_quad_ext_roots_inseparable_finite_raises(F2):
-    p = parse_poly(F2, "t^2+1")  # (t+1)^2: inseparable and reducible over GF(2)
-    with pytest.raises(NotIrreducible):
-        quad_ext_roots(p, p)
-
-
-def test_quad_ext_roots_inseparable_ratfunc(F2s):
-    p = parse_poly(F2s, "t^2+s")
-    K, roots = quad_ext_roots(p, p)
-    assert len(roots) == 2 and roots[0] == roots[1] == K.gen
 
 
 def test_irreducible_counts(F3):
