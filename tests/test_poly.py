@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sympdiff.errors import NotIrreducible, ParseError, WrongDegree
 from sympdiff.exprparse import parse_poly
-from sympdiff.fields import field_make
+from sympdiff.fields import ExtensionField, field_make
 from sympdiff.poly import (
     Poly,
     decompose_base_sigma,
@@ -265,6 +265,73 @@ def test_roots_over_rational_functions(F2s):
     assert sorted(roots, key=F2s.sort_key) == sorted(
         [s, F2s.div(F2s.one, F2s.add(s, F2s.one))], key=F2s.sort_key
     )
+
+
+def _shifts(p, q):
+    """The z with q(t) = p(t + z) for irreducible p, q: the in-field roots
+    of F = Lambda(sigma)."""
+    return roots_via_sigma(lambda_poly(p, q), delta_of(p, q))
+
+
+def test_translate_shifts(F5, F2):
+    p = parse_poly(F5, "t^2+t+1")
+    assert _shifts(p, p.translate(F5.from_int(2))) == [F5.from_int(2)]
+    assert _shifts(p, parse_poly(F5, "t^2+t+2")) == []
+    # characteristic 2: t^2 + t + 1 is fixed by both shifts z = 0 and z = 1
+    r = parse_poly(F2, "t^2+t+1")
+    assert _shifts(r, r) == [0, 1]
+    for ctx in (F5, F2):
+        elems = list(ctx.elements())
+        irr = [f for f in monic_polys(ctx, 2) if not roots_in_field(f)]
+        for p in irr:
+            for q in irr:
+                assert _shifts(p, q) == [z for z in elems if p.translate(z) == q]
+
+
+def test_quad_ext_roots_against_evaluation(F3, F5):
+    # K = GF(p)[X]/(p(X)); the roots of Lambda are sigma(X - y) for the
+    # roots y of q in K, and the in-field roots of F are the differences
+    # x - y of roots that land in the base field
+    for ctx in (F3, F5):
+        irr = [f for f in monic_polys(ctx, 2) if not roots_in_field(f)]
+        for p in irr:
+            K = ExtensionField(ctx.p, 2, p.coeffs)
+            X = (0, 1)
+            X2 = K.sub(K.from_int(-p.coeffs[1]), X)  # the conjugate root
+
+            def embed(c):
+                return K.from_int(c)
+
+            for q in irr:
+                found = [
+                    y for y in K.elements()
+                    if K.add(K.mul(y, y), K.add(K.mul(embed(q.coeffs[1]), y),
+                                                embed(q.coeffs[0]))) == K.zero
+                ]
+                assert len(found) == 2  # q splits in the unique quadratic extension
+                delta = delta_of(p, q)
+
+                def sigma(w):
+                    return K.sub(K.mul(w, w), K.mul(embed(delta), w))
+
+                want = sorted(sigma(K.sub(X, y)) for y in found)
+                assert all(s[1] == 0 for s in want)  # Lambda splits over GF(p)
+                got = sorted(embed(s) for s in roots_in_field(lambda_poly(p, q)))
+                assert got == want, (p, q)
+                diffs = {K.sub(x, y) for x in (X, X2) for y in found}
+                in_base = sorted(d[0] for d in diffs if d[1] == 0)
+                assert _shifts(p, q) == in_base, (p, q)
+
+
+def test_quad_ext_roots_inseparable_ratfunc(F2s):
+    # p = t^2 + s is irreducible and inseparable over GF(2)(s); its one root
+    # r = sqrt(s) is double, so Lambda(p, p) = (t - sigma(r - r))^2 = t^2
+    p = parse_poly(F2s, "t^2+s")
+    Lam = lambda_poly(p, p)
+    assert Lam == parse_poly(F2s, "t^2")
+    assert roots_in_field(Lam) == [F2s.zero, F2s.zero]
+    assert _shifts(p, p) == [F2s.zero]
+    assert _shifts(p, parse_poly(F2s, "t^2+s+1")) == [F2s.one]
 
 
 def test_irreducible_counts(F3):
