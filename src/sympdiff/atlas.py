@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fields import FieldCtx
 from .linalg import Mat, companion, direct_sum
-from .poly import Poly, irreducible_polys, is_irreducible, roots_in_field
+from .poly import Poly, irreducible_polys, is_irreducible
 
 __all__ = ["TableRow", "indecomposable_reps", "norm_quadratic"]
 
@@ -258,9 +258,9 @@ def _rows_same_field(pctx: PairCtx, bound: int) -> List[TableRow]:
     # even sizes.
     ctx = pctx.ctx
     rows: List[TableRow] = []
-    for s in dict.fromkeys(roots_in_field(pctx.Lam)):
+    for s in dict.fromkeys(pctx.Lam_roots):
         h = pctx.sigma - Poly.constant(ctx, s)
-        if roots_in_field(h):
+        if any(ctx.is_zero(h.eval(z)) for z in pctx.F_roots):
             continue  # in-field difference, handled via the shift rows below
         for n in range(1, bound // 2 + 1):
             rows.append(
@@ -376,11 +376,10 @@ def norm_quadratic(pctx: PairCtx, root_index: int) -> Poly:
     difference contributes shift rows instead, carrying no norm quadratic).
     """
     ctx = pctx.ctx
-    sroots = roots_in_field(pctx.Lam)
-    if not 0 <= root_index < len(sroots):
+    if not 0 <= root_index < len(pctx.Lam_roots):
         raise InvalidArgument(f"root_index {root_index} out of range")
-    h = pctx.sigma - Poly.constant(ctx, sroots[root_index])
-    zs = roots_in_field(h)
+    h = pctx.sigma - Poly.constant(ctx, pctx.Lam_roots[root_index])
+    zs = [z for z in pctx.F_roots if ctx.is_zero(h.eval(z))]
     if zs:
         raise DifferenceInBaseField(
             f"x - y = {_fmt(ctx, zs[0])} lies in the base field"

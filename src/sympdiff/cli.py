@@ -233,10 +233,12 @@ def _cmd_oracle(args) -> int:
     ctx = field_make(args.field)
     ps = [parse_poly(ctx, args.p)] if args.p else list(monic_polys(ctx, 2))
     qs = [parse_poly(ctx, args.q)] if args.q else None
-    if args.jobs > 1 and len(ps) > 1:
+    # the pool starts every worker up front: no more than the p's or the CPUs
+    workers = min(args.jobs, len(ps), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
                 oracle_sweep,
                 [ctx] * len(ps),

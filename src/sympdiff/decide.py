@@ -17,12 +17,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     ConstructionInvariantViolated,
+    InvalidArgument,
     MixedFieldContexts,
     NotNonIncreasing,
     WrongDegree,
 )
 from .fields import FieldCtx
-from .linalg import Mat, companion, direct_sum, exact_cell_counts, invariant_factors
+from .linalg import Mat, exact_cell_counts, invariant_factors
 from .poly import (
     Poly,
     decompose_base_sigma,
@@ -30,7 +31,6 @@ from .poly import (
     fundamental_poly,
     lambda_poly,
     roots_in_field,
-    roots_via_sigma,
     sigma_poly,
     trace_of,
 )
@@ -87,6 +87,8 @@ class PairCtx:
 
     p_norm, q_norm are (q(-t), p(-t)) when the classification applied the
     swap symmetry, else (p, q); F, Lam and delta are swap-invariant.
+    Lam_roots are the base-field roots of Lam with multiplicity, F_roots
+    the distinct base-field roots of F, both in ``sort_key`` order.
     """
 
     p: Poly
@@ -97,6 +99,8 @@ class PairCtx:
     F: Poly
     Lam: Poly
     delta: object
+    Lam_roots: Tuple[object, ...]
+    F_roots: Tuple[object, ...]
 
     @property
     def ctx(self) -> FieldCtx:
@@ -105,11 +109,6 @@ class PairCtx:
     @property
     def sigma(self) -> Poly:
         return sigma_poly(self.ctx, self.delta)
-
-    @property
-    def F_roots(self) -> list:
-        """The distinct roots of F in the base field, in sort_key order."""
-        return roots_via_sigma(self.Lam, self.delta)
 
 
 @dataclass(frozen=True)
@@ -156,10 +155,16 @@ def swap_pair(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
 
 
 def classify_case(p: Poly, q: Poly) -> CaseTag:
-    """Deterministic classification of the (p, q) instance.
+    """Deterministic classification of the (p, q) instance."""
+    return pair_context(p, q).case
+
+
+def _classify(p: Poly, q: Poly, p_roots, q_roots, Lam_roots, F_roots) -> CaseTag:
+    """The case of (p, q) from the base-field roots of p, q, Lam and F.
 
     The swap symmetry is applied exactly when {p split, q irreducible} or
-    {p double root, q simple roots}.
+    {p double root, q simple roots}.  The swapped pair (q(-t), p(-t)) has
+    the negated roots.
 
     Two irreducible quadratics share a splitting field exactly when
     Lam = lambda_poly(p, q) has a root in F.  Its roots are s1 = sigma(x - y)
@@ -174,25 +179,14 @@ def classify_case(p: Poly, q: Poly) -> CaseTag:
     F^(1/2).  The shifts z with q(t) = p(t + z) are the in-field roots of
     F = Lam(sigma).
     """
-    p._check(q)
-    _require_quadratic(p, "p")
-    _require_quadratic(q, "q")
     ctx = p.ctx
-    p_roots = roots_in_field(p)
-    q_roots = roots_in_field(q)
-    p_split, q_split = bool(p_roots), bool(q_roots)
-    swapped = False
-    if p_split and not q_split:
-        swapped = True
-    elif p_split and q_split:
-        if p_roots[0] == p_roots[1] and q_roots[0] != q_roots[1]:
-            swapped = True
-    if swapped:
+    swapped = bool(p_roots) and (
+        not q_roots or (p_roots[0] == p_roots[1] and q_roots[0] != q_roots[1])
+    )
+    if swapped:  # q(-t) has roots -q_roots: only their split/double pattern is read
         p, q = swap_pair(p, q)
-        p_roots = roots_in_field(p)
-        q_roots = roots_in_field(q)
-        p_split, q_split = bool(p_roots), bool(q_roots)
-    if p_split and q_split:
+        p_roots, q_roots = q_roots, sorted(map(ctx.neg, p_roots), key=ctx.sort_key)
+    if p_roots and q_roots:
         p_double = p_roots[0] == p_roots[1]
         q_double = q_roots[0] == q_roots[1]
         if p_double and q_double:
@@ -200,16 +194,14 @@ def classify_case(p: Poly, q: Poly) -> CaseTag:
         if not p_double and not q_double:
             return CaseTag(Family.SPLIT_SIMPLE_SIMPLE, swapped)
         return CaseTag(Family.SPLIT_MIXED, swapped)
-    if not p_split and q_split:
+    if q_roots:
         y1, y2 = q_roots
         if p.translate(y1) == p.translate(y2):
             return CaseTag(Family.IRR_SPLIT_EQ, swapped, ys=(y1, y2))
         return CaseTag(Family.IRR_SPLIT_NEQ, swapped, ys=(y1, y2))
     # both irreducible
-    Lam = lambda_poly(p, q)
-    if roots_in_field(Lam):
-        zs = tuple(roots_via_sigma(Lam, delta_of(p, q)))
-        return CaseTag(Family.IRR_SAME_FIELD, swapped, zs=zs)
+    if Lam_roots:
+        return CaseTag(Family.IRR_SAME_FIELD, swapped, zs=F_roots)
     if ctx.characteristic == 2:
         lam, mu = trace_of(p), trace_of(q)
         if ctx.is_zero(lam) and ctx.is_zero(mu):
@@ -220,6 +212,10 @@ def classify_case(p: Poly, q: Poly) -> CaseTag:
 
 
 def pair_context(p: Poly, q: Poly) -> PairCtx:
+    """Classify (p, q) and derive its invariants, solving each of p, q and
+    Lam once.  A root z of F has z^2 - delta*z = s for a root s of Lam, so
+    F's roots are those of t^2 - delta*t - s over the distinct s: two
+    quadratic stages instead of a quartic."""
     p._check(q)
     _require_quadratic(p, "p")
     _require_quadratic(q, "q")
@@ -227,17 +223,21 @@ def pair_context(p: Poly, q: Poly) -> PairCtx:
     F = fundamental_poly(p, q)
     Lam = lambda_poly(p, q)
     delta = delta_of(p, q)
-    if Lam.compose(sigma_poly(ctx, delta)) != F:
+    sigma = sigma_poly(ctx, delta)
+    if Lam.compose(sigma) != F:
         raise ConstructionInvariantViolated(
             f"factorization identity fails for p={p}, q={q}"
         )
-    tag = classify_case(p, q)
-    if tag.swapped:
-        p_norm, q_norm = swap_pair(p, q)
-    else:
-        p_norm, q_norm = p, q
+    Lam_roots = tuple(roots_in_field(Lam))
+    F_roots = []
+    for s in dict.fromkeys(Lam_roots):
+        F_roots += roots_in_field(sigma - Poly.constant(ctx, s))
+    F_roots = tuple(sorted(dict.fromkeys(F_roots), key=ctx.sort_key))
+    tag = _classify(p, q, roots_in_field(p), roots_in_field(q), Lam_roots, F_roots)
+    p_norm, q_norm = swap_pair(p, q) if tag.swapped else (p, q)
     return PairCtx(
-        p=p, q=q, p_norm=p_norm, q_norm=q_norm, case=tag, F=F, Lam=Lam, delta=delta
+        p=p, q=q, p_norm=p_norm, q_norm=q_norm, case=tag, F=F, Lam=Lam,
+        delta=delta, Lam_roots=Lam_roots, F_roots=F_roots,
     )
 
 
@@ -261,7 +261,7 @@ def intertwined(a: Sequence[int], b: Sequence[int], shift: int) -> bool:
     """a_{n+shift} <= b_n and b_{n+shift} <= a_n for all n >= 1, for
     non-increasing, eventually-zero count sequences."""
     if shift < 1:
-        raise ValueError("shift must be a positive integer")
+        raise InvalidArgument("shift must be a positive integer")
     a = _as_count_sequence(a)
     b = _as_count_sequence(b)
 
@@ -494,13 +494,9 @@ def _exceptional_evidence(pctx: PairCtx, factors: Sequence[Poly]):
     raise ConstructionInvariantViolated(f"unhandled family {family}")
 
 
-def decide_extension(v: Mat, pctx: PairCtx) -> DecisionReport:
-    """Decide whether the standard extension S(v) is a symplectic
-    (p,q)-difference, from the invariant factors of v."""
-    if v.ctx != pctx.ctx:
-        raise MixedFieldContexts(f"{v.ctx} vs {pctx.ctx}")
-    inv = invariant_factors(v)
-    factors = inv.factors
+def _decide(pctx: PairCtx, factors: Tuple[Poly, ...], dimension: int) -> DecisionReport:
+    """The decision for an extension S(v) of the given dimension from the
+    invariant factors of v."""
     regular, reg_ok, reg_fail = _regular_evidence(pctx, factors)
     exceptional, exc_ok, exc_fail = _exceptional_evidence(pctx, factors)
     failing = reg_fail if reg_fail is not None else exc_fail
@@ -509,12 +505,20 @@ def decide_extension(v: Mat, pctx: PairCtx) -> DecisionReport:
         regular_ok=reg_ok,
         exceptional_ok=exc_ok,
         case=pctx.case,
-        dimension=v.rows,
+        dimension=dimension,
         invariant_factors=factors,
         regular=regular,
         exceptional=exceptional,
         failing_evidence=failing,
     )
+
+
+def decide_extension(v: Mat, pctx: PairCtx) -> DecisionReport:
+    """Decide whether the standard extension S(v) is a symplectic
+    (p,q)-difference, from the invariant factors of v."""
+    if v.ctx != pctx.ctx:
+        raise MixedFieldContexts(f"{v.ctx} vs {pctx.ctx}")
+    return _decide(pctx, invariant_factors(v).factors, v.rows)
 
 
 def _pair_level_mod4(pctx: PairCtx, factors: Sequence[Poly]):
@@ -557,17 +561,15 @@ def _pair_level_mod4(pctx: PairCtx, factors: Sequence[Poly]):
 
 
 def decide_pair(P: SymplecticPair, pctx: PairCtx) -> DecisionReport:
-    """Decide a symplectic pair: halve the doubled invariant factors,
-    decide the extension, and cross-check the pair-level multiple-of-4
-    criteria where the family has one."""
-    validity = require_valid(P.B, P.U)
-    halves = validity.invariant_factors.doubled_halves()
-    if halves:
-        v = direct_sum(*(companion(f) for f in halves))
-    else:
-        v = Mat(P.ctx, [])
-    report = decide_extension(v, pctx)
-    pair_ok, pair_ev = _pair_level_mod4(pctx, validity.invariant_factors.factors)
+    """Decide a symplectic pair: halve the doubled invariant factors of U,
+    which are those of the v with P isometric to S(v), decide from them,
+    and cross-check the pair-level multiple-of-4 criteria where the family
+    has one."""
+    inv = require_valid(P.B, P.U).invariant_factors
+    if P.ctx != pctx.ctx:
+        raise MixedFieldContexts(f"{P.ctx} vs {pctx.ctx}")
+    report = _decide(pctx, inv.doubled_halves(), inv.dimension // 2)
+    pair_ok, pair_ev = _pair_level_mod4(pctx, inv.factors)
     if pair_ok is None:
         return report
     if pair_ok != report.exceptional_ok:

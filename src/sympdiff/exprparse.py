@@ -10,7 +10,8 @@ Grammar (whitespace ignored)::
 ``t`` is the polynomial variable; ``s`` is the rational-function generator
 and only parses over GF(p)(s).  Multiplication is always explicit (``2*t``,
 not ``2t``).  Division requires a constant (degree-zero) divisor and is
-exact field division.
+exact field division.  A power whose exponent or degree exceeds
+``MAX_POWER`` is a ParseError, raised before the power is computed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import re
 from .errors import ParseError
 from .fields import FieldCtx
 from .poly import Poly
+
+MAX_POWER = 256
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([ts])|([()+\-*/^]))")
 
@@ -107,6 +110,10 @@ class _Parser:
                 ekind, e = self.take()
                 if ekind != "int":
                     raise ParseError(f"exponent must be an integer in {self.text!r}")
+                if max(e, acc.degree * e) > MAX_POWER:
+                    raise ParseError(
+                        f"power ^{e} in {self.text!r} exceeds degree {MAX_POWER}"
+                    )
                 acc = acc ** e
             else:
                 return acc

@@ -25,6 +25,7 @@ from .errors import (
     DivisionByZero,
     FieldSpecError,
     InfiniteField,
+    InvalidArgument,
     MixedFieldContexts,
     NonMonic,
     NotIrreducible,
@@ -264,7 +265,7 @@ class Poly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise InvalidArgument("negative polynomial power")
         result = Poly.one(self.ctx)
         base = self
         while n:
@@ -605,7 +606,7 @@ def roots_in_field(f: Poly):
     inverts Frobenius, and x^2 + b*x + c with b != 0 becomes
     y^2 + y = c/b^2 (x = b*y), solved by GF(2)-linear algebra.  The roots of
     the quartic F = Lam(t^2 - delta*t) come in two such stages
-    (:func:`roots_via_sigma`).
+    (:func:`sympdiff.decide.pair_context`).
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")
@@ -642,21 +643,6 @@ def roots_in_field(f: Poly):
         half, nb = ctx.inv(ctx.from_int(2)), ctx.neg(b)
         roots = [ctx.mul(ctx.add(nb, r), half), ctx.mul(ctx.sub(nb, r), half)]
     return sorted(roots, key=ctx.sort_key)
-
-
-def roots_via_sigma(Lam: Poly, delta):
-    """The distinct roots of F = Lam(t^2 - delta*t) in the base field, in
-    ``ctx.sort_key`` order.
-
-    A root z of F has z^2 - delta*z = s for a root s of Lam in the field,
-    so the roots of F are those of t^2 - delta*t - s over the distinct
-    roots s of Lam: two quadratic stages instead of a quartic.
-    """
-    ctx = Lam.ctx
-    roots = []
-    for s in dict.fromkeys(roots_in_field(Lam)):
-        roots += roots_in_field(Poly(ctx, (ctx.neg(s), ctx.neg(delta), ctx.one)))
-    return sorted(dict.fromkeys(roots), key=ctx.sort_key)
 
 
 def _has_rational_root(f: Poly) -> bool:

@@ -144,19 +144,16 @@ def test_witness_verifies_once(capsys, monkeypatch):
 
 
 def test_witness_pair_decides_once(capsys, monkeypatch, F3):
-    import sympdiff.cli
     import sympdiff.decide
-    import sympdiff.witness
-    from sympdiff.decide import decide_extension
 
     calls = []
+    decide = sympdiff.decide._decide
 
-    def counting(v, pctx):
-        calls.append(v)
-        return decide_extension(v, pctx)
+    def counting(pctx, factors, dimension):
+        calls.append(factors)
+        return decide(pctx, factors, dimension)
 
-    for module in (sympdiff.cli, sympdiff.decide, sympdiff.witness):
-        monkeypatch.setattr(module, "decide_extension", counting)
+    monkeypatch.setattr(sympdiff.decide, "_decide", counting)
     P = symplectic_extension(companion(parse_poly(F3, "t^2+2")))
     code, out = run(capsys, [
         "witness", "--field", "GF(3)", "--p", "t^2+1", "--q", "t^2+1",
@@ -274,6 +271,39 @@ def test_oracle_cli_serial_and_parallel_agree(capsys):
     assert parallel["total"] == serial["total"]
 
 
+def test_oracle_jobs_bounded_by_polys_and_cpus(capsys, monkeypatch):
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class SerialPool:  # records the pool size, forks nothing
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["oracle", "--field", "GF(2)", "--dim", "2", "--jobs", "5000"]
+    code, out = run(capsys, argv)
+    assert code == 0 and json.loads(out)["total"] == 32
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code, out = run(capsys, argv)  # GF(2) has 4 monic quadratics p
+    assert code == 0 and json.loads(out)["total"] == 32
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    code, out = run(capsys, argv)  # one worker: no pool at all
+    assert code == 0
+    assert pools == [3, 4]
+
+
 def test_errors_are_structured_json(capsys):
     code, out = run(capsys, [
         "classify", "--field", "GF(6)", "--p", "t^2+1", "--q", "t^2+1",
@@ -309,6 +339,7 @@ _PQ = ["--p", "t^2+1", "--q", "t^2+1"]
     (["decide", "--field", "GF(2)(s)", *_PQ,
       "--v", '{"rows": 1, "cols": 1, "entries": [[{"num": 5, "den": [1]}]]}'],
      "SerializationError"),
+    (["classify", "--field", "Q", "--p", "t^100000000", "--q", "t^2"], "ParseError"),
 ])
 def test_malformed_arguments_are_structured_errors(capsys, argv, error_type):
     code, out = run(capsys, argv)

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,15 @@ from sympdiff.decide import (
     pair_context,
     swap_pair,
 )
-from sympdiff.errors import InvalidPair, MixedFieldContexts, NotNonIncreasing
+import sympdiff.linalg
+import sympdiff.poly
+from sympdiff.atlas import indecomposable_reps
+from sympdiff.errors import (
+    InvalidArgument,
+    InvalidPair,
+    MixedFieldContexts,
+    NotNonIncreasing,
+)
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
 from sympdiff.linalg import (
@@ -302,6 +312,8 @@ def test_intertwined_sequences():
         intertwined([1, 2], [1], 1)
     with pytest.raises(ValueError):
         intertwined([1], [1], 0)
+    with pytest.raises(InvalidArgument):
+        intertwined([1], [1], -1)
 
 
 def test_decide_regular_golden(Q):
@@ -420,3 +432,60 @@ def test_always_yes_families_ignore_exceptional_part(F2s):
     t_comp = companion(parse_poly(F2s, "t+1"))
     rep2 = decide_extension(t_comp, pc)
     assert rep2.exceptional_ok and not rep2.regular_ok and not rep2.ok
+
+
+# ----------------------------------------------------------------------
+# each pair fact is derived once
+# ----------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Route every sympdiff binding of module.name through a counter; the
+    returned list grows by one per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("sympdiff") and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_pair_context_solves_each_quadratic_once(monkeypatch, Q, F3):
+    calls = _count_calls(monkeypatch, sympdiff.poly, "roots_in_field")
+    pairs = [(parse_poly(Q, "t^2+1"), parse_poly(Q, "t^2+4"))]
+    for ctx in (F3, field_make("GF(4)|t^2+t+1")):
+        pairs += itertools.product(monic_polys(ctx, 2), repeat=2)
+    for p, q in pairs:
+        calls.clear()
+        pc = pair_context(p, q)
+        assert len(calls) <= 5, (p, q)
+        # p, q, Lambda and t^2 - delta*t - s per distinct root s of Lambda
+        assert len(calls) == 3 + len(set(pc.Lam_roots)), (p, q)
+
+
+def test_decide_and_catalogue_solve_no_roots(monkeypatch, F3):
+    pc = pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2+t"))
+    assert pc.case.family is Family.SPLIT_SIMPLE_SIMPLE
+    vs = [companion(parse_poly(F3, text)) for text in ("t", "t^2+2", "(t-1)^3")]
+    pair = symplectic_extension(vs[1])
+    calls = _count_calls(monkeypatch, sympdiff.poly, "roots_in_field")
+    for v in vs:
+        decide_extension(v, pc)
+    decide_pair(pair, pc)
+    assert indecomposable_reps(pc, 4)
+    assert calls == []
+
+
+def test_decide_pair_runs_one_snf(monkeypatch, F3):
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    v = direct_sum(companion(parse_poly(F3, "t^2+2")), companion(parse_poly(F3, "t")))
+    P = symplectic_extension(v)
+    calls = _count_calls(monkeypatch, sympdiff.linalg, "invariant_factors")
+    report = decide_pair(P, pc)
+    assert len(calls) == 1
+    assert report == replace(decide_extension(v, pc), pair_level=report.pair_level)

@@ -1,12 +1,14 @@
 """Polynomial arithmetic, the difference-root quartic, roots."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sympdiff.errors import NotIrreducible, ParseError, WrongDegree
+from sympdiff.decide import pair_context
+from sympdiff.errors import InvalidArgument, NotIrreducible, ParseError, WrongDegree
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import ExtensionField, field_make
 from sympdiff.poly import (
@@ -20,7 +22,6 @@ from sympdiff.poly import (
     monic_polys,
     poly_ops,
     roots_in_field,
-    roots_via_sigma,
     sigma_poly,
 )
 
@@ -183,13 +184,11 @@ def test_roots_via_sigma_repeated_roots(Q):
     p, q = parse_poly(Q, "t^2"), parse_poly(Q, "t^2-1")
     F = fundamental_poly(p, q)
     assert F == parse_poly(Q, "(t^2-1)^2")
-    assert roots_via_sigma(lambda_poly(p, q), delta_of(p, q)) == [
-        Q.from_int(-1), Q.from_int(1)
-    ]
+    assert pair_context(p, q).F_roots == (Q.from_int(-1), Q.from_int(1))
     # p = q = t^2: F = t^4, one root
     p = parse_poly(Q, "t^2")
-    assert roots_via_sigma(lambda_poly(p, p), delta_of(p, p)) == [Q.zero]
-    with pytest.raises(WrongDegree):  # quartics go through roots_via_sigma
+    assert pair_context(p, p).F_roots == (Q.zero,)
+    with pytest.raises(WrongDegree):  # quartics go through pair_context
         roots_in_field(F)
 
 
@@ -247,7 +246,7 @@ def test_roots_via_sigma_matches_scan_of_F(spec):
     for p in quadratics:
         for q in quadratics:
             want = list(dict.fromkeys(_scan_roots(fundamental_poly(p, q))))
-            assert roots_via_sigma(lambda_poly(p, q), delta_of(p, q)) == want
+            assert list(pair_context(p, q).F_roots) == want
 
 
 def test_roots_rational_fractions(Q):
@@ -270,7 +269,7 @@ def test_roots_over_rational_functions(F2s):
 def _shifts(p, q):
     """The z with q(t) = p(t + z) for irreducible p, q: the in-field roots
     of F = Lambda(sigma)."""
-    return roots_via_sigma(lambda_poly(p, q), delta_of(p, q))
+    return list(pair_context(p, q).F_roots)
 
 
 def test_translate_shifts(F5, F2):
@@ -364,6 +363,26 @@ def test_is_irreducible_cubic_rule(Q, F2s):
 def test_parse_requires_explicit_multiplication(Q):
     with pytest.raises(ParseError):
         parse_poly(Q, "2t")
+
+
+def test_parse_rejects_huge_powers_before_computing_them(Q, F3):
+    start = time.monotonic()
+    for ctx, text in [
+        (Q, "t^100000000"),
+        (Q, "2^100000000"),
+        (F3, "(t^2+1)^600"),
+        (F3, "t^2^1000"),
+        (Q, "(t+2)^257"),
+    ]:
+        with pytest.raises(ParseError):
+            parse_poly(ctx, text)
+    assert time.monotonic() - start < 1.0
+    assert parse_poly(F3, "t^256").degree == 256
+
+
+def test_negative_power_is_invalid_argument(F3):
+    with pytest.raises(InvalidArgument):
+        Poly.t(F3) ** -1
 
 
 def test_poly_str_round_trips_through_parser(F5, Q):
