@@ -59,15 +59,6 @@ class Family(enum.Enum):
             Family.IRR_DISTINCT_INSEP,
         )
 
-    @property
-    def one_of_pq_splits(self) -> bool:
-        return self in (
-            Family.SPLIT_DOUBLE_DOUBLE,
-            Family.SPLIT_SIMPLE_SIMPLE,
-            Family.SPLIT_MIXED,
-            Family.IRR_SPLIT_EQ,
-            Family.IRR_SPLIT_NEQ,
-        )
 
 
 @dataclass(frozen=True)

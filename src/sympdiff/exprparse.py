@@ -10,8 +10,10 @@ Grammar (whitespace ignored)::
 ``t`` is the polynomial variable; ``s`` is the rational-function generator
 and only parses over GF(p)(s).  Multiplication is always explicit (``2*t``,
 not ``2t``).  Division requires a constant (degree-zero) divisor and is
-exact field division.  A power whose exponent or degree exceeds
-``MAX_POWER`` is a ParseError, raised before the power is computed.
+exact field division.  A power whose degree, or whose exponent times the
+exponents already applied to its base, exceeds ``MAX_POWER`` is a
+ParseError, and so is a product of degree above ``MAX_POWER``; each is
+raised before that power or product is computed.
 """
 
 from __future__ import annotations
@@ -65,30 +67,40 @@ class _Parser:
             raise ParseError(f"expected {op!r} in {self.text!r}")
 
     def parse(self) -> Poly:
-        e = self.expr()
+        e, _ = self.expr()
         if self.i != len(self.tokens):
             raise ParseError(f"trailing input in {self.text!r}")
         return e
 
-    def expr(self) -> Poly:
-        acc = self.term()
+    # Each rule returns its value and the product of the exponents applied
+    # to it, counting through parentheses, so that powers of powers are
+    # capped before they are computed.
+
+    def expr(self):
+        acc, w = self.term()
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                rhs = self.term()
+                rhs, rw = self.term()
                 acc = acc + rhs if val == "+" else acc - rhs
+                w = max(w, rw)
             else:
-                return acc
+                return acc, w
 
-    def term(self) -> Poly:
-        acc = self.factor()
+    def term(self):
+        acc, w = self.factor()
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
-                rhs = self.factor()
+                rhs, rw = self.factor()
+                w = max(w, rw)
                 if val == "*":
+                    if acc.degree + rhs.degree > MAX_POWER:
+                        raise ParseError(
+                            f"product in {self.text!r} exceeds degree {MAX_POWER}"
+                        )
                     acc = acc * rhs
                 else:
                     if rhs.degree > 0:
@@ -99,10 +111,10 @@ class _Parser:
                         raise ParseError(f"division by zero in {self.text!r}")
                     acc = acc.scale(self.ctx.inv(rhs.coefficient(0)))
             else:
-                return acc
+                return acc, w
 
-    def factor(self) -> Poly:
-        acc = self.base()
+    def factor(self):
+        acc, w = self.base()
         while True:
             kind, val = self.peek()
             if kind == "op" and val == "^":
@@ -110,26 +122,28 @@ class _Parser:
                 ekind, e = self.take()
                 if ekind != "int":
                     raise ParseError(f"exponent must be an integer in {self.text!r}")
-                if max(e, acc.degree * e) > MAX_POWER:
+                w *= e
+                if max(w, acc.degree * e) > MAX_POWER:
                     raise ParseError(
                         f"power ^{e} in {self.text!r} exceeds degree {MAX_POWER}"
                     )
                 acc = acc ** e
             else:
-                return acc
+                return acc, w
 
-    def base(self) -> Poly:
+    def base(self):
         kind, val = self.take()
         if kind == "int":
-            return Poly.constant(self.ctx, self.ctx.from_int(val))
+            return Poly.constant(self.ctx, self.ctx.from_int(val)), 1
         if kind == "var":
             if val == "t":
-                return Poly.t(self.ctx)
+                return Poly.t(self.ctx), 1
             if getattr(self.ctx, "kind", None) != "ratfunc":
                 raise ParseError(f"variable 's' needs a GF(p)(s) context, got {self.ctx}")
-            return Poly.constant(self.ctx, self.ctx.gen)
+            return Poly.constant(self.ctx, self.ctx.gen), 1
         if kind == "op" and val == "-":
-            return -self.base()
+            acc, w = self.base()
+            return -acc, w
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")

@@ -274,30 +274,6 @@ class Mat:
     def rank(self) -> int:
         return len(self._rref()[1])
 
-    def det(self):
-        self._square()
-        ctx = self.ctx
-        zero = ctx.zero
-        rows = [list(r) for r in self.entries]
-        n = self.rows
-        det = ctx.one
-        for c in range(n):
-            piv = next((i for i in range(c, n) if rows[i][c] != zero), None)
-            if piv is None:
-                return zero
-            if piv != c:
-                rows[c], rows[piv] = rows[piv], rows[c]
-                det = ctx.neg(det)
-            det = ctx.mul(det, rows[c][c])
-            inv = ctx.inv(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c] != zero:
-                    f = ctx.mul(rows[i][c], inv)
-                    rows[i] = [
-                        ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[c])
-                    ]
-        return det
-
     def is_invertible(self) -> bool:
         return self.is_square and self.rank() == self.rows
 
@@ -468,10 +444,6 @@ class InvFactors:
             raise ConstructionInvariantViolated(
                 f"invariant factor degrees sum to {total}, dimension is {self.dimension}"
             )
-
-    @property
-    def minimal_poly(self) -> Optional[Poly]:
-        return self.factors[-1] if self.factors else None
 
     def doubled_halves(self) -> Optional[Tuple[Poly, ...]]:
         """If the list reads f1,f1,f2,f2,..., return (f1,f2,...), else None."""

@@ -13,9 +13,11 @@ agreement matrix.  A correct implementation reports zero disagreements.
 The search (``brute_force_witness``) does not scan every candidate: given
 p(U1) = 0, the condition q(U1 - U) = 0 is linear in U1, so it solves that
 system once and scans only its solutions, in the full enumeration's order,
-in growing chunks that stop at the first hit.  It finds the same first
-witness, and it never consults the decision procedure, so the two routes
-stay independent.
+in growing chunks that stop at the first hit.  Over GF(p^k) it scans the
+same candidates as matrices over GF(p) (the regular representation), so
+one scan serves every finite field.  It finds the same first witness, and
+it never consults the decision procedure, so the two routes stay
+independent.
 """
 
 from __future__ import annotations

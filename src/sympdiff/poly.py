@@ -230,12 +230,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.ctx.one
 
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coefficient(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ctx.zero
 
@@ -271,8 +265,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the last bit
+                base = base * base
         return result
 
     def __divmod__(self, other):

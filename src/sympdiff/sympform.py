@@ -100,12 +100,6 @@ def is_alternating(M: Mat) -> bool:
     return True
 
 
-def is_b_alternating(B: Mat, U: Mat) -> bool:
-    if B.rows != U.rows or B.cols != U.cols:
-        raise DimensionMismatch("Gram and endomorphism sizes differ")
-    return is_alternating(B @ U)
-
-
 def standard_gram(ctx: FieldCtx, n: int) -> Mat:
     """The 2n x 2n Gram matrix [[0, -I], [I, 0]]."""
     ident = Mat.identity(ctx, n)

@@ -12,7 +12,6 @@ route.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -296,17 +295,6 @@ def _witness_for_decision(
 # ----------------------------------------------------------------------
 
 
-def _alternating_from_upper(ctx, n: int, vals) -> Mat:
-    grid = [[ctx.zero] * n for _ in range(n)]
-    it = iter(vals)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = next(it)
-            grid[i][j] = v
-            grid[j][i] = ctx.neg(v)
-    return Mat(ctx, grid)
-
-
 def _solution_space(Binv: Mat, U: Mat, pctx: PairCtx):
     """The upper-triangle coordinates of M (U1 = B^{-1} * M, M alternating)
     that can give a witness, as an affine space, or None when none can.
@@ -349,15 +337,18 @@ def _solution_space(Binv: Mat, U: Mat, pctx: PairCtx):
                     e = sub(e, We[r][b])
                 col.append(e)
         columns.append(col)
-    rhs = U.scale(q1) - U @ U - Mat.scalar(ctx, n, sub(q0, p0))
-    columns.append([e for row in rhs.entries for e in row])
+    # the right-hand side is -g(U) with g = t^2 - q1*t + (q0 - p0); the
+    # system is reduced with g(U) in its place, which negates the last
+    # column of the result
+    g = Poly(ctx, (sub(q0, p0), ctx.neg(q1), ctx.one))
+    columns.append([e for row in mat_poly_eval(g, U).entries for e in row])
     system = Mat(ctx, list(zip(*columns)))
     rows, pivots = system._rref()
     if pivots and pivots[-1] == k:
         return None
     base = [ctx.zero] * k
     for row, c in zip(rows, pivots):
-        base[k - 1 - c] = row[k]
+        base[k - 1 - c] = ctx.neg(row[k])
     directions = []
     for f in range(k):
         c_f = k - 1 - f
@@ -371,49 +362,9 @@ def _solution_space(Binv: Mat, U: Mat, pctx: PairCtx):
     return base, directions
 
 
-def _searched_space(P: SymplecticPair, pctx: PairCtx):
-    """B^{-1} and ``_solution_space``, or None when the system is
-    inconsistent.  Raises DimensionBoundExceeded when the solutions number
-    2^63 or more (the int64 index range of ``_prime_search``)."""
-    Binv = P.B.inverse()
-    space = _solution_space(Binv, P.U, pctx)
-    if space is None:
-        return None
-    if P.ctx.order ** len(space[1]) >= 2**63:
-        raise DimensionBoundExceeded(
-            f"pair dimension {P.dimension} over {P.ctx} leaves at least 2^63 candidates"
-        )
-    return Binv, space
-
-
-def _generic_search(P: SymplecticPair, pctx: PairCtx) -> Optional[Witness]:
-    ctx = P.ctx
-    n = P.dimension
-    B, U = P.B, P.U
-    searched = _searched_space(P, pctx)
-    if searched is None:
-        return None
-    Binv, (base, directions) = searched
-    for coords in itertools.product(*(ctx.elements() for _ in directions)):
-        vals = list(base)
-        for c, d in zip(coords, directions):
-            vals = [ctx.add(v, ctx.mul(c, e)) for v, e in zip(vals, d)]
-        M = _alternating_from_upper(ctx, n, vals)
-        U1 = Binv @ M
-        if not mat_poly_eval(pctx.p, U1).is_zero:
-            continue
-        U2 = U1 - U
-        if not mat_poly_eval(pctx.q, U2).is_zero:
-            continue
-        if not is_alternating(B @ U2):
-            continue
-        return Witness(B=B, U=U, U1=U1, U2=U2)
-    return None
-
-
-# The vectorized search scans its candidates in chunks that double from
-# the first size to the last, so a witness at index i costs O(i)
-# candidates and a scan of N candidates O(log N + N / _LAST_CHUNK) chunks.
+# The search scans its candidates in chunks that double from the first
+# size to the last, so a witness at index i costs O(i) candidates and a
+# scan of N candidates O(log N + N / _LAST_CHUNK) chunks.
 _FIRST_CHUNK, _LAST_CHUNK = 64, 1 << 15
 
 
@@ -423,78 +374,23 @@ def _digits(idx, pr: int, width: int):
     return idx[:, None] // pr ** np.arange(width - 1, -1, -1, dtype=np.int64) % pr
 
 
-def _prime_search(P: SymplecticPair, pctx: PairCtx) -> Optional[Witness]:
-    """Vectorized search over prime fields: only the solutions of the
-    linear system of ``_solution_space`` are enumerated, in integer
-    lexicographic order of their free coordinates -- the full
-    lexicographic candidate order restricted to the solutions, so the
-    first hit is the one the full scan finds, as on the generic path.
-
-    U1 = B^{-1} * M is linear in M, so the candidate with free coordinates
-    c is U1 = U0 + sum_f c_f * D_f, with U0 = B^{-1} * M(base) and D_f =
-    B^{-1} * M(direction f) computed once.  The sum over the m lowest free
-    coordinates (p^m <= the first chunk) is tabulated once, so a chunk
-    costs one small product for its high coordinates and one broadcast
-    sum.  The scan goes in growing chunks and stops at the chunk of its
-    first hit."""
-    ctx = P.ctx
-    pr = ctx.characteristic
-    n = P.dimension
-    searched = _searched_space(P, pctx)
-    if searched is None:
-        return None
-    Binv, (base, directions) = searched
-    d = len(directions)
-    to_np = lambda rows: np.array(
-        [[int(e) for e in row] for row in rows], dtype=np.int64
+def _regular(ctx, X):
+    """Each GF(p^k) entry of X, given by its k coordinates on the last
+    axis, as the k x k matrix over GF(p) of multiplication by it in the
+    basis 1, g, ..., g^(k-1): column j holds the coordinates of the entry
+    times g^j."""
+    k = ctx.k
+    g = (0, 1) + (0,) * (k - 2)
+    pw = [ctx.one]
+    for _ in range(2 * k - 2):
+        pw.append(ctx.mul(pw[-1], g))
+    # row i of G is the matrix of multiplication by g^i (column b holds
+    # g^(i+b)); that of x = sum_i x_i * g^i is sum_i x_i * row i
+    G = np.array(
+        [[pw[i + b][a] for a in range(k) for b in range(k)] for i in range(k)],
+        dtype=X.dtype,
     )
-    Bnp, Binv_np, Unp = (to_np(A.entries) for A in (P.B, Binv, P.U))
-    vals = to_np([base] + directions)
-    M = np.zeros((d + 1, n, n), dtype=np.int64)
-    iu = np.triu_indices(n, 1)
-    M[:, iu[0], iu[1]] = vals
-    M[:, iu[1], iu[0]] = -vals
-    UM = (Binv_np @ M % pr).reshape(d + 1, n * n)
-    U0, D = UM[:1], UM[1:]
-    m = 0
-    while m < d and pr ** (m + 1) <= _FIRST_CHUNK:
-        m += 1
-    low = U0
-    if m:
-        low = (U0 + _digits(np.arange(pr**m), pr, m) @ D[d - m :]) % pr
-    highs = pr ** (d - m)
-    ident = np.eye(n, dtype=np.int64)
-    p1_ident = int(pctx.p.coeffs[1]) * ident
-    # p(U1) = 0 exactly when U1 * (U1 + p1*I) = -p0*I
-    minus_p0 = (-int(pctx.p.coeffs[0]) % pr) * ident
-    q0, q1 = int(pctx.q.coeffs[0]), int(pctx.q.coeffs[1])
-    # chunk sizes count values of the high coordinates, len(low) candidates each
-    start, size = 0, max(1, _FIRST_CHUNK // len(low))
-    last = max(1, _LAST_CHUNK // len(low))
-    while start < highs:
-        U1 = low
-        if m < d:
-            hi = np.arange(start, min(start + size, highs), dtype=np.int64)
-            U1 = (_digits(hi, pr, d - m) @ D[: d - m] % pr)[:, None] + low
-            U1 -= pr * (U1 >= pr)
-        start, size = start + size, min(2 * size, last)
-        U1 = U1.reshape(-1, n, n)
-        PU1 = U1 @ (U1 + p1_ident) % pr
-        for c in np.flatnonzero((PU1 == minus_p0).all(axis=(1, 2))):
-            U1c = U1[c]
-            U2 = (U1c - Unp) % pr
-            if ((U2 @ U2 + q1 * U2 + q0 * ident) % pr).any():
-                continue
-            BU2 = (Bnp @ U2) % pr
-            if ((BU2 + BU2.T) % pr).any() or np.diag(BU2).any():
-                continue
-            return Witness(
-                B=P.B,
-                U=P.U,
-                U1=Mat.from_ints(ctx, U1c.tolist()),
-                U2=Mat.from_ints(ctx, U2.tolist()),
-            )
-    return None
+    return (X @ G % ctx.p).reshape(X.shape + (k,))
 
 
 def brute_force_witness(
@@ -515,30 +411,110 @@ def brute_force_witness(
     solution, because B*U1 = M and B*U are.  The prefilter uses only the
     definition, not the decision procedure.
 
-    Prime fields small enough for exact int64 products take the vectorized
-    search, every other field the generic one.  Both stop at the first
-    hit; the vectorized one scans in chunks that double from 64 to 2^15
-    candidates, so a witness at index i costs O(i) candidates.  Raises
-    DimensionBoundExceeded above the dimension bound, or when the solution
-    space holds 2^63 or more candidates (the int64 index range of the
-    vectorized search)."""
+    U1 = B^{-1} * M is linear in M, so the candidate with free coordinates
+    c is U1 = U0 + sum_f c_f * D_f, with U0 = B^{-1} * M(base) and D_f =
+    B^{-1} * M(direction f) computed once.  Over GF(p^k) every n x n
+    matrix is replaced by its nk x nk image over GF(p) (each entry becomes
+    the k x k block of multiplication by it), an injective ring
+    homomorphism, so p(U1) = 0 can be tested there; each c_f = a_0 +
+    a_1*g + ... becomes k digits a_j with directions g^j * D_f, a_0 most
+    significant, which is the order of ``ctx.elements()``.  Candidates
+    are the integers below p^(digits), read in base p; the sum over the
+    lowest digits is tabulated once, and the scan goes in chunks that
+    double from 64 to 2^15 candidates and stops at the chunk of its first
+    hit, so a witness at index i costs O(i) candidates.  A hit is checked
+    again as a ``Mat`` over the field itself.  The sums are int64 where
+    they cannot overflow and exact Python ints otherwise.
+
+    Raises DimensionBoundExceeded above the dimension bound, or when the
+    solution space holds 2^63 or more candidates (the int64 index
+    range)."""
     ctx = P.ctx
     if ctx.order is None:
         raise InfiniteField("brute force needs a finite field")
     n = P.dimension
     if n > bound:
         raise DimensionBoundExceeded(f"pair dimension {n} exceeds bound {bound}")
-    k = n * (n - 1) // 2
     if n == 0:
         empty = Mat(ctx, [])
         return Witness(B=empty, U=empty, U1=empty, U2=empty)
-    # every int64 sum in _prime_search stays below max(k, n + 1) * p^2:
-    # U0 + sum_f c_f * D_f adds a residue to at most k products of
-    # residues, and B^{-1} * M, U1 * (U1 + p1*I), q(U2) and B*U2 add at
-    # most n + 1 (the one diagonal entry of U1 + p1*I in a sum is below 2p)
-    if ctx.kind == "prime" and max(k, n + 1) * ctx.p**2 < 2**63:
-        return _prime_search(P, pctx)
-    return _generic_search(P, pctx)
+    Binv = P.B.inverse()
+    space = _solution_space(Binv, P.U, pctx)
+    if space is None:
+        return None
+    base, directions = space
+    if ctx.order ** len(directions) >= 2**63:
+        raise DimensionBoundExceeded(
+            f"pair dimension {n} over {ctx} leaves at least 2^63 candidates"
+        )
+    pr = ctx.characteristic
+    k = getattr(ctx, "k", 1)  # GF(p^k) is k-dimensional over GF(p)
+    nk = n * k
+    # every sum below stays under max(terms, nk + k) * p^2: U0 + sum of
+    # digits times directions adds a residue to at most terms products of
+    # residues, and B^{-1} * M, U1 * (U1 + p1*I) and the lift add at most
+    # nk + k (the k entries of U1 + p1*I in a sum from p1's diagonal block
+    # are below 2p)
+    terms = k * n * (n - 1) // 2
+    dtype = np.int64 if max(terms, nk + k) * pr**2 < 2**63 else object
+    to_np = lambda rows: np.array(rows, dtype=dtype)
+    vals = to_np([base] + directions)
+    if k == 1:
+        lift = lambda X: X
+        unlift = lambda A: Mat.from_ints(ctx, A.tolist())
+    else:
+        lift = lambda X: np.swapaxes(_regular(ctx, X), -3, -2).reshape(
+            X.shape[:-3] + (X.shape[-3] * k, X.shape[-2] * k)
+        )
+        # entry (r, c) is column 0 of block (r, c): the entry times 1
+        unlift = lambda A: Mat(
+            ctx,
+            [
+                list(map(tuple, row))
+                for row in A.reshape(n, k, n, k)[..., 0].swapaxes(1, 2).tolist()
+            ],
+        )
+        # digit a_j of free coordinate f moves M by g^j * direction f
+        steps = np.moveaxis(_regular(ctx, vals[1:]), -1, 1)
+        vals = np.concatenate([vals[:1], steps.reshape((-1,) + vals.shape[1:])])
+    d = len(vals) - 1
+    M = np.zeros((d + 1, n, n) + vals.shape[2:], dtype=dtype)
+    iu = np.triu_indices(n, 1)
+    M[:, iu[0], iu[1]] = vals
+    M[:, iu[1], iu[0]] = -vals
+    UM = (lift(to_np(Binv.entries)) @ lift(M) % pr).reshape(d + 1, nk * nk)
+    U0, D = UM[:1], UM[1:]
+    m = 0
+    while m < d and pr ** (m + 1) <= _FIRST_CHUNK:
+        m += 1
+    low = U0
+    if m:
+        low = (U0 + _digits(np.arange(pr**m), pr, m) @ D[d - m :]) % pr
+    highs = pr ** (d - m)
+    scalar = lambda c: lift(np.multiply.outer(np.eye(n, dtype=dtype), to_np(c)))
+    p1_ident = scalar(pctx.p.coeffs[1])
+    # p(U1) = 0 exactly when U1 * (U1 + p1*I) = -p0*I
+    minus_p0 = scalar(ctx.neg(pctx.p.coeffs[0]))
+    # chunk sizes count values of the high digits, len(low) candidates each
+    start, size = 0, max(1, _FIRST_CHUNK // len(low))
+    last = max(1, _LAST_CHUNK // len(low))
+    while start < highs:
+        U1 = low
+        if m < d:
+            hi = np.arange(start, min(start + size, highs), dtype=np.int64)
+            U1 = (_digits(hi, pr, d - m) @ D[: d - m] % pr)[:, None] + low
+            U1 -= pr * (U1 >= pr)
+        start, size = start + size, min(2 * size, last)
+        U1 = U1.reshape(-1, nk, nk)
+        PU1 = U1 @ (U1 + p1_ident) % pr
+        for c in np.flatnonzero((PU1 == minus_p0).all(axis=(1, 2))):
+            U1c = unlift(U1[c])
+            U2c = U1c - P.U
+            # B*U2 is tested over the field: the transpose of a lifted
+            # matrix is not the lift of the transpose
+            if mat_poly_eval(pctx.q, U2c).is_zero and is_alternating(P.B @ U2c):
+                return Witness(B=P.B, U=P.U, U1=U1c, U2=U2c)
+    return None
 
 
 def verify_witness(w: Witness, pctx: PairCtx) -> VerificationReport:

@@ -85,6 +85,20 @@ def test_witness_yes_carries_verification(capsys):
     assert u1.rows == u1.cols == 4
 
 
+def test_witness_over_a_large_prime_with_a_free_coordinate(capsys):
+    # the residual's solution space has one free coordinate over GF(2^61 - 1)
+    start = time.monotonic()
+    code, out = run(capsys, [
+        "witness", "--field", "GF(2305843009213693951)", "--p", "t^2-1",
+        "--q", "(t+4)*(t+6)", "--v", "companion:t-5",
+    ])
+    assert time.monotonic() - start < 5.0
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["verdict"] == "yes"
+    assert obj["verification"]["ok"] is True
+
+
 def test_witness_no_exits_two_with_decision(capsys):
     code, out = run(capsys, [
         "witness", "--field", "GF(3)", "--p", "t^2+1", "--q", "t^2+1",

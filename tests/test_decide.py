@@ -74,6 +74,16 @@ def _restricted(v: Mat, W: Mat) -> Mat:
     return restrict(v, W) if W.cols else Mat(v.ctx, [])
 
 
+# the families where p or q splits
+PQ_SPLITS = (
+    Family.SPLIT_DOUBLE_DOUBLE,
+    Family.SPLIT_SIMPLE_SIMPLE,
+    Family.SPLIT_MIXED,
+    Family.IRR_SPLIT_EQ,
+    Family.IRR_SPLIT_NEQ,
+)
+
+
 def experimental_synthesis_check(v: Mat, pctx: PairCtx):
     """Second route for the families where p or q splits: Fitting-split v
     itself, test the regular half by base-sigma decomposition and the
@@ -81,7 +91,7 @@ def experimental_synthesis_check(v: Mat, pctx: PairCtx):
     matrix ranks, not from invariant factors).  None outside those
     families."""
     family = pctx.case.family
-    if not family.one_of_pq_splits:
+    if family not in PQ_SPLITS:
         return None
     if v.ctx != pctx.ctx:
         raise MixedFieldContexts(f"{v.ctx} vs {pctx.ctx}")
@@ -401,7 +411,7 @@ def test_synthesis_check_agrees_with_decision(F3, F5):
         for _ in range(200):
             p, q = rng.choice(quads), rng.choice(quads)
             pc = pair_context(p, q)
-            if not pc.case.family.one_of_pq_splits:
+            if pc.case.family not in PQ_SPLITS:
                 continue
             n = rng.choice([1, 2, 3])
             v = Mat.from_ints(

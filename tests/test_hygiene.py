@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every module-level private function or class has a reference."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,52 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def unreferenced_private_defs(trees):
+    """Module-level ``_private`` functions and classes, as ``module.name``,
+    that no module in ``trees`` (name -> parsed module) reads by name, as an
+    attribute or in an import."""
+    defined, used = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    return sorted(f"{m}.{name}" for m, name in defined if name not in used)
+
+
+def test_scan_finds_an_unreferenced_private_def():
+    trees = {
+        "a": ast.parse(
+            "def _kept(): pass\n"
+            "def _by_attribute(): pass\n"
+            "def _dead(): pass\n"
+            "class _Dead: pass\n"
+            "def public(): return _kept()\n"
+            "def __getattr__(name): pass\n"
+        ),
+        "b": ast.parse(
+            "from .a import _imported\n"
+            "from . import a\n"
+            "x = a._by_attribute\n"
+            "def _imported(): pass\n"
+        ),
+    }
+    assert unreferenced_private_defs(trees) == ["a._Dead", "a._dead"]
+
+
+def test_no_unreferenced_private_defs():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert unreferenced_private_defs(trees) == []

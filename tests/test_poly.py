@@ -380,6 +380,24 @@ def test_parse_rejects_huge_powers_before_computing_them(Q, F3):
     assert parse_poly(F3, "t^256").degree == 256
 
 
+@pytest.mark.parametrize("text", [
+    "(t+2)^256*(t+2)^256",  # a product of degree 512
+    "2^256^256^256",  # exponents 256 * 256 on one base
+    "(2^256)^256",  # the same through parentheses
+])
+def test_parse_rejects_large_products_and_chained_powers(Q, text):
+    start = time.monotonic()
+    with pytest.raises(ParseError):
+        parse_poly(Q, text)
+    assert time.monotonic() - start < 1.0
+
+
+def test_parse_keeps_chained_powers_within_the_cap(Q):
+    assert parse_poly(Q, "(t+1)^16^16") == parse_poly(Q, "(t+1)^256")
+    assert parse_poly(Q, "2^16^16") == parse_poly(Q, "2^256")
+    assert parse_poly(Q, "(t+1)^128*(t-1)^128").degree == 256
+
+
 def test_negative_power_is_invalid_argument(F3):
     with pytest.raises(InvalidArgument):
         Poly.t(F3) ** -1

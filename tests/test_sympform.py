@@ -12,7 +12,6 @@ from sympdiff.sympform import (
     frobenius_symmetrizer,
     induced_pair,
     is_alternating,
-    is_b_alternating,
     isometry_test,
     require_valid,
     standard_gram,
@@ -69,7 +68,7 @@ def test_validate_pair_failure_modes(F5):
     # whose invariant factors are automatically doubled
     for a in range(5):
         Ua = Mat.scalar(F5, 2, F5.from_int(a))
-        assert is_b_alternating(B2, Ua)
+        assert is_alternating(B2 @ Ua)
         assert validate_pair(B2, Ua).ok
 
 

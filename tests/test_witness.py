@@ -23,8 +23,6 @@ from sympdiff.poly import Poly, monic_polys
 from sympdiff.sympform import Witness, symplectic_extension
 from sympdiff.witness import (
     DEFAULT_SEARCH_BOUND,
-    _generic_search,
-    _prime_search,
     _solution_space,
     brute_force_witness,
     compose_witness,
@@ -32,6 +30,8 @@ from sympdiff.witness import (
     verify_witness,
     w_algebra_block,
 )
+
+from search_reference import _generic_search
 
 
 def test_w_block_golden_nilpotent(Q):
@@ -168,8 +168,35 @@ def test_brute_force_golden_first_hit(F3):
     assert verify_witness(w, pc).ok
 
 
-def test_prime_and_generic_search_agree(F2, F3):
+def _sampled_instances(ctx, pair_dim, count, seed):
+    """``count`` seeded draws of (pctx, pair) from the instances of
+    ``oracle_sweep(ctx, pair_dim)``."""
+    quads = list(monic_polys(ctx, 2))
+    chains = admissible_chains(ctx, pair_dim // 2)
+    rng = random.Random(seed)
+    for _ in range(count):
+        pc = pair_context(rng.choice(quads), rng.choice(quads))
+        chain = rng.choice(chains)
+        yield pc, symplectic_extension(direct_sum(*(companion(f) for f in chain)))
+
+
+def _assert_agrees_with_reference(instances):
+    """The chunked search returns the reference search's first witness, or
+    None where the reference finds none; returns the number of witnesses."""
     hits = 0
+    for pc, P in instances:
+        a = brute_force_witness(P, pc, bound=P.dimension)
+        b = _generic_search(P, pc)
+        if b is None:
+            assert a is None
+        else:
+            assert a is not None
+            assert (a.U1, a.U2) == (b.U1, b.U2)
+            hits += 1
+    return hits
+
+
+def test_prime_and_generic_search_agree(F2, F3):
     cases = [
         # YES instances: the first hit must be identical
         (F3, "t^2+1", "t^2+1", Mat.zeros(F3, 2)),
@@ -177,18 +204,21 @@ def test_prime_and_generic_search_agree(F2, F3):
         # decided-NO instance: both searches must exhaust
         (F3, "t^2+1", "t^2+2", companion(parse_poly(F3, "t+1"))),
     ]
-    for ctx, pt, qt, v in cases:
-        pc = pair_context(parse_poly(ctx, pt), parse_poly(ctx, qt))
-        P = symplectic_extension(v)
-        a = _prime_search(P, pc)
-        b = _generic_search(P, pc)
-        if a is None:
-            assert b is None
-        else:
-            assert b is not None
-            assert a.U1 == b.U1 and a.U2 == b.U2
-            hits += 1
-    assert hits == 2
+    instances = [
+        (pair_context(parse_poly(ctx, pt), parse_poly(ctx, qt)),
+         symplectic_extension(v))
+        for ctx, pt, qt, v in cases
+    ]
+    assert _assert_agrees_with_reference(instances) == 2
+    # extension fields: every GF(4) dimension-2 sweep instance, and seeded
+    # samples of GF(8) and GF(9) in dimension 2 and of GF(4) in dimension 4
+    F4 = field_make("GF(4)|t^2+t+1")
+    F8 = field_make("GF(8)|t^3+t+1")
+    F9 = field_make("GF(9)|t^2+1")
+    assert _assert_agrees_with_reference(_sweep_instances(F4, 2)) == 232
+    assert _assert_agrees_with_reference(_sampled_instances(F8, 2, 300, 8)) == 28
+    assert _assert_agrees_with_reference(_sampled_instances(F9, 2, 300, 9)) == 41
+    assert _assert_agrees_with_reference(_sampled_instances(F4, 4, 60, 4)) == 23
 
 
 def test_brute_force_no_instance_returns_none(F3):
@@ -329,7 +359,7 @@ def test_prime_search_over_a_prime_near_1000(monkeypatch):
         P = symplectic_extension(Mat.scalar(F, 1, F.from_int(5)))
         assert len(_solution_space(P.B.inverse(), P.U, pc)[1]) == 1
         chunks.clear()
-        a = _prime_search(P, pc)
+        a = brute_force_witness(P, pc)
         b = _generic_search(P, pc)
         if a is None:
             assert b is None
@@ -346,7 +376,7 @@ def test_prime_search_over_a_prime_near_1000(monkeypatch):
     pc = pair_context(parse_poly(F, "t^2-5"), parse_poly(F, "t^2+10*t+20"))
     P = symplectic_extension(Mat.scalar(F, 1, F.from_int(5)))
     chunks.clear()
-    assert _prime_search(P, pc) is None
+    assert brute_force_witness(P, pc) is None
     assert len(chunks) == 12
 
 
@@ -364,6 +394,21 @@ def test_brute_force_over_a_large_prime_field():
     assert mat_poly_eval(t2m1, w.U1).is_zero
     assert mat_poly_eval(t2m1, w.U2).is_zero
     assert w.U1 - w.U2 == P.U
+
+
+def test_brute_force_over_a_large_prime_field_with_a_free_coordinate():
+    # over GF(2^61 - 1) with p = t^2-1, q = (t+4)(t+6) and U = 5*I the
+    # linear system leaves one free coordinate x, U1 = -x*I: the scan runs
+    # on exact Python ints and stops at its first hit, x = 1
+    F = field_make("GF(2305843009213693951)")
+    pc = pair_context(parse_poly(F, "t^2-1"), parse_poly(F, "(t+4)*(t+6)"))
+    P = symplectic_extension(companion(parse_poly(F, "t-5")))
+    assert len(_solution_space(P.B.inverse(), P.U, pc)[1]) == 1
+    start = time.monotonic()
+    w = brute_force_witness(P, pc)
+    assert time.monotonic() - start < 1.0
+    assert w is not None and verify_witness(w, pc).ok
+    assert w.U1 == Mat.scalar(F, 2, F.from_int(-1))
 
 
 def test_brute_force_guards(Q, F3):
