@@ -122,7 +122,9 @@ class _Parser:
                 ekind, e = self.take()
                 if ekind != "int":
                     raise ParseError(f"exponent must be an integer in {self.text!r}")
-                w *= e
+                # ^0 counts as ^1, so that it cannot clear the count of a
+                # base that a later exponent raises
+                w *= max(e, 1)
                 if max(w, acc.degree * e) > MAX_POWER:
                     raise ParseError(
                         f"power ^{e} in {self.text!r} exceeds degree {MAX_POWER}"

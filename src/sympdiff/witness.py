@@ -364,7 +364,9 @@ def _solution_space(Binv: Mat, U: Mat, pctx: PairCtx):
 
 # The search scans its candidates in chunks that double from the first
 # size to the last, so a witness at index i costs O(i) candidates and a
-# scan of N candidates O(log N + N / _LAST_CHUNK) chunks.
+# scan of N candidates O(log N + N / _LAST_CHUNK) chunks.  The sizes count
+# n x n candidates; a candidate lifted from GF(p^k) has k^2 times as many
+# entries and counts k^2 times, so a chunk's memory does not grow with k.
 _FIRST_CHUNK, _LAST_CHUNK = 64, 1 << 15
 
 
@@ -421,8 +423,9 @@ def brute_force_witness(
     significant, which is the order of ``ctx.elements()``.  Candidates
     are the integers below p^(digits), read in base p; the sum over the
     lowest digits is tabulated once, and the scan goes in chunks that
-    double from 64 to 2^15 candidates and stops at the chunk of its first
-    hit, so a witness at index i costs O(i) candidates.  A hit is checked
+    double from 64 to 2^15 candidates (k^2 times fewer over GF(p^k)) and
+    stops at the chunk of its first hit, so a witness at index i costs
+    O(i) candidates.  A hit is checked
     again as a ``Mat`` over the field itself.  The sums are int64 where
     they cannot overflow and exact Python ints otherwise.
 
@@ -496,8 +499,9 @@ def brute_force_witness(
     # p(U1) = 0 exactly when U1 * (U1 + p1*I) = -p0*I
     minus_p0 = scalar(ctx.neg(pctx.p.coeffs[0]))
     # chunk sizes count values of the high digits, len(low) candidates each
-    start, size = 0, max(1, _FIRST_CHUNK // len(low))
-    last = max(1, _LAST_CHUNK // len(low))
+    per_high = len(low) * k * k
+    start, size = 0, max(1, _FIRST_CHUNK // per_high)
+    last = max(1, _LAST_CHUNK // per_high)
     while start < highs:
         U1 = low
         if m < d:

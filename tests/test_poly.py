@@ -373,6 +373,8 @@ def test_parse_rejects_huge_powers_before_computing_them(Q, F3):
         (F3, "(t^2+1)^600"),
         (F3, "t^2^1000"),
         (Q, "(t+2)^257"),
+        (Q, "(2^0+2^0)^100000000"),
+        (Q, "(t^0+t^0)^100000000"),
     ]:
         with pytest.raises(ParseError):
             parse_poly(ctx, text)

@@ -380,6 +380,32 @@ def test_prime_search_over_a_prime_near_1000(monkeypatch):
     assert len(chunks) == 12
 
 
+def test_extension_field_chunks_keep_the_prime_field_size(monkeypatch):
+    # over GF(16) a candidate is a 16 x 16 matrix over GF(2), 16 times the
+    # entries of a 4 x 4 one, so a chunk holds 16 times fewer candidates
+    # than over a prime field; U = I with q(t) = p(t + 1) leaves all six
+    # coordinates free, and the first hit lies past the point where the
+    # chunks stop doubling
+    F = field_make("GF(16)|t^4+t+1")
+    p = parse_poly(F, "t^2+t+1")
+    pc = pair_context(p, p.compose(Poly.t(F) + Poly.constant(F, F.one)))
+    P = symplectic_extension(Mat.scalar(F, 2, F.one))
+    assert len(_solution_space(P.B.inverse(), P.U, pc)[1]) == 6
+    sizes = []
+    digits = witness._digits
+    monkeypatch.setattr(
+        witness, "_digits", lambda *a: sizes.append(len(a[0])) or digits(*a)
+    )
+    w = brute_force_witness(P, pc)
+    assert w is not None and verify_witness(w, pc).ok
+    # the first call tabulates the 2^6 lowest digits; each later one is a
+    # chunk of values of the high digits, 64 candidates each
+    low, chunks = sizes[0], sizes[1:]
+    assert low == 64
+    assert chunks[:6] == [1, 2, 4, 8, 16, 32]
+    assert max(chunks) * low * 4 * 4 == witness._LAST_CHUNK
+
+
 def test_brute_force_over_a_large_prime_field():
     # over GF(2^61 - 1) products of two field elements overflow int64; the
     # linear system leaves one candidate, and it is a witness
