@@ -9,12 +9,18 @@ This module enumerates those representatives up to a dimension bound on
 * **regular rows** (family id 1, present in every case): ``C(r^n(s))`` with
   ``s = t^2 - delta*t`` and ``r`` monic irreducible such that ``r(s)`` is
   coprime to the fundamental quartic ``F``;
-* **exceptional rows** (family ids 2-10, one id per case): shapes built from
-  the in-field roots of ``F``, the translates ``p(t + y)`` by roots of ``q``,
-  the norm quadratics of out-of-field root differences, or powers of ``F``
-  itself.  A norm quadratic is ``h = t^2 - delta*t - s`` for a root ``s`` of
-  ``Lam`` (``F = Lam(t^2 - delta*t)``) where ``h`` has no root in the field:
-  its roots are a difference ``x - y`` of roots of ``p`` and ``q`` and its
+* **exceptional rows** (family ids 2-10, one id per case), each family
+  built from three shapes: the powers ``C(g^n)`` of one polynomial ``g``;
+  the *even powers*, ``g^n`` doubled for odd ``n`` and single for even
+  ``n``; and the *root pairs*, Jordan blocks at a root ``x`` of ``F`` and
+  at its partner ``delta - x`` with sizes ``(n, n)`` up to ``(n + gap, n)``.
+  ``g`` is a linear factor ``t - x`` at a root of ``F``, a translate
+  ``p(t + y)`` by a root of ``q``, a norm quadratic, ``F`` itself, or the
+  quadratic factor of ``F``.  Only the distinct translates of the
+  split-irreducible case pair two polynomials, in a loop of their own.  A
+  norm quadratic is ``h = t^2 - delta*t - s`` for a root ``s`` of ``Lam``
+  (``F = Lam(t^2 - delta*t)``) where ``h`` has no root in the field: its
+  roots are a difference ``x - y`` of roots of ``p`` and ``q`` and its
   conjugate.
 
 Each emitted representative is self-checked against the decision procedure —
@@ -27,7 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .decide import Family, PairCtx, decide_extension
+from .decide import (
+    ROOT_PAIR_SHIFT,
+    Family,
+    PairCtx,
+    _fmt,
+    _linear,
+    decide_extension,
+    special_quadratic,
+)
 from .errors import (
     ConstructionInvariantViolated,
     DifferenceInBaseField,
@@ -35,26 +49,15 @@ from .errors import (
     NeedsIrreducibleInventory,
     NotIrreducible,
 )
-from .fields import FieldCtx
 from .linalg import Mat, companion, direct_sum
 from .poly import Poly, irreducible_polys, is_irreducible
 
 __all__ = ["TableRow", "indecomposable_reps", "norm_quadratic"]
 
 
-# family id of the exceptional rows contributed by each case; regular rows
-# are family id 1 in every case.
-_EXCEPTIONAL_ID = {
-    Family.SPLIT_DOUBLE_DOUBLE: 2,
-    Family.SPLIT_SIMPLE_SIMPLE: 3,
-    Family.SPLIT_MIXED: 4,
-    Family.IRR_SPLIT_EQ: 5,
-    Family.IRR_SPLIT_NEQ: 6,
-    Family.IRR_SAME_FIELD: 7,
-    Family.IRR_DISTINCT_GENERIC: 8,
-    Family.IRR_DISTINCT_INSEP: 9,
-    Family.IRR_DISTINCT_SPECIAL: 10,
-}
+# family id of each case's exceptional rows, in classification order;
+# regular rows are family id 1 in every case.
+_EXCEPTIONAL_ID = {family: i for i, family in enumerate(Family, start=2)}
 
 
 @dataclass(frozen=True)
@@ -75,15 +78,6 @@ class TableRow:
     params: Dict[str, object]
     rep: Mat
     dim: int
-
-
-def _fmt(ctx: FieldCtx, x) -> str:
-    return str(Poly.constant(ctx, x))
-
-
-def _linear(ctx: FieldCtx, z) -> Poly:
-    """t - z."""
-    return Poly(ctx, (ctx.neg(z), ctx.one))
 
 
 def _row(pctx: PairCtx, table: int, params: Dict[str, object], *blocks: Poly) -> TableRow:
@@ -150,190 +144,104 @@ def _regular_rows(pctx: PairCtx, dim_bound: int, irreducibles) -> List[TableRow]
 
 
 # ----------------------------------------------------------------------
-# exceptional rows, one builder per case
+# exceptional rows (family ids 2-10), built from three shapes
 # ----------------------------------------------------------------------
 
 
-def _rows_double_double(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # single root difference z = x - y; indecomposables C((t-z)^n).
-    ctx = pctx.ctx
-    (z,) = pctx.F_roots
+def _powers(pctx: PairCtx, table: int, g: Poly, bound: int, **params) -> List[TableRow]:
+    """C(g^n) for every n with deg g^n <= bound."""
     return [
-        _row(pctx, 2, {"x": _fmt(ctx, z), "n": n}, _linear(ctx, z) ** n)
-        for n in range(1, bound + 1)
+        _row(pctx, table, {**params, "n": n}, g ** n)
+        for n in range(1, bound // g.degree + 1)
     ]
 
 
-def _rows_simple_simple(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # per root difference x: pairs of Jordan blocks at x and delta - x with
-    # sizes (n, n) or (n+1, n); a single block when x = delta - x.
+def _even_powers(pctx: PairCtx, table: int, g: Poly, bound: int, **params) -> List[TableRow]:
+    """g^n doubled for odd n, single for even n, within the bound."""
+    rows: List[TableRow] = []
+    for n in range(1, bound // g.degree + 1):
+        blocks = 2 if n % 2 else 1
+        if blocks * n * g.degree <= bound:
+            rows.append(
+                _row(pctx, table, {**params, "n": n, "blocks": blocks}, *[g ** n] * blocks)
+            )
+    return rows
+
+
+def _root_pairs(pctx: PairCtx, table: int, gap: int, bound: int) -> List[TableRow]:
+    """Per root x of F: Jordan blocks at x and its partner delta - x with
+    sizes (n, n), then (n + j, n) for j = 1..gap; a single block at a
+    fixed point x = delta - x."""
     ctx = pctx.ctx
-    delta = pctx.delta
     rows: List[TableRow] = []
     for z in pctx.F_roots:
-        w = ctx.sub(delta, z)
+        w = ctx.sub(pctx.delta, z)
         lin_z, lin_w = _linear(ctx, z), _linear(ctx, w)
-        fz, fw = _fmt(ctx, z), _fmt(ctx, w)
         if z == w:
-            for n in range(1, bound + 1):
-                rows.append(_row(pctx, 3, {"x": fz, "n": n}, lin_z ** n))
+            rows.extend(_powers(pctx, table, lin_z, bound, x=_fmt(ctx, z)))
             continue
-        for n in range(1, bound // 2 + 1):
-            rows.append(
-                _row(pctx, 3, {"x": fz, "partner": fw, "sizes": (n, n)},
-                     lin_z ** n, lin_w ** n)
-            )
-        for n in range(0, (bound - 1) // 2 + 1):
-            blocks = (lin_z ** (n + 1),) if n == 0 else (lin_z ** (n + 1), lin_w ** n)
-            rows.append(
-                _row(pctx, 3, {"x": fz, "partner": fw, "sizes": (n + 1, n)}, *blocks)
-            )
+        base = {"x": _fmt(ctx, z), "partner": _fmt(ctx, w)}
+        for j in range(gap + 1):
+            for n in range(0 if j else 1, (bound - j) // 2 + 1):
+                blocks = (lin_z ** (n + j),) + ((lin_w ** n,) if n else ())
+                rows.append(_row(pctx, table, {**base, "sizes": (n + j, n)}, *blocks))
     return rows
 
 
-def _rows_mixed(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # per root difference x: block pairs at x and delta - x with sizes
-    # (n, n), (n+1, n) or (n+2, n).
+def _exceptional_rows(pctx: PairCtx, bound: int) -> List[TableRow]:
+    """The rows of the case's own family."""
     ctx = pctx.ctx
-    delta = pctx.delta
-    rows: List[TableRow] = []
-    for z in pctx.F_roots:
-        w = ctx.sub(delta, z)
-        lin_z, lin_w = _linear(ctx, z), _linear(ctx, w)
-        fz, fw = _fmt(ctx, z), _fmt(ctx, w)
-        for n in range(1, bound // 2 + 1):
-            rows.append(
-                _row(pctx, 4, {"x": fz, "partner": fw, "sizes": (n, n)},
-                     lin_z ** n, lin_w ** n)
-            )
-        for gap in (1, 2):
-            for n in range(0, (bound - gap) // 2 + 1):
-                blocks = (lin_z ** (n + gap),) if n == 0 else (lin_z ** (n + gap), lin_w ** n)
+    family = pctx.case.family
+    table = _EXCEPTIONAL_ID[family]
+    if family in ROOT_PAIR_SHIFT:
+        return _root_pairs(pctx, table, ROOT_PAIR_SHIFT[family], bound)
+    if family is Family.SPLIT_DOUBLE_DOUBLE:
+        # the single root difference z = x - y
+        (z,) = pctx.F_roots
+        return _powers(pctx, table, _linear(ctx, z), bound, x=_fmt(ctx, z))
+    if family is Family.IRR_SPLIT_EQ:
+        # equal translates g = p(t + y1) = p(t + y2)
+        rows: List[TableRow] = []
+        for y in pctx.case.ys:
+            g = pctx.p_norm.translate(y)
+            rows.extend(_powers(pctx, table, g, bound, y=_fmt(ctx, y), translate=str(g)))
+        return rows
+    if family is Family.IRR_SPLIT_NEQ:
+        # distinct translates g1, g2: exponents (n, n), (n + 1, n) and its
+        # mirror
+        g1, g2 = (pctx.p_norm.translate(y) for y in pctx.case.ys)
+        base = {"translates": (str(g1), str(g2))}
+        rows = [
+            _row(pctx, table, {**base, "sizes": (n, n)}, g1 ** n, g2 ** n)
+            for n in range(1, bound // 4 + 1)
+        ]
+        for first, second, label in ((g1, g2, "first"), (g2, g1, "second")):
+            for n in range(0, (bound - 2) // 4 + 1):
+                blocks = (first,) if n == 0 else (first ** (n + 1), second ** n)
                 rows.append(
-                    _row(pctx, 4, {"x": fz, "partner": fw, "sizes": (n + gap, n)},
-                         *blocks)
+                    _row(pctx, table, {**base, "larger": label, "sizes": (n + 1, n)}, *blocks)
                 )
-    return rows
-
-
-def _rows_irr_split_eq(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # equal translates g = p(t + y1) = p(t + y2); indecomposables C(g^n).
-    ctx = pctx.ctx
-    rows: List[TableRow] = []
-    for y in pctx.case.ys:
-        g = pctx.p_norm.translate(y)
-        for n in range(1, bound // 2 + 1):
-            rows.append(
-                _row(pctx, 5, {"y": _fmt(ctx, y), "translate": str(g), "n": n},
-                     g ** n)
-            )
-    return rows
-
-
-def _rows_irr_split_neq(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # distinct translates g1, g2: companion pairs with exponents (n, n),
-    # (n+1, n) and its mirror.
-    ctx = pctx.ctx
-    y1, y2 = pctx.case.ys
-    g1 = pctx.p_norm.translate(y1)
-    g2 = pctx.p_norm.translate(y2)
-    rows: List[TableRow] = []
-    base = {"translates": (str(g1), str(g2))}
-    for n in range(1, bound // 4 + 1):
-        rows.append(_row(pctx, 6, {**base, "sizes": (n, n)}, g1 ** n, g2 ** n))
-    for first, second, label in ((g1, g2, "first"), (g2, g1, "second")):
-        for n in range(0, (bound - 2) // 4 + 1):
-            blocks = (first,) if n == 0 else (first ** (n + 1), second ** n)
-            rows.append(
-                _row(pctx, 6, {**base, "larger": label, "sizes": (n + 1, n)},
-                     *blocks)
-            )
-    return rows
-
-
-def _rows_same_field(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # a root s of Lam with h = t^2 - delta*t - s irreducible (the difference
-    # x - y out of the field) contributes C(h^n); in-field differences z
-    # contribute doubled Jordan blocks in odd sizes and single blocks in
-    # even sizes.
-    ctx = pctx.ctx
-    rows: List[TableRow] = []
-    for s in dict.fromkeys(pctx.Lam_roots):
-        h = pctx.sigma - Poly.constant(ctx, s)
-        if any(ctx.is_zero(h.eval(z)) for z in pctx.F_roots):
-            continue  # in-field difference, handled via the shift rows below
-        for n in range(1, bound // 2 + 1):
-            rows.append(
-                _row(pctx, 7, {"norm_quadratic": str(h), "n": n}, h ** n)
-            )
-    for z in pctx.case.zs:
-        lin = _linear(ctx, z)
-        fz = _fmt(ctx, z)
-        for n in range(1, bound + 1):
-            if n % 2 == 1:
-                if 2 * n <= bound:
-                    rows.append(
-                        _row(pctx, 7, {"shift": fz, "n": n, "blocks": 2},
-                             lin ** n, lin ** n)
-                    )
-            else:
-                rows.append(
-                    _row(pctx, 7, {"shift": fz, "n": n, "blocks": 1}, lin ** n)
-                )
-    return rows
-
-
-def _rows_distinct_generic(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # powers of the fundamental quartic itself.
-    return [
-        _row(pctx, 8, {"n": n}, pctx.F ** n) for n in range(1, bound // 4 + 1)
-    ]
-
-
-def _rows_distinct_insep(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # powers of t^2 - p(0) - q(0).
-    ctx = pctx.ctx
-    c = ctx.neg(ctx.add(pctx.p_norm.coeffs[0], pctx.q_norm.coeffs[0]))
-    g = Poly(ctx, (c, ctx.zero, ctx.one))
-    return [
-        _row(pctx, 9, {"quadratic": str(g), "n": n}, g ** n)
-        for n in range(1, bound // 2 + 1)
-    ]
-
-
-def _rows_distinct_special(pctx: PairCtx, bound: int) -> List[TableRow]:
-    # powers of the shared-trace quadratic: doubled in odd exponents, single
-    # in even exponents.
-    from .decide import special_quadratic
-
-    g = special_quadratic(pctx)
-    rows: List[TableRow] = []
-    for n in range(1, bound // 2 + 1):
-        if n % 2 == 1:
-            if 4 * n <= bound:
-                rows.append(
-                    _row(pctx, 10, {"quadratic": str(g), "n": n, "blocks": 2},
-                         g ** n, g ** n)
-                )
-        else:
-            rows.append(
-                _row(pctx, 10, {"quadratic": str(g), "n": n, "blocks": 1},
-                     g ** n)
-            )
-    return rows
-
-
-_EXCEPTIONAL_BUILDER = {
-    Family.SPLIT_DOUBLE_DOUBLE: _rows_double_double,
-    Family.SPLIT_SIMPLE_SIMPLE: _rows_simple_simple,
-    Family.SPLIT_MIXED: _rows_mixed,
-    Family.IRR_SPLIT_EQ: _rows_irr_split_eq,
-    Family.IRR_SPLIT_NEQ: _rows_irr_split_neq,
-    Family.IRR_SAME_FIELD: _rows_same_field,
-    Family.IRR_DISTINCT_GENERIC: _rows_distinct_generic,
-    Family.IRR_DISTINCT_INSEP: _rows_distinct_insep,
-    Family.IRR_DISTINCT_SPECIAL: _rows_distinct_special,
-}
+        return rows
+    if family is Family.IRR_SAME_FIELD:
+        # a root s of Lam whose norm quadratic h has no root in the field,
+        # then the in-field differences z (translation shifts)
+        rows = []
+        for s in dict.fromkeys(pctx.Lam_roots):
+            h = pctx.sigma - Poly.constant(ctx, s)
+            if not any(ctx.is_zero(h.eval(z)) for z in pctx.F_roots):
+                rows.extend(_powers(pctx, table, h, bound, norm_quadratic=str(h)))
+        for z in pctx.case.zs:
+            rows.extend(_even_powers(pctx, table, _linear(ctx, z), bound, shift=_fmt(ctx, z)))
+        return rows
+    if family is Family.IRR_DISTINCT_GENERIC:
+        return _powers(pctx, table, pctx.F, bound)
+    if family is Family.IRR_DISTINCT_INSEP:
+        # t^2 - p(0) - q(0)
+        c = ctx.neg(ctx.add(pctx.p_norm.coeffs[0], pctx.q_norm.coeffs[0]))
+        g = Poly(ctx, (c, ctx.zero, ctx.one))
+        return _powers(pctx, table, g, bound, quadratic=str(g))
+    g = special_quadratic(pctx)  # IRR_DISTINCT_SPECIAL
+    return _even_powers(pctx, table, g, bound, quadratic=str(g))
 
 
 def indecomposable_reps(
@@ -353,7 +261,7 @@ def indecomposable_reps(
     if dim_bound < 1:
         raise InvalidArgument("dim_bound must be >= 1")
     rows = _regular_rows(pctx, dim_bound, irreducibles)
-    rows.extend(_EXCEPTIONAL_BUILDER[pctx.case.family](pctx, dim_bound))
+    rows.extend(_exceptional_rows(pctx, dim_bound))
     seen = set()
     unique: List[TableRow] = []
     for row in rows:

@@ -83,11 +83,10 @@ def _parse_v(ctx, text: str) -> Mat:
     return ser.decode_mat(_load_json(text), ctx)
 
 
-def _pair_args(sub: argparse.ArgumentParser, need_pq: bool = True) -> None:
+def _pair_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--field", required=True, help="field spec, e.g. Q, GF(3), GF(2)(s)")
-    if need_pq:
-        sub.add_argument("--p", required=True, help="monic quadratic p")
-        sub.add_argument("--q", required=True, help="monic quadratic q")
+    sub.add_argument("--p", required=True, help="monic quadratic p")
+    sub.add_argument("--q", required=True, help="monic quadratic q")
 
 
 def _build_parser() -> _Parser:
@@ -220,10 +219,6 @@ def _cmd_enumerate(args) -> int:
 def _merge_sweeps(parts: List[SweepReport]) -> SweepReport:
     merged = parts[0]
     for part in parts[1:]:
-        merged.total += part.total
-        for key, count in part.matrix.items():
-            merged.matrix[key] += count
-        merged.disagreements.extend(part.disagreements)
         merged.instances.extend(part.instances)
         merged.seconds += part.seconds
     return merged

@@ -60,6 +60,11 @@ class Family(enum.Enum):
         )
 
 
+# the split families whose root pairs {z, delta - z} carry intertwined
+# Jordan counts, with the shift: a_{n+shift} <= b_n and b_{n+shift} <= a_n;
+# their indecomposable block pairs have sizes (n + j, n) for j <= shift.
+ROOT_PAIR_SHIFT = {Family.SPLIT_SIMPLE_SIMPLE: 1, Family.SPLIT_MIXED: 2}
+
 
 @dataclass(frozen=True)
 class CaseTag:
@@ -375,8 +380,8 @@ def _exceptional_evidence(pctx: PairCtx, factors: Sequence[Poly]):
     ctx = pctx.ctx
     if family.always_yes:
         return {"criterion": "none (always satisfied)"}, True, None
-    if family in (Family.SPLIT_SIMPLE_SIMPLE, Family.SPLIT_MIXED):
-        shift = 1 if family is Family.SPLIT_SIMPLE_SIMPLE else 2
+    if family in ROOT_PAIR_SHIFT:
+        shift = ROOT_PAIR_SHIFT[family]
         pairs, fixed = _root_orbits(pctx)
         details = []
         ok = True

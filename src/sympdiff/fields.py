@@ -434,22 +434,26 @@ class ExtensionField(FieldCtx):
         return hash(("GFext", self.p, self.modulus))
 
 
+# cap on the numerator and denominator degrees of a GF(p)(s) scalar
+RATFUNC_MAX_DEGREE = 256
+
+
 class RationalFunctionField(FieldCtx):
     """GF(p)(s): rational functions in one variable over GF(p).
 
     Scalars are pairs ``(num, den)`` of GF(p)[s] coefficient tuples with the
     denominator monic and ``gcd(num, den) = 1``; the zero scalar is
     ``((), (1,))``.  Numerator/denominator degrees are capped by
-    ``max_degree`` to turn accidental coefficient blowup into a hard error.
+    ``RATFUNC_MAX_DEGREE`` to turn accidental coefficient blowup into a hard
+    error.
     """
 
     kind = "ratfunc"
 
-    def __init__(self, p: int, max_degree: int = 256):
+    def __init__(self, p: int):
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         self.p = p
-        self.max_degree = max_degree
         self.characteristic = p
         self.zero = ((), (1,))
         self.one = ((1,), (1,))
@@ -469,9 +473,9 @@ class RationalFunctionField(FieldCtx):
         if il != 1:
             num = tuple((c * il) % p for c in num)
             den = tuple((c * il) % p for c in den)
-        if len(num) - 1 > self.max_degree or len(den) - 1 > self.max_degree:
+        if max(len(num), len(den)) - 1 > RATFUNC_MAX_DEGREE:
             raise DegreeBoundExceeded(
-                f"rational function degree exceeds cap {self.max_degree}"
+                f"rational function degree exceeds cap {RATFUNC_MAX_DEGREE}"
             )
         return (num, den)
 

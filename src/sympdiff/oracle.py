@@ -23,7 +23,7 @@ independent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decide import decide_pair, pair_context
@@ -68,11 +68,24 @@ class SweepInstance:
 class SweepReport:
     field: str
     pair_dim: int
-    total: int
-    matrix: Dict[str, int]
-    disagreements: List[SweepInstance]
     instances: List[SweepInstance]
     seconds: float
+
+    @property
+    def total(self) -> int:
+        return len(self.instances)
+
+    @property
+    def matrix(self) -> Dict[str, int]:
+        """Instance counts by decide/brute verdict."""
+        matrix = {"yes/yes": 0, "yes/no": 0, "no/yes": 0, "no/no": 0}
+        for i in self.instances:
+            matrix[f"{'yes' if i.decide_yes else 'no'}/{'yes' if i.brute_yes else 'no'}"] += 1
+        return matrix
+
+    @property
+    def disagreements(self) -> List[SweepInstance]:
+        return [i for i in self.instances if not i.agree]
 
     @property
     def ok(self) -> bool:
@@ -136,7 +149,6 @@ def oracle_sweep(
     chains = admissible_chains(ctx, pair_dim // 2)
     reps = [direct_sum(*(companion(f) for f in chain)) for chain in chains]
     instances: List[SweepInstance] = []
-    matrix = {"yes/yes": 0, "yes/no": 0, "no/yes": 0, "no/no": 0}
     for p in ps:
         for q in qs:
             pctx = pair_context(p, q)
@@ -144,20 +156,13 @@ def oracle_sweep(
                 pair = symplectic_extension(v)
                 decide_yes = decide_pair(pair, pctx).ok
                 brute_yes = brute_force_witness(pair, pctx, bound=pair_dim) is not None
-                inst = SweepInstance(
+                instances.append(SweepInstance(
                     p=p, q=q, chain=chain, v=v,
                     decide_yes=decide_yes, brute_yes=brute_yes,
-                )
-                instances.append(inst)
-                key = f"{'yes' if decide_yes else 'no'}/{'yes' if brute_yes else 'no'}"
-                matrix[key] += 1
-    disagreements = [inst for inst in instances if not inst.agree]
+                ))
     return SweepReport(
         field=field_spec(ctx),
         pair_dim=pair_dim,
-        total=len(instances),
-        matrix=matrix,
-        disagreements=disagreements,
         instances=instances,
         seconds=time.monotonic() - start,
     )

@@ -21,6 +21,7 @@ human-facing output and have no decoder.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, Optional
 
 from .decide import CaseTag, DecisionReport, PairCtx
@@ -250,16 +251,7 @@ def encode_decision_report(report: DecisionReport, pctx: PairCtx) -> Dict[str, A
 def encode_verification_report(report: VerificationReport) -> Dict[str, Any]:
     return {
         "ok": report.ok,
-        "gram_alternating": report.gram_alternating,
-        "gram_invertible": report.gram_invertible,
-        "u1_b_alternating": report.u1_b_alternating,
-        "u2_b_alternating": report.u2_b_alternating,
-        "p_annihilates_u1": report.p_annihilates_u1,
-        "q_annihilates_u2": report.q_annihilates_u2,
-        "difference_matches": report.difference_matches,
-        "u1_commutes_with_sigma_of_u": report.u1_commutes_with_sigma_of_u,
-        "u2_commutes_with_sigma_of_u": report.u2_commutes_with_sigma_of_u,
-        "kernel_stable": report.kernel_stable,
+        **dataclasses.asdict(report),
         "failures": list(report.failures()),
     }
 

@@ -23,6 +23,7 @@ from .errors import (
     DecisionWasNo,
     DimensionBoundExceeded,
     InfiniteField,
+    MixedFieldContexts,
     NonMonic,
     WrongDegree,
 )
@@ -54,41 +55,27 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        checks = [
-            self.gram_alternating,
-            self.gram_invertible,
-            self.u1_b_alternating,
-            self.u2_b_alternating,
-            self.p_annihilates_u1,
-            self.q_annihilates_u2,
-            self.difference_matches,
-            self.u1_commutes_with_sigma_of_u,
-            self.u2_commutes_with_sigma_of_u,
-        ]
-        if self.kernel_stable is not None:
-            checks.append(self.kernel_stable)
-        return all(checks)
+        return not self.failures()
 
     def failures(self) -> Tuple[str, ...]:
-        labels = {
-            "gram_alternating": "Gram matrix is not alternating",
-            "gram_invertible": "Gram matrix is singular",
-            "u1_b_alternating": "B*U1 is not alternating",
-            "u2_b_alternating": "B*U2 is not alternating",
-            "p_annihilates_u1": "p(U1) is nonzero",
-            "q_annihilates_u2": "q(U2) is nonzero",
-            "difference_matches": "U1 - U2 differs from U",
-            "u1_commutes_with_sigma_of_u": "U1 does not commute with "
-            "U^2 - delta*U",
-            "u2_commutes_with_sigma_of_u": "U2 does not commute with "
-            "U^2 - delta*U",
-            "kernel_stable": "Ker(U1 - U2) is not stable under U1 and U2",
-        }
         return tuple(
-            msg
-            for name, msg in labels.items()
-            if getattr(self, name) is False
+            msg for name, msg in _CHECK_FAILURES.items() if getattr(self, name) is False
         )
+
+
+# the message of each check of a VerificationReport when it fails
+_CHECK_FAILURES = {
+    "gram_alternating": "Gram matrix is not alternating",
+    "gram_invertible": "Gram matrix is singular",
+    "u1_b_alternating": "B*U1 is not alternating",
+    "u2_b_alternating": "B*U2 is not alternating",
+    "p_annihilates_u1": "p(U1) is nonzero",
+    "q_annihilates_u2": "q(U2) is nonzero",
+    "difference_matches": "U1 - U2 differs from U",
+    "u1_commutes_with_sigma_of_u": "U1 does not commute with U^2 - delta*U",
+    "u2_commutes_with_sigma_of_u": "U2 does not commute with U^2 - delta*U",
+    "kernel_stable": "Ker(U1 - U2) is not stable under U1 and U2",
+}
 
 
 @dataclass(frozen=True)
@@ -429,10 +416,13 @@ def brute_force_witness(
     again as a ``Mat`` over the field itself.  The sums are int64 where
     they cannot overflow and exact Python ints otherwise.
 
-    Raises DimensionBoundExceeded above the dimension bound, or when the
+    Raises MixedFieldContexts when P and pctx live over different fields,
+    and DimensionBoundExceeded above the dimension bound, or when the
     solution space holds 2^63 or more candidates (the int64 index
     range)."""
     ctx = P.ctx
+    if ctx != pctx.ctx:
+        raise MixedFieldContexts(f"{ctx} vs {pctx.ctx}")
     if ctx.order is None:
         raise InfiniteField("brute force needs a finite field")
     n = P.dimension

@@ -6,16 +6,14 @@ from sympdiff.atlas import indecomposable_reps, norm_quadratic
 from sympdiff.decide import decide_extension, pair_context
 from sympdiff.errors import DifferenceInBaseField, NeedsIrreducibleInventory
 from sympdiff.exprparse import parse_poly
+from sympdiff.fields import field_make
 from sympdiff.linalg import companion
 from sympdiff.poly import Poly
 from sympdiff.sympform import isometry_test, symplectic_extension, validate_pair
 
 
-def test_rows_golden_simple_simple(F3):
-    pc = pair_context(parse_poly(F3, "t^2-t"), parse_poly(F3, "t^2-t"))
-    rows = indecomposable_reps(pc, 2)
-    summary = [(r.table, r.params, r.dim) for r in rows]
-    assert summary == [
+GOLDENS = {
+    "split-simple-simple": ("GF(3)", "t^2-t", "t^2-t", 2, None, [
         (1, {"r": "t+1", "n": 1}, 2),
         (3, {"x": "0", "n": 1}, 1),
         (3, {"x": "0", "n": 2}, 2),
@@ -23,7 +21,74 @@ def test_rows_golden_simple_simple(F3):
         (3, {"x": "1", "partner": "2", "sizes": (1, 0)}, 1),
         (3, {"x": "2", "partner": "1", "sizes": (1, 1)}, 2),
         (3, {"x": "2", "partner": "1", "sizes": (1, 0)}, 1),
-    ]
+    ]),
+    # sizes (n, n), then (n+1, n), then (n+2, n) at each root
+    "split-mixed": ("GF(3)", "t^2", "t^2+t", 4, None, [
+        (1, {"r": "t+1", "n": 1}, 2),
+        (1, {"r": "t+1", "n": 2}, 4),
+        (1, {"r": "t+2", "n": 1}, 2),
+        (1, {"r": "t+2", "n": 2}, 4),
+        (1, {"r": "t^2+1", "n": 1}, 4),
+        (1, {"r": "t^2+t+2", "n": 1}, 4),
+        (1, {"r": "t^2+2*t+2", "n": 1}, 4),
+        (4, {"x": "0", "partner": "1", "sizes": (1, 1)}, 2),
+        (4, {"x": "0", "partner": "1", "sizes": (2, 2)}, 4),
+        (4, {"x": "0", "partner": "1", "sizes": (1, 0)}, 1),
+        (4, {"x": "0", "partner": "1", "sizes": (2, 1)}, 3),
+        (4, {"x": "0", "partner": "1", "sizes": (2, 0)}, 2),
+        (4, {"x": "0", "partner": "1", "sizes": (3, 1)}, 4),
+        (4, {"x": "1", "partner": "0", "sizes": (1, 1)}, 2),
+        (4, {"x": "1", "partner": "0", "sizes": (2, 2)}, 4),
+        (4, {"x": "1", "partner": "0", "sizes": (1, 0)}, 1),
+        (4, {"x": "1", "partner": "0", "sizes": (2, 1)}, 3),
+        (4, {"x": "1", "partner": "0", "sizes": (2, 0)}, 2),
+        (4, {"x": "1", "partner": "0", "sizes": (3, 1)}, 4),
+    ]),
+    # the larger exponent on the first translate, then on the second
+    "split-distinct-translates": ("GF(3)", "t^2+t", "t^2+1", 4, None, [
+        (1, {"r": "t", "n": 1}, 2),
+        (1, {"r": "t", "n": 2}, 4),
+        (1, {"r": "t+1", "n": 1}, 2),
+        (1, {"r": "t+1", "n": 2}, 4),
+        (1, {"r": "t+2", "n": 1}, 2),
+        (1, {"r": "t+2", "n": 2}, 4),
+        (1, {"r": "t^2+1", "n": 1}, 4),
+        (1, {"r": "t^2+t+2", "n": 1}, 4),
+        (6, {"translates": ("t^2+1", "t^2+2*t+2"), "sizes": (1, 1)}, 4),
+        (6, {"translates": ("t^2+1", "t^2+2*t+2"), "larger": "first",
+             "sizes": (1, 0)}, 2),
+        (6, {"translates": ("t^2+1", "t^2+2*t+2"), "larger": "second",
+             "sizes": (1, 0)}, 2),
+    ]),
+    "double-double": ("GF(3)", "t^2", "t^2", 4, None, [
+        (1, {"r": "t+1", "n": 1}, 2),
+        (1, {"r": "t+1", "n": 2}, 4),
+        (1, {"r": "t+2", "n": 1}, 2),
+        (1, {"r": "t+2", "n": 2}, 4),
+        (1, {"r": "t^2+1", "n": 1}, 4),
+        (1, {"r": "t^2+t+2", "n": 1}, 4),
+        (1, {"r": "t^2+2*t+2", "n": 1}, 4),
+        (2, {"x": "0", "n": 1}, 1),
+        (2, {"x": "0", "n": 2}, 2),
+        (2, {"x": "0", "n": 3}, 3),
+        (2, {"x": "0", "n": 4}, 4),
+    ]),
+    # n = 3 is absent: its doubled block has dimension 12 > 8
+    "distinct-special": ("GF(2)(s)", "t^2+t+1", "t^2+t+s", 8, [], [
+        (10, {"quadratic": "t^2+t+(s+1)", "n": 1, "blocks": 2}, 4),
+        (10, {"quadratic": "t^2+t+(s+1)", "n": 2, "blocks": 1}, 4),
+        (10, {"quadratic": "t^2+t+(s+1)", "n": 4, "blocks": 1}, 8),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", GOLDENS)
+def test_rows_golden(case):
+    spec, pt, qt, bound, inventory, expected = GOLDENS[case]
+    ctx = field_make(spec)
+    pc = pair_context(parse_poly(ctx, pt), parse_poly(ctx, qt))
+    rows = indecomposable_reps(pc, bound, irreducibles=inventory)
+    assert [(r.table, r.params, r.dim) for r in rows] == expected
 
 
 def test_rows_decide_yes_and_give_valid_pairs(F2, F3):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sympdiff.errors import (
+    DegreeBoundExceeded,
     DivisionByZero,
     FieldSpecError,
     NonPrimeCharacteristic,
@@ -14,6 +15,7 @@ from sympdiff.errors import (
 )
 from sympdiff.exprparse import parse_scalar
 from sympdiff.fields import (
+    RATFUNC_MAX_DEGREE,
     ExtensionField,
     PrimeField,
     field_make,
@@ -85,6 +87,16 @@ def test_ratfunc_canonical_form(F2s):
     assert a == F2s.gen
     num, den = a
     assert den == (1,)  # monic denominator after reduction
+
+
+def test_ratfunc_degree_cap(F2s):
+    s_power = lambda k: (0,) * k + (1,)
+    top = F2s.from_polys(s_power(RATFUNC_MAX_DEGREE))
+    assert F2s.mul(F2s.from_polys(s_power(RATFUNC_MAX_DEGREE - 1)), F2s.gen) == top
+    with pytest.raises(DegreeBoundExceeded, match=f"exceeds cap {RATFUNC_MAX_DEGREE}"):
+        F2s.mul(top, F2s.gen)
+    with pytest.raises(DegreeBoundExceeded):  # the denominator is capped too
+        F2s.from_polys((1,), s_power(RATFUNC_MAX_DEGREE + 1))
 
 
 def test_ratfunc_field_laws(F2s):

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-and every module-level private function or class has a reference."""
+"""Source hygiene: no module of the package imports a name it never uses
+or imports again inside a function a module it imports at top level, and
+every module-level private function or class has a reference."""
 
 import ast
 from pathlib import Path
@@ -18,7 +19,7 @@ def unused_imports(tree: ast.Module):
             isinstance(node, ast.ImportFrom) and node.module != "__future__"
         ):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.Name):
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
@@ -35,12 +36,15 @@ def test_scan_finds_an_unused_import():
         "from __future__ import annotations\n"
         "import os, sys as system\n"
         "from typing import List, Tuple\n"
+        "from dataclasses import field\n"
         "import concurrent.futures\n"
         "__all__ = ['Tuple']\n"
+        "class C:\n"
+        "    field: int  # binds the name, does not read it\n"
         "def f(x: List) -> None:\n"
         "    return concurrent.futures.wait(os.sep)\n"
     )
-    assert unused_imports(tree) == ["system"]
+    assert unused_imports(tree) == ["field", "system"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -95,3 +99,47 @@ def test_no_unreferenced_private_defs():
         for path in sorted(SRC.glob("*.py"))
     }
     assert unreferenced_private_defs(trees) == []
+
+
+def _imported_modules(nodes):
+    """The module each import among ``nodes`` names, relative ones with
+    their leading dots."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def redundant_local_imports(tree: ast.Module):
+    """Imports inside a function that name a module the module already
+    imports at top level, as ``(line, module)``."""
+    top = set(_imported_modules(tree.body))
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                found.update(
+                    (node.lineno, module)
+                    for module in _imported_modules([node]) if module in top
+                )
+    return sorted(found)
+
+
+def test_scan_finds_a_redundant_local_import():
+    tree = ast.parse(
+        "import os\n"
+        "from .decide import pair_context\n"
+        "def f():\n"
+        "    from .decide import special_quadratic\n"
+        "    from .poly import Poly  # late import; avoids a cycle\n"
+        "    import os.path, json\n"
+        "    def g():\n"
+        "        import os\n"
+    )
+    assert redundant_local_imports(tree) == [(4, ".decide"), (8, "os")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_redundant_local_imports(path):
+    assert redundant_local_imports(ast.parse(path.read_text(), filename=str(path))) == []

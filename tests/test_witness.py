@@ -14,6 +14,7 @@ from sympdiff.errors import (
     DecisionWasNo,
     DimensionBoundExceeded,
     InfiniteField,
+    MixedFieldContexts,
 )
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
@@ -445,6 +446,19 @@ def test_brute_force_guards(Q, F3):
     big = symplectic_extension(Mat.zeros(F3, DEFAULT_SEARCH_BOUND))
     with pytest.raises(DimensionBoundExceeded):
         brute_force_witness(big, pc_3)
+
+
+def test_brute_force_rejects_a_pair_over_another_field(F3):
+    # a GF(3) pair against a GF(7) context raises, as decide_pair does,
+    # instead of a None that reads as a NO
+    F7 = field_make("GF(7)")
+    pc = pair_context(parse_poly(F7, "t^2+1"), parse_poly(F7, "t^2+1"))
+    for n in (1, 2):
+        P = symplectic_extension(Mat.zeros(F3, n))
+        with pytest.raises(MixedFieldContexts):
+            decide.decide_pair(P, pc)
+        with pytest.raises(MixedFieldContexts):
+            brute_force_witness(P, pc)
 
 
 def test_brute_force_candidate_cap(F5):
