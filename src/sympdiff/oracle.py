@@ -11,13 +11,17 @@ decision procedure and the brute-force search on ``S(v)`` and tallies the
 agreement matrix.  A correct implementation reports zero disagreements.
 
 The search (``brute_force_witness``) does not scan every candidate: given
-p(U1) = 0, the condition q(U1 - U) = 0 is linear in U1, so it solves that
-system once and scans only its solutions, in the full enumeration's order,
-in growing chunks that stop at the first hit.  Over GF(p^k) it scans the
-same candidates as matrices over GF(p) (the regular representation), so
-one scan serves every finite field.  It finds the same first witness, and
-it never consults the decision procedure, so the two routes stay
-independent.
+p(U1) = 0, the condition q(U1 - U) = 0 is linear in U1.  With U1 = B^{-1} * M,
+M alternating, and B*U alternating, B times q(U1 - U) is alternating, so the
+condition is k = n(n-1)/2 equations, one per strict-upper entry, whose
+coefficients are entries of U.  The search solves them once and scans only
+their solutions, in the full enumeration's order, in growing chunks that
+stop at the first hit.  Over GF(p^k) it scans the same candidates as
+matrices over GF(p) (the regular representation), so one scan serves every
+finite field.  It finds the same first witness.  The k equations, like the
+rest of the search, use only the definition of a witness -- p(U1) = 0,
+q(U2) = 0, B*U1 and B*U2 alternating -- and never the decision procedure,
+so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -148,12 +152,12 @@ def oracle_sweep(
         qs = list(monic_polys(ctx, 2))
     chains = admissible_chains(ctx, pair_dim // 2)
     reps = [direct_sum(*(companion(f) for f in chain)) for chain in chains]
+    pairs = [symplectic_extension(v) for v in reps]
     instances: List[SweepInstance] = []
     for p in ps:
         for q in qs:
             pctx = pair_context(p, q)
-            for chain, v in zip(chains, reps):
-                pair = symplectic_extension(v)
+            for chain, v, pair in zip(chains, reps, pairs):
                 decide_yes = decide_pair(pair, pctx).ok
                 brute_yes = brute_force_witness(pair, pctx, bound=pair_dim) is not None
                 instances.append(SweepInstance(

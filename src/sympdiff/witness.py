@@ -23,6 +23,7 @@ from .errors import (
     DecisionWasNo,
     DimensionBoundExceeded,
     InfiniteField,
+    InvalidPair,
     MixedFieldContexts,
     NonMonic,
     WrongDegree,
@@ -282,55 +283,81 @@ def _witness_for_decision(
 # ----------------------------------------------------------------------
 
 
-def _solution_space(Binv: Mat, U: Mat, pctx: PairCtx):
+@functools.lru_cache(maxsize=None)
+def _upper(n: int):
+    """``np.triu_indices(n, 1)``: the strict upper triangle of an n x n
+    matrix, row by row, built once per n."""
+    return np.triu_indices(n, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _alternating_system(n: int):
+    """The shape of ``_solution_space``'s system for n x n matrices: its
+    rows, the strict upper triangle (a, b) in order, and the (row, column,
+    i, j) at which U[i][j] is added to (``plus``) or subtracted from
+    (``minus``) a coefficient.  Column k - 1 - f is coordinate f."""
+    upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    k = len(upper)
+    at = {ab: r for r, ab in enumerate(upper)}
+    plus, minus = [], []
+    for f, (c, d) in enumerate(upper):
+        col = k - 1 - f
+        # M = e_c e_d^T - e_d e_c^T: entry (a, b) of M*U is [a = c]*U[d][b]
+        # - [a = d]*U[c][b], that of U^T*M is [b = d]*U[c][a] - [b = c]*U[d][a]
+        minus += [(at[c, b], col, d, b) for b in range(c + 1, n)]
+        minus += [(at[a, d], col, c, a) for a in range(d)]
+        plus += [(at[d, b], col, c, b) for b in range(d + 1, n)]
+        plus += [(at[a, c], col, d, a) for a in range(c)]
+    return upper, plus, minus
+
+
+def _solution_space(B: Mat, U: Mat, pctx: PairCtx):
     """The upper-triangle coordinates of M (U1 = B^{-1} * M, M alternating)
     that can give a witness, as an affine space, or None when none can.
 
-    With p = t^2 + p1*t + p0 and q = t^2 + q1*t + q0, any U1 with
-    p(U1) = 0 has q(U1 - U) = (q1 - p1)*U1 - (U1*U + U*U1) + U^2 - q1*U
-    + (q0 - p0)*I, so the witnesses lie in the solutions of one linear
-    system in the coordinates.  It is brought to reduced row echelon form
-    with the columns reversed: each dependent coordinate is then a
-    function of earlier (more significant) free coordinates only, so
-    candidates in lexicographic order of the free coordinates are the full
-    lexicographic order restricted to the solutions.  Returns
-    ``(base, directions)``: the solution with every free coordinate zero,
-    and per free coordinate, most significant first, the k-vector that
-    moves it by one and the dependent coordinates with it.
+    B must be invertible and alternating and B*U alternating, as in every
+    symplectic pair.  With p = t^2 + p1*t + p0 and q = t^2 + q1*t + q0,
+    any U1 with p(U1) = 0 has q(U1 - U) = (q1 - p1)*U1 - (U1*U + U*U1) +
+    g(U), g = t^2 - q1*t + (q0 - p0).  B*U alternating gives U^T =
+    B*U*B^{-1}, so B times it is (q1 - p1)*M - (M*U + U^T*M) + B*g(U),
+    an alternating matrix; as B is invertible, q(U1 - U) = 0 exactly when
+    its k = n(n-1)/2 strict-upper entries vanish.  These k equations use
+    only the definition of a witness and of a symplectic pair, not the
+    decision procedure.  The coefficient of coordinate (c, d) of M in
+    entry (a, b) is q1 - p1 at (c, d) plus or minus entries of U, so
+    building the system takes no field products and no B^{-1}.  It is
+    brought to reduced row echelon form with the columns reversed: each
+    dependent coordinate is then a function of earlier (more significant)
+    free coordinates only, so candidates in lexicographic order of the
+    free coordinates are the full lexicographic order restricted to the
+    solutions.  Returns ``(base, directions)``: the solution with every
+    free coordinate zero, and per free coordinate, most significant first,
+    the k-vector that moves it by one and the dependent coordinates with
+    it.
     """
     ctx = U.ctx
-    add, mul, sub = ctx.add, ctx.mul, ctx.sub
+    add, sub = ctx.add, ctx.sub
     n = U.rows
-    k = n * (n - 1) // 2
+    upper, plus, minus = _alternating_system(n)
+    k = len(upper)
     p0, p1 = pctx.p.coeffs[0], pctx.p.coeffs[1]
     q0, q1 = pctx.q.coeffs[0], pctx.q.coeffs[1]
-    # Coordinate (a, b) of M stands for E = e_a e_b^T - e_b e_a^T, and
-    # (q1 - p1)*X - (X*U + U*X) at X = B^{-1} * E is W*E - B^{-1}*E*U with
-    # W = (q1 - p1)*B^{-1} - U*B^{-1}.  W*E has column a of W as its
-    # column b and minus column b of W as its column a; B^{-1}*E*U is
-    # (column a of B^{-1})(row b of U) - (column b of B^{-1})(row a of U).
-    W = Binv.scale(sub(q1, p1)) - U @ Binv
-    Bi, Ue, We = Binv.entries, U.entries, W.entries
-    upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    columns = []
-    for a, b in reversed(upper):
-        col = []
-        for r in range(n):
-            for c in range(n):
-                e = sub(mul(Bi[r][b], Ue[a][c]), mul(Bi[r][a], Ue[b][c]))
-                if c == b:
-                    e = add(e, We[r][a])
-                elif c == a:
-                    e = sub(e, We[r][b])
-                col.append(e)
-        columns.append(col)
-    # the right-hand side is -g(U) with g = t^2 - q1*t + (q0 - p0); the
-    # system is reduced with g(U) in its place, which negates the last
-    # column of the result
+    Ue = U.entries
+    rows = [[ctx.zero] * (k + 1) for _ in range(k)]
+    dq = sub(q1, p1)
+    for r in range(k):
+        rows[r][k - 1 - r] = dq
+    for r, col, i, j in plus:
+        rows[r][col] = add(rows[r][col], Ue[i][j])
+    for r, col, i, j in minus:
+        rows[r][col] = sub(rows[r][col], Ue[i][j])
     g = Poly(ctx, (sub(q0, p0), ctx.neg(q1), ctx.one))
-    columns.append([e for row in mat_poly_eval(g, U).entries for e in row])
-    system = Mat(ctx, list(zip(*columns)))
-    rows, pivots = system._rref()
+    G = (B @ mat_poly_eval(g, U)).entries
+    for r, (a, b) in enumerate(upper):
+        rows[r][k] = G[a][b]
+    # the system is reduced with B*g(U) in place of its negation, the
+    # right-hand side, which negates the last column of the result
+    rows, pivots = Mat(ctx, rows)._rref()
     if pivots and pivots[-1] == k:
         return None
     base = [ctx.zero] * k
@@ -391,14 +418,18 @@ def brute_force_witness(
     q(U2) = 0 and B*U2 alternating wins.
 
     A linear prefilter (``_solution_space``) skips the candidates that
-    cannot win: given p(U1) = 0, q(U1 - U) = 0 is linear in U1, so the
-    search solves that system once, returns None at once when it is
-    inconsistent, and otherwise scans only its affine solution space,
-    still checking all three conditions on every hit.  The candidates it
-    scans keep their lexicographic order, so the first witness (or None)
-    is the one the full scan finds.  B*U2 is alternating on every
-    solution, because B*U1 = M and B*U are.  The prefilter uses only the
-    definition, not the decision procedure.
+    cannot win.  A witness has B*U = B*U1 - B*U2 alternating, so a U
+    without it gets None at once.  Otherwise, given p(U1) = 0, q(U1 - U)
+    = 0 is linear in U1, and B times it is alternating, so it is k =
+    n(n-1)/2 equations, one per strict-upper entry, whose coefficients
+    are entries of U and q1 - p1.  They use only p(U1) = 0, q(U2) = 0 and
+    the alternating B, B*U1 and B*U2 of the definition, not the decision
+    procedure.  The search solves them once, returns None at once when
+    they are inconsistent, and otherwise scans only their affine solution
+    space, still checking all three conditions on every hit.  The
+    candidates it scans keep their lexicographic order, so the first
+    witness (or None) is the one the full scan finds.  B*U2 is
+    alternating on every solution, because B*U1 = M and B*U are.
 
     U1 = B^{-1} * M is linear in M, so the candidate with free coordinates
     c is U1 = U0 + sum_f c_f * D_f, with U0 = B^{-1} * M(base) and D_f =
@@ -417,9 +448,10 @@ def brute_force_witness(
     they cannot overflow and exact Python ints otherwise.
 
     Raises MixedFieldContexts when P and pctx live over different fields,
-    and DimensionBoundExceeded above the dimension bound, or when the
-    solution space holds 2^63 or more candidates (the int64 index
-    range)."""
+    SingularMatrix when B is singular, InvalidPair when B is not
+    alternating, and DimensionBoundExceeded above the dimension bound, or
+    when the solution space holds 2^63 or more candidates (the int64
+    index range)."""
     ctx = P.ctx
     if ctx != pctx.ctx:
         raise MixedFieldContexts(f"{ctx} vs {pctx.ctx}")
@@ -432,7 +464,11 @@ def brute_force_witness(
         empty = Mat(ctx, [])
         return Witness(B=empty, U=empty, U1=empty, U2=empty)
     Binv = P.B.inverse()
-    space = _solution_space(Binv, P.U, pctx)
+    if not is_alternating(P.B):
+        raise InvalidPair("Gram matrix is not alternating")
+    if not is_alternating(P.B @ P.U):
+        return None  # B*U1 and B*U2 are alternating, so B*U would be
+    space = _solution_space(P.B, P.U, pctx)
     if space is None:
         return None
     base, directions = space
@@ -472,7 +508,7 @@ def brute_force_witness(
         vals = np.concatenate([vals[:1], steps.reshape((-1,) + vals.shape[1:])])
     d = len(vals) - 1
     M = np.zeros((d + 1, n, n) + vals.shape[2:], dtype=dtype)
-    iu = np.triu_indices(n, 1)
+    iu = _upper(n)
     M[:, iu[0], iu[1]] = vals
     M[:, iu[1], iu[0]] = -vals
     UM = (lift(to_np(Binv.entries)) @ lift(M) % pr).reshape(d + 1, nk * nk)

@@ -14,14 +14,21 @@ from sympdiff.errors import (
     DecisionWasNo,
     DimensionBoundExceeded,
     InfiniteField,
+    InvalidPair,
     MixedFieldContexts,
+    SingularMatrix,
 )
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
 from sympdiff.linalg import Mat, companion, direct_sum, invariant_factors, mat_poly_eval
 from sympdiff.oracle import admissible_chains
 from sympdiff.poly import Poly, monic_polys
-from sympdiff.sympform import Witness, symplectic_extension
+from sympdiff.sympform import (
+    SymplecticPair,
+    Witness,
+    is_alternating,
+    symplectic_extension,
+)
 from sympdiff.witness import (
     DEFAULT_SEARCH_BOUND,
     _solution_space,
@@ -32,7 +39,7 @@ from sympdiff.witness import (
     w_algebra_block,
 )
 
-from search_reference import _generic_search
+from search_reference import _generic_search, _n2_solution_space
 
 
 def test_w_block_golden_nilpotent(Q):
@@ -229,12 +236,12 @@ def test_brute_force_no_instance_returns_none(F3):
     P = symplectic_extension(companion(two ** 2))
     assert brute_force_witness(P, pc) is None
     # the linear condition leaves one candidate, and p(U1) = 0 rejects it
-    assert _solution_space(P.B.inverse(), P.U, pc)[1] == []
+    assert _solution_space(P.B, P.U, pc)[1] == []
     # p = t^2, q = t^2+t, v = t+1: the linear condition has no solution at
     # all, so nothing is enumerated
     pc = pair_context(parse_poly(F3, "t^2"), parse_poly(F3, "t^2+t"))
     P = symplectic_extension(companion(parse_poly(F3, "t+1")))
-    assert _solution_space(P.B.inverse(), P.U, pc) is None
+    assert _solution_space(P.B, P.U, pc) is None
     assert brute_force_witness(P, pc) is None
 
 
@@ -321,7 +328,7 @@ def test_linearized_search_matches_full_enumeration_dim6(F2):
     # instances whose linear system leaves all 15 coordinates free: scalar
     # v (0 or I3) with the (p, q) for which the condition is vacuous
     instances = list(_sweep_instances(F2, 6))
-    spaces = [_solution_space(P.B.inverse(), P.U, pc) for pc, P in instances]
+    spaces = [_solution_space(P.B, P.U, pc) for pc, P in instances]
     free15 = [
         inst for inst, space in zip(instances, spaces)
         if space is not None and len(space[1]) == 15
@@ -358,7 +365,7 @@ def test_prime_search_over_a_prime_near_1000(monkeypatch):
     ]:
         pc = pair_context(parse_poly(F, pt), parse_poly(F, qt))
         P = symplectic_extension(Mat.scalar(F, 1, F.from_int(5)))
-        assert len(_solution_space(P.B.inverse(), P.U, pc)[1]) == 1
+        assert len(_solution_space(P.B, P.U, pc)[1]) == 1
         chunks.clear()
         a = brute_force_witness(P, pc)
         b = _generic_search(P, pc)
@@ -391,7 +398,7 @@ def test_extension_field_chunks_keep_the_prime_field_size(monkeypatch):
     p = parse_poly(F, "t^2+t+1")
     pc = pair_context(p, p.compose(Poly.t(F) + Poly.constant(F, F.one)))
     P = symplectic_extension(Mat.scalar(F, 2, F.one))
-    assert len(_solution_space(P.B.inverse(), P.U, pc)[1]) == 6
+    assert len(_solution_space(P.B, P.U, pc)[1]) == 6
     sizes = []
     digits = witness._digits
     monkeypatch.setattr(
@@ -414,7 +421,7 @@ def test_brute_force_over_a_large_prime_field():
     t2m1 = parse_poly(F, "t^2-1")
     pc = pair_context(t2m1, t2m1)
     P = symplectic_extension(companion(parse_poly(F, "t-2")))
-    _, directions = _solution_space(P.B.inverse(), P.U, pc)
+    _, directions = _solution_space(P.B, P.U, pc)
     assert directions == []
     w = brute_force_witness(P, pc)
     assert w is not None
@@ -430,7 +437,7 @@ def test_brute_force_over_a_large_prime_field_with_a_free_coordinate():
     F = field_make("GF(2305843009213693951)")
     pc = pair_context(parse_poly(F, "t^2-1"), parse_poly(F, "(t+4)*(t+6)"))
     P = symplectic_extension(companion(parse_poly(F, "t-5")))
-    assert len(_solution_space(P.B.inverse(), P.U, pc)[1]) == 1
+    assert len(_solution_space(P.B, P.U, pc)[1]) == 1
     start = time.monotonic()
     w = brute_force_witness(P, pc)
     assert time.monotonic() - start < 1.0
@@ -461,6 +468,72 @@ def test_brute_force_rejects_a_pair_over_another_field(F3):
             brute_force_witness(P, pc)
 
 
+def test_brute_force_rejects_a_gram_that_is_not_alternating(F2, F3):
+    # the k-equation system needs B alternating; a singular Gram still
+    # raises from the inverse, and an invertible Gram that is not
+    # alternating raises instead of returning a witness that
+    # verify_witness rejects
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    with pytest.raises(SingularMatrix):
+        brute_force_witness(SymplecticPair(Mat.zeros(F3, 2), Mat.zeros(F3, 2)), pc)
+    for ctx, gram, pt in [
+        (F2, [[1, 0], [0, 1]], "t^2"),  # symmetric is skew in char 2
+        (F3, [[0, 1], [1, 0]], "t^2-1"),
+    ]:
+        pc = pair_context(parse_poly(ctx, pt), parse_poly(ctx, pt))
+        P = SymplecticPair(Mat.from_ints(ctx, gram), Mat.zeros(ctx, 2))
+        with pytest.raises(InvalidPair):
+            brute_force_witness(P, pc)
+
+
+def test_brute_force_without_b_u_alternating_returns_none_at_once(F3, monkeypatch):
+    # B*U = B*U1 - B*U2 is alternating for every witness, so a U without it
+    # has none, and the linear system is not even built
+    monkeypatch.setattr(witness, "_solution_space", lambda *a: pytest.fail("built"))
+    pc = pair_context(parse_poly(F3, "t^2"), parse_poly(F3, "t^2"))
+    B = symplectic_extension(Mat.zeros(F3, 2)).B
+    U = Mat.from_ints(F3, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+    assert not is_alternating(B @ U)
+    assert brute_force_witness(SymplecticPair(B, U), pc) is None
+
+
+def _congruent_instances(ctx, pair_dim, count, seed):
+    """``count`` seeded sweep instances moved by a random change of basis
+    T: (T^T * B * T, T^{-1} * U * T), whose Gram is not the standard one."""
+    rng = random.Random(seed)
+    elements = list(ctx.elements())
+    for pc, P in _sampled_instances(ctx, pair_dim, count, seed):
+        T = Mat.zeros(ctx, pair_dim)
+        while not T.is_invertible():
+            T = Mat(ctx, [[rng.choice(elements) for _ in range(pair_dim)]
+                          for _ in range(pair_dim)])
+        yield pc, SymplecticPair(T.transpose() @ P.B @ T, T.inverse() @ P.U @ T)
+
+
+def test_alternating_system_matches_the_n2_system(F2, F3, F5):
+    # the k strict-upper equations give the same (base, directions) as the
+    # n^2 entries of q(U1 - U), or None with them: the consistent systems
+    # have one solution set, and an rref depends only on it and the
+    # column order
+    F4 = field_make("GF(4)|t^2+t+1")
+    F9 = field_make("GF(9)|t^2+1")
+
+    def consistent(instances):
+        spaces = [
+            (_solution_space(P.B, P.U, pc), _n2_solution_space(P.B.inverse(), P.U, pc))
+            for pc, P in instances
+        ]
+        assert all(new == old for new, old in spaces)
+        return sum(new is not None for new, _ in spaces)
+
+    assert consistent(_sweep_instances(F3, 4)) == 810
+    assert consistent(_sweep_instances(F2, 6)) == 148
+    for ctx, seed in [(F5, 5), (F4, 4), (F9, 9)]:
+        for pair_dim, count in [(2, 60), (4, 30), (6, 6)]:
+            instances = _congruent_instances(ctx, pair_dim, count, seed)
+            assert consistent(instances) > count // 2
+
+
 def test_brute_force_candidate_cap(F5):
     # 5^28 alternating Grams in dimension 8 do not fit the int64 index
     pc = pair_context(parse_poly(F5, "t^2"), parse_poly(F5, "t^2"))
@@ -478,7 +551,7 @@ def test_candidate_cap_counts_only_the_solution_space(F5):
     pc = pair_context(parse_poly(F5, "t^2-1"), parse_poly(F5, "t^2-1"))
     v = Mat.scalar(F5, 4, 2)
     P = symplectic_extension(v)
-    assert _solution_space(P.B.inverse(), P.U, pc)[1] == []
+    assert _solution_space(P.B, P.U, pc)[1] == []
     w = compose_witness(v, pc, bound=8)
     assert w is not None and verify_witness(w, pc).ok
 
