@@ -57,16 +57,20 @@ def _emit(obj) -> None:
 
 
 def _load_json(text: str):
-    if text == "-":
-        return json.load(sys.stdin)
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+    """JSON from stdin ('-'), a file path, or inline text.  A source that
+    cannot be read or parsed (a directory, binary data, deep nesting) is a
+    usage error."""
     try:
+        if text == "-":
+            return json.load(sys.stdin)
+        if os.path.exists(text):
+            with open(text, "r", encoding="utf-8") as fh:
+                return json.load(fh)
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        shown = text if len(text) <= 80 else text[:77] + "..."
         raise _UsageError(
-            f"{text!r} is neither a file, '-', nor valid inline JSON: {exc}"
+            f"no valid JSON in {shown!r} (a file, '-', or inline JSON): {exc}"
         ) from None
 
 

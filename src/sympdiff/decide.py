@@ -345,167 +345,122 @@ def special_quadratic(pctx: PairCtx) -> Poly:
 
 def _regular_evidence(pctx: PairCtx, factors: Sequence[Poly]):
     out = []
-    ok = True
     failing = None
     for f in factors:
         r = _strip_supported(f, pctx.F)
         rep = decompose_base_sigma(r, pctx.delta)
-        good = rep is not None
         out.append(
             RegularEvidence(
                 factor=str(f),
                 regular_factor=str(r),
                 base_sigma=None if rep is None else str(rep),
-                ok=good,
+                ok=rep is not None,
             )
         )
-        if not good and failing is None:
+        if rep is None and failing is None:
             failing = (
                 f"regular part {r} of invariant factor {f} is not a "
                 f"polynomial in t^2-({_fmt(pctx.ctx, pctx.delta)})*t"
             )
-            ok = False
-    return tuple(out), ok, failing
+    return tuple(out), failing
 
 
-def _odd_size_violations(factors: Sequence[Poly], g: Poly, m: int):
-    """The exact cell counts of g among the factors, and the odd sizes
-    whose count is not a multiple of m."""
-    cells = exact_cell_counts(count_sequence(factors, g))
-    return cells, [k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % m]
+def _intertwined_parts(factors: Sequence[Poly], pairs, shift: int):
+    """The ``shift``-intertwining criterion on the count sequences of g and
+    h among the factors, for each (g, h, at, partner) in ``pairs``."""
+    details, failing = [], None
+    for g, h, at, partner in pairs:
+        a, b = list(count_sequence(factors, g)), list(count_sequence(factors, h))
+        good = intertwined(a, b, shift)
+        details.append(
+            {"at": at, "partner": partner, "counts": a, "partner_counts": b, "ok": good}
+        )
+        if not good and failing is None:
+            failing = (
+                f"count sequences {a} at {at} and {b} at {partner} are not "
+                f"{shift}-intertwined"
+            )
+    return {
+        "criterion": f"{shift}-intertwined count sequences at each pair",
+        "pairs": details,
+    }, failing
+
+
+def _even_parts(factors: Sequence[Poly], targets, m: int):
+    """For each (g, at) in ``targets``: the exact cell counts of g among the
+    factors, whose odd-size entries must be multiples of m."""
+    details, failing = [], None
+    for g, at in targets:
+        cells = exact_cell_counts(count_sequence(factors, g))
+        bad = [k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % m]
+        details.append(
+            {"at": at, "cell_counts": list(cells), "odd_size_violations": bad,
+             "ok": not bad}
+        )
+        if bad and failing is None:
+            failing = (
+                f"{cells[bad[0] - 1]} cells of odd size {bad[0]} at {at}; "
+                f"a multiple of {m} is required"
+            )
+    return {
+        "criterion": f"odd-size cell counts at each target are multiples of {m}",
+        "parts": details,
+    }, failing
+
+
+def _even_targets(pctx: PairCtx):
+    """The (prime, label) targets of the evenness families: t - z for each
+    in-field translation shift z, or the special quadratic; None for the
+    other families."""
+    ctx = pctx.ctx
+    if pctx.case.family is Family.IRR_SAME_FIELD:
+        return [(_linear(ctx, z), _fmt(ctx, z)) for z in pctx.case.zs]
+    if pctx.case.family is Family.IRR_DISTINCT_SPECIAL:
+        g = special_quadratic(pctx)
+        return [(g, str(g))]
+    return None
 
 
 def _exceptional_evidence(pctx: PairCtx, factors: Sequence[Poly]):
     family = pctx.case.family
     ctx = pctx.ctx
     if family.always_yes:
-        return {"criterion": "none (always satisfied)"}, True, None
+        return {"criterion": "none (always satisfied)"}, None
     if family in ROOT_PAIR_SHIFT:
+        orbits, fixed = _root_orbits(pctx)
+        pairs = [
+            (_linear(ctx, z), _linear(ctx, w), _fmt(ctx, z), _fmt(ctx, w))
+            for z, w in orbits
+        ]
         shift = ROOT_PAIR_SHIFT[family]
-        pairs, fixed = _root_orbits(pctx)
-        details = []
-        ok = True
-        failing = None
-        for z, w in pairs:
-            a = count_sequence(factors, _linear(ctx, z))
-            b = count_sequence(factors, _linear(ctx, w))
-            good = intertwined(a, b, shift)
-            details.append(
-                {
-                    "at": _fmt(ctx, z),
-                    "partner": _fmt(ctx, w),
-                    "counts": list(a),
-                    "partner_counts": list(b),
-                    "ok": good,
-                }
-            )
-            if not good and failing is None:
-                failing = (
-                    f"Jordan count sequences {list(a)} at {_fmt(ctx, z)} and "
-                    f"{list(b)} at {_fmt(ctx, w)} are not {shift}-intertwined"
-                )
-                ok = False
-        return (
-            {
-                "criterion": f"{shift}-intertwined Jordan counts on root pairs",
-                "pairs": details,
-                "unconstrained_fixed_points": [_fmt(ctx, z) for z in fixed],
-            },
-            ok,
-            failing,
-        )
-    if family is Family.IRR_SPLIT_NEQ:
-        y1, y2 = pctx.case.ys
-        g1 = pctx.p_norm.translate(y1)
-        g2 = pctx.p_norm.translate(y2)
-        a = count_sequence(factors, g1)
-        b = count_sequence(factors, g2)
-        good = intertwined(a, b, 1)
-        failing = None
-        if not good:
-            failing = (
-                f"primary count sequences {list(a)} at {g1} and {list(b)} "
-                f"at {g2} are not 1-intertwined"
-            )
-        return (
-            {
-                "criterion": "1-intertwined primary counts at the two "
-                "translates of p",
-                "translates": [str(g1), str(g2)],
-                "counts": list(a),
-                "partner_counts": list(b),
-            },
-            good,
-            failing,
-        )
-    if family is Family.IRR_SAME_FIELD:
-        details = []
-        ok = True
-        failing = None
-        for z in pctx.case.zs:
-            cells, bad = _odd_size_violations(factors, _linear(ctx, z), 2)
-            details.append(
-                {
-                    "shift": _fmt(ctx, z),
-                    "cell_counts": list(cells),
-                    "odd_size_violations": bad,
-                    "ok": not bad,
-                }
-            )
-            if bad and failing is None:
-                failing = (
-                    f"{cells[bad[0] - 1]} Jordan cells of odd size {bad[0]} "
-                    f"at eigenvalue {_fmt(ctx, z)}; an even count is required"
-                )
-                ok = False
-        return (
-            {
-                "criterion": "even count of each odd Jordan cell size at "
-                "every in-field translation shift",
-                "shifts": details,
-            },
-            ok,
-            failing,
-        )
-    if family is Family.IRR_DISTINCT_SPECIAL:
-        g = special_quadratic(pctx)
-        cells, bad = _odd_size_violations(factors, g, 2)
-        failing = None
-        if bad:
-            failing = (
-                f"{cells[bad[0] - 1]} invariant factors with {g}-primary "
-                f"part of odd exponent {bad[0]}; an even count is required"
-            )
-        return (
-            {
-                "criterion": "even multiplicity of each odd power of the "
-                "special quadratic among invariant factors",
-                "quadratic": str(g),
-                "exact_multiplicities": list(cells),
-                "odd_exponent_violations": bad,
-            },
-            not bad,
-            failing,
-        )
-    raise ConstructionInvariantViolated(f"unhandled family {family}")
+    elif family is Family.IRR_SPLIT_NEQ:
+        g1, g2 = (pctx.p_norm.translate(y) for y in pctx.case.ys)
+        pairs, fixed, shift = [(g1, g2, str(g1), str(g2))], [], 1
+    else:
+        targets = _even_targets(pctx)
+        if targets is None:
+            raise ConstructionInvariantViolated(f"unhandled family {family}")
+        return _even_parts(factors, targets, 2)
+    evidence, failing = _intertwined_parts(factors, pairs, shift)
+    evidence["unconstrained_fixed_points"] = [_fmt(ctx, z) for z in fixed]
+    return evidence, failing
 
 
 def _decide(pctx: PairCtx, factors: Tuple[Poly, ...], dimension: int) -> DecisionReport:
     """The decision for an extension S(v) of the given dimension from the
     invariant factors of v."""
-    regular, reg_ok, reg_fail = _regular_evidence(pctx, factors)
-    exceptional, exc_ok, exc_fail = _exceptional_evidence(pctx, factors)
-    failing = reg_fail if reg_fail is not None else exc_fail
+    regular, reg_fail = _regular_evidence(pctx, factors)
+    exceptional, exc_fail = _exceptional_evidence(pctx, factors)
     return DecisionReport(
-        ok=reg_ok and exc_ok,
-        regular_ok=reg_ok,
-        exceptional_ok=exc_ok,
+        ok=reg_fail is None and exc_fail is None,
+        regular_ok=reg_fail is None,
+        exceptional_ok=exc_fail is None,
         case=pctx.case,
         dimension=dimension,
         invariant_factors=factors,
         regular=regular,
         exceptional=exceptional,
-        failing_evidence=failing,
+        failing_evidence=reg_fail if reg_fail is not None else exc_fail,
     )
 
 
@@ -517,60 +472,22 @@ def decide_extension(v: Mat, pctx: PairCtx) -> DecisionReport:
     return _decide(pctx, invariant_factors(v).factors, v.rows)
 
 
-def _pair_level_mod4(pctx: PairCtx, factors: Sequence[Poly]):
-    """Evenness criteria recomputed on the pair's own (doubled) invariant
-    factors: the relevant counts must be multiples of 4."""
-    ctx = pctx.ctx
-    family = pctx.case.family
-    if family is Family.IRR_SAME_FIELD:
-        details = []
-        ok = True
-        for z in pctx.case.zs:
-            cells, bad = _odd_size_violations(factors, _linear(ctx, z), 4)
-            details.append(
-                {
-                    "shift": _fmt(ctx, z),
-                    "cell_counts": list(cells),
-                    "odd_size_violations": bad,
-                }
-            )
-            ok = ok and not bad
-        return ok, {
-            "criterion": "odd-size Jordan cell counts at in-field shifts "
-            "are multiples of 4",
-            "shifts": details,
-        }
-    if family is Family.IRR_DISTINCT_SPECIAL:
-        g = special_quadratic(pctx)
-        cells, bad = _odd_size_violations(factors, g, 4)
-        return (
-            not bad,
-            {
-                "criterion": "odd-power multiplicities of the special "
-                "quadratic are multiples of 4",
-                "quadratic": str(g),
-                "exact_multiplicities": list(cells),
-                "odd_exponent_violations": bad,
-            },
-        )
-    return None, None
-
-
 def decide_pair(P: SymplecticPair, pctx: PairCtx) -> DecisionReport:
     """Decide a symplectic pair: halve the doubled invariant factors of U,
     which are those of the v with P isometric to S(v), decide from them,
-    and cross-check the pair-level multiple-of-4 criteria where the family
-    has one."""
+    and, in the evenness families, cross-check that the pair's own odd-size
+    cell counts are multiples of 4."""
     inv = require_valid(P.B, P.U).invariant_factors
     if P.ctx != pctx.ctx:
         raise MixedFieldContexts(f"{P.ctx} vs {pctx.ctx}")
     report = _decide(pctx, inv.doubled_halves(), inv.dimension // 2)
-    pair_ok, pair_ev = _pair_level_mod4(pctx, inv.factors)
-    if pair_ok is None:
+    targets = _even_targets(pctx)
+    if targets is None:
         return report
-    if pair_ok != report.exceptional_ok:
+    pair_level, pair_fail = _even_parts(inv.factors, targets, 4)
+    if (pair_fail is None) != report.exceptional_ok:
         raise ConstructionInvariantViolated(
             "pair-level multiple-of-4 criterion disagrees with the halved "
-            f"extension decision: {pair_ev}"
+            f"extension decision: {pair_level}"
         )
-    return replace(report, pair_level=pair_ev)
+    return replace(report, pair_level=pair_level)

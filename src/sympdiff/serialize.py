@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
-from .decide import CaseTag, DecisionReport, PairCtx
+from .decide import CaseTag, DecisionReport, PairCtx, _fmt
 from .errors import SerializationError
 from .exprparse import parse_poly, parse_scalar
 from .fields import FieldCtx, field_make, field_spec
@@ -86,9 +86,7 @@ def decode_scalar(ctx: FieldCtx, obj) -> Any:
             raise SerializationError(
                 f"rational-function scalar missing {exc}"
             ) from None
-        num = tuple(c % ctx.p for c in _int_coeffs(num, obj))
-        den = tuple(c % ctx.p for c in _int_coeffs(den, obj))
-        return ctx._canon(num, den)
+        return ctx.from_polys(_int_coeffs(num, obj), _int_coeffs(den, obj))
     raise SerializationError(f"cannot decode {obj!r} as a scalar over {ctx}")
 
 
@@ -212,14 +210,11 @@ def decode_witness(obj, ctx: Optional[FieldCtx] = None) -> Witness:
 
 
 def encode_case_tag(tag: CaseTag, ctx: FieldCtx) -> Dict[str, Any]:
-    def fmt(x):
-        return str(Poly.constant(ctx, x))
-
     return {
         "family": tag.family.value,
         "swapped": tag.swapped,
-        "ys": None if tag.ys is None else [fmt(y) for y in tag.ys],
-        "zs": None if tag.zs is None else [fmt(z) for z in tag.zs],
+        "ys": None if tag.ys is None else [_fmt(ctx, y) for y in tag.ys],
+        "zs": None if tag.zs is None else [_fmt(ctx, z) for z in tag.zs],
     }
 
 

@@ -361,6 +361,69 @@ def test_malformed_arguments_are_structured_errors(capsys, argv, error_type):
     assert json.loads(out)["error"]["type"] == error_type
 
 
+def test_ratfunc_pair_with_untrimmed_scalars_is_decided(capsys):
+    # {"num": [3], "den": [1]} is zero over GF(3)(s): B is alternating
+    pair = ('{"B": {"entries": [[{"num": [3], "den": [1]}, 2], [1, 0]]},'
+            ' "U": {"entries": [[0, 0], [0, 0]]}}')
+    code, out = run(capsys, ["decide", "--field", "GF(3)(s)", *_PQ, "--pair", pair])
+    assert code == 2
+    assert json.loads(out)["verdict"] == "no"
+
+
+def _usage_error(capsys, argv):
+    code, out = run(capsys, argv)
+    assert code == 1
+    return json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("flag", ["--pair", "--witness", "--v"])
+def test_invalid_json_file_is_a_usage_error(capsys, tmp_path, flag):
+    path = tmp_path / "bad.json"
+    path.write_text('{"B": ', encoding="utf-8")
+    command = "verify" if flag == "--witness" else "decide"
+    err = _usage_error(capsys, [command, "--field", "GF(3)", *_PQ, flag, str(path)])
+    assert err["type"] == "_UsageError" and "bad.json" in err["message"]
+
+
+def test_invalid_json_on_stdin_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
+    err = _usage_error(capsys, ["decide", "--field", "GF(3)", *_PQ, "--pair", "-"])
+    assert err["type"] == "_UsageError"
+
+
+def test_directory_path_is_a_usage_error(capsys, tmp_path):
+    err = _usage_error(capsys, ["decide", "--field", "GF(3)", *_PQ, "--pair", str(tmp_path)])
+    assert err["type"] == "_UsageError"
+
+
+def test_binary_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "pair.bin"
+    path.write_bytes(bytes(range(128, 256)))
+    err = _usage_error(capsys, ["decide", "--field", "GF(3)", *_PQ, "--pair", str(path)])
+    assert err["type"] == "_UsageError"
+
+
+def test_unreadable_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    import sympdiff.cli as cli
+
+    path = tmp_path / "pair.json"
+    path.write_text("{}", encoding="utf-8")
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    # chmod cannot stop a superuser from reading, so the refusal is simulated
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    err = _usage_error(capsys, ["decide", "--field", "GF(3)", *_PQ, "--pair", str(path)])
+    assert err["type"] == "_UsageError" and "Permission denied" in err["message"]
+
+
+def test_deeply_nested_inline_json_is_a_usage_error(capsys):
+    err = _usage_error(capsys, ["decide", "--field", "GF(3)", *_PQ, "--pair", "[" * 100000])
+    assert err["type"] == "_UsageError"
+    assert len(err["message"]) < 400  # the inline text is shown truncated
+
+
 def test_selftest_exit_code_tracks_results(capsys, monkeypatch):
     import sympdiff.acceptance as acceptance
 

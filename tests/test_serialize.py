@@ -5,15 +5,16 @@ json.dumps and carries the expected keys.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from sympdiff.atlas import indecomposable_reps
 from sympdiff.decide import decide_extension, decide_pair, pair_context
-from sympdiff.errors import SerializationError
+from sympdiff.errors import DivisionByZero, SerializationError
 from sympdiff.exprparse import parse_poly, parse_scalar
 from sympdiff.fields import field_make, field_spec
-from sympdiff.linalg import companion
+from sympdiff.linalg import companion, direct_sum
 from sympdiff.oracle import oracle_sweep
 from sympdiff.serialize import (
     decode_mat,
@@ -80,6 +81,19 @@ def test_scalar_round_trip_ratfunc(F2s):
     # non-canonical input is reduced on decode: (s^2+s)/(s+1) == s
     messy = {"num": [0, 1, 1], "den": [1, 1]}
     assert decode_scalar(F2s, messy) == s
+
+
+def test_ratfunc_decode_is_canonical(F2s):
+    # untrimmed coefficient lists decode to the canonical scalar
+    assert decode_scalar(F2s, {"num": [1, 0], "den": [1]}) == F2s.one
+    assert decode_scalar(F2s, {"num": [0, 1], "den": [1, 0, 0]}) == F2s.gen
+    F3s = field_make("GF(3)(s)")
+    zero = decode_scalar(F3s, {"num": [3], "den": [1]})
+    assert F3s.is_zero(zero) and zero == F3s.zero
+    with pytest.raises(DivisionByZero):
+        decode_scalar(F2s, {"num": [1], "den": [0]})
+    with pytest.raises(DivisionByZero):
+        decode_scalar(F3s, {"num": [1], "den": [3, 6]})
 
 
 def test_scalar_grammar_strings_accepted(F5, F2s):
@@ -238,6 +252,34 @@ def test_decision_report_encoding(F3):
     assert obj["invariant_factors"] == ["t^2+2"]
     assert obj["case"]["family"] == "irreducible-same-splitting-field"
     assert obj["regular"][0]["ok"] is True
+
+
+_GOLDENS = json.loads(
+    (Path(__file__).with_name("decision_goldens.json")).read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "case", _GOLDENS, ids=[f"{c['shape']}-{c['report']['verdict']}" for c in _GOLDENS]
+)
+def test_decision_report_goldens(case):
+    """One YES and one NO pair in each constrained evidence shape: the
+    encoded pair decision is pinned, the extension decision is the same
+    without ``pair_level``, and ``pair_level`` checks the same targets as
+    the exceptional evidence."""
+    ctx = field_make(case["field"])
+    pctx = pair_context(parse_poly(ctx, case["p"]), parse_poly(ctx, case["q"]))
+    v = direct_sum(*(companion(parse_poly(ctx, f)) for f in case["v"]))
+    obj = encode_decision_report(decide_pair(symplectic_extension(v), pctx), pctx)
+    assert obj == case["report"]
+    ext = encode_decision_report(decide_extension(v, pctx), pctx)
+    assert ext == {**obj, "pair_level": None}
+    if "parts" in obj["exceptional"]:
+        assert [part["at"] for part in obj["pair_level"]["parts"]] == [
+            part["at"] for part in obj["exceptional"]["parts"]
+        ]
+    else:
+        assert obj["pair_level"] is None
 
 
 def test_validity_and_verification_report_encoding(F3):
