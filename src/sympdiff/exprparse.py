@@ -37,7 +37,12 @@ def _tokenize(text: str):
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
         if m.group(1):
-            tokens.append(("int", int(m.group(1))))
+            try:
+                tokens.append(("int", int(m.group(1))))
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError(
+                    f"integer literal of {len(m.group(1))} digits at position {m.start(1)}"
+                ) from None
         elif m.group(2):
             tokens.append(("var", m.group(2)))
         elif m.group(3):

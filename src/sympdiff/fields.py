@@ -581,6 +581,13 @@ def _prime_power(n: int):
     return None
 
 
+def _spec_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's digit limit
+        raise FieldSpecError(f"a {len(digits)}-digit number in a field spec") from None
+
+
 def field_make(spec: str) -> FieldCtx:
     """Build a field context from a specification string.
 
@@ -598,11 +605,11 @@ def field_make(spec: str) -> FieldCtx:
         return RationalField()
     m = _GF_RATF_RE.match(spec)
     if m:
-        return RationalFunctionField(int(m.group(1)))
+        return RationalFunctionField(_spec_int(m.group(1)))
     m = _GF_RE.match(spec)
     if m:
-        n = int(m.group(1))
-        k = int(m.group(2)) if m.group(2) else 1
+        n = _spec_int(m.group(1))
+        k = _spec_int(m.group(2)) if m.group(2) else 1
         if k == 1 and _is_prime(n):
             return PrimeField(n)
         if k == 1 and _prime_power(n) is None:
@@ -612,8 +619,8 @@ def field_make(spec: str) -> FieldCtx:
         )
     m = _GF_MOD_RE.match(spec)
     if m:
-        n = int(m.group(1))
-        k_in = int(m.group(2)) if m.group(2) else None
+        n = _spec_int(m.group(1))
+        k_in = _spec_int(m.group(2)) if m.group(2) else None
         if k_in is not None:
             p, k = n, k_in
             if not _is_prime(p):

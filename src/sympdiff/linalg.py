@@ -7,8 +7,8 @@ similarity testing, Jordan / primary multiplicities, and the Fitting split.
 Invariant factors come from Krylov chains e, Me, M^2 e, ... built with field
 arithmetic only: the relations that close the chains form a small
 upper-triangular matrix over ``F[t]`` presenting the same module as
-``tI - M``, and only that k x k matrix (k = number of chains) is brought to
-Smith normal form.
+``tI - M``.  Elementary operations bring that k x k matrix (k = number of
+chains) to a diagonal, and gcd/lcm of its entries give the Smith diagonal.
 
 Matrix products and polynomial evaluation over prime fields go through
 numpy int64 (exact: the entry bound is checked against the int64 range); a
@@ -145,9 +145,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def col(self, j) -> tuple:
-        return tuple(row[j] for row in self.entries)
 
     def take_cols(self, indices) -> "Mat":
         return Mat(self.ctx, [[row[j] for j in indices] for row in self.entries])
@@ -573,15 +570,15 @@ def _divisibility_chain(orders: List[tuple], ops) -> List[tuple]:
     return d
 
 
-def _smith_diagonal(grid: List[List[tuple]], ops) -> List[tuple]:
-    """Monic diagonal of the Smith normal form of a nonsingular square
-    matrix over F[t] (entries as coefficient tuples), in divisibility order.
+def _diagonalize(grid: List[List[tuple]], ops) -> List[tuple]:
+    """A diagonal reached from a nonsingular square matrix over F[t]
+    (entries as coefficient tuples) by elementary row and column
+    operations, which keep its Smith form; unordered and not monic.
 
     Each pass moves a minimal-degree entry of the trailing block to the
-    pivot (row-major tie-break) and divides it into its row and column;
-    once both are clear, a row holding an entry the pivot does not divide
-    is added to the pivot row.  A pass that leaves a remainder lowers the
-    pivot degree, so the loop ends.
+    pivot (row-major tie-break) and divides it into its column; once the
+    column is clear, it divides it into its row.  A pass that leaves a
+    remainder lowers the pivot degree, so the loop ends.
     """
     submul, pdiv = ops.submul, ops.divmod
     n = len(grid)
@@ -614,20 +611,9 @@ def _smith_diagonal(grid: List[List[tuple]], ops) -> List[tuple]:
             # column k is clear but for the pivot, so a column operation
             # changes row k only: each entry becomes its remainder
             rowk[k + 1:] = [e and pdiv(e, piv)[1] for e in rowk[k + 1:]]
-            if any(rowk[k + 1:]):
-                continue
-            offender = next(
-                (
-                    row
-                    for row in grid[k + 1:]
-                    if any(e and pdiv(e, piv)[1] for e in row[k + 1:])
-                ),
-                None,
-            )
-            if offender is None:
+            if not any(rowk[k + 1:]):
                 break
-            grid[k] = [ops.add(a, b) for a, b in zip(rowk, offender)]
-    return [ops.monic(grid[k][k]) for k in range(n)]
+    return [grid[k][k] for k in range(n)]
 
 
 def invariant_factors(M: Mat) -> InvFactors:
@@ -635,10 +621,9 @@ def invariant_factors(M: Mat) -> InvFactors:
     chains (:func:`_relation_matrix`), which presents the same F[t]-module
     as tI - M.
 
-    A diagonal R (no entries above the diagonal) gives them by gcd/lcm of
-    the chains' closing polynomials, and R = [[g1, h], [0, g2]] has Smith
-    diagonal (d, g1*g2/d) with d = gcd(g1, h, g2); any other R goes through
-    :func:`_smith_diagonal`.
+    An R with entries above the diagonal is first brought to a diagonal by
+    :func:`_diagonalize`; the Smith diagonal of a diagonal matrix is its
+    gcd/lcm divisibility chain (:func:`_divisibility_chain`).
     """
     M._square()
     ctx = M.ctx
@@ -647,21 +632,14 @@ def invariant_factors(M: Mat) -> InvFactors:
         return InvFactors(ctx, (), 0)
     ops = poly_ops(ctx)
     diag, above = _relation_matrix(M)
-    k = len(diag)
-    if not above:
-        chain = _divisibility_chain(diag, ops)
-    elif k == 2:
-        (g1, g2), h = diag, above[0, 1]
-        d = ops.gcd(g2, ops.gcd(g1, h))
-        chain = [d, ops.mul(ops.divmod(g1, d)[0] if len(d) > 1 else g1, g2)]
-    else:
-        chain = _smith_diagonal(
-            [
-                [diag[i] if i == j else above.get((i, j), ()) for j in range(k)]
-                for i in range(k)
-            ],
-            ops,
-        )
+    if above:
+        k = len(diag)
+        grid = [
+            [diag[i] if i == j else above.get((i, j), ()) for j in range(k)]
+            for i in range(k)
+        ]
+        diag = [ops.monic(e) for e in _diagonalize(grid, ops)]
+    chain = _divisibility_chain(diag, ops)
     return InvFactors(ctx, tuple(Poly(ctx, e) for e in chain if len(e) > 1), n)
 
 

@@ -111,6 +111,8 @@ def _field_of(obj: Dict[str, Any], ctx: Optional[FieldCtx]) -> FieldCtx:
         if ctx is None:
             raise SerializationError("no 'field' key and no field context given")
         return ctx
+    if not isinstance(spec, str):
+        raise SerializationError(f"field spec {spec!r} is not a string")
     found = field_make(spec)
     if ctx is not None and found != ctx:
         raise SerializationError(f"field {spec!r} does not match expected {ctx}")

@@ -93,10 +93,6 @@ class WBlock:
     H: Mat
 
     @property
-    def d(self) -> int:
-        return self.r.degree
-
-    @property
     def dimension(self) -> int:
         return 4 * self.r.degree
 

@@ -338,6 +338,8 @@ def test_errors_are_structured_json(capsys):
 
 
 _PQ = ["--p", "t^2+1", "--q", "t^2+1"]
+_LONG = "1" * 4400  # past Python's 4,300-digit limit on int(str)
+_ZERO = {"field": {}, "entries": [[0, 0], [0, 0]]}
 
 
 @pytest.mark.parametrize("argv, error_type", [
@@ -354,6 +356,21 @@ _PQ = ["--p", "t^2+1", "--q", "t^2+1"]
       "--v", '{"rows": 1, "cols": 1, "entries": [[{"num": 5, "den": [1]}]]}'],
      "SerializationError"),
     (["classify", "--field", "Q", "--p", "t^100000000", "--q", "t^2"], "ParseError"),
+    (["decide", "--field", "GF(3)", *_PQ, "--v", f"companion:t+{_LONG}"],
+     "ParseError"),
+    (["classify", "--field", "GF(3)", "--p", f"t^{_LONG}", "--q", "t^2"],
+     "ParseError"),
+    (["decide", "--field", "GF(3)", *_PQ,
+      "--v", json.dumps({"entries": [[_LONG, 0], [0, 1]]})], "ParseError"),
+    (["classify", "--field", f"GF({'7' * 5000})", "--p", "t^2", "--q", "t^2"],
+     "FieldSpecError"),
+    (["decide", "--field", "GF(3)", *_PQ, "--pair", json.dumps({
+        "B": {"field": ["GF(3)"], "entries": [[0, 1], [2, 0]]},
+        "U": {"entries": [[0, 0], [0, 0]]},
+    })], "SerializationError"),
+    (["verify", "--field", "GF(3)", *_PQ, "--witness", json.dumps({
+        "B": {"entries": [[0, 1], [2, 0]]}, "U": _ZERO, "U1": _ZERO, "U2": _ZERO,
+    })], "SerializationError"),
 ])
 def test_malformed_arguments_are_structured_errors(capsys, argv, error_type):
     code, out = run(capsys, argv)

@@ -1,13 +1,16 @@
 """Source hygiene: no module of the package imports a name it never uses
-or imports again inside a function a module it imports at top level, and
-every module-level private function or class has a reference."""
+or imports again inside a function a module it imports at top level, every
+module-level private function or class has a reference, and every layer the
+benchmark's tracer wraps names a function or ``Mat`` method that exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sympdiff"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sympdiff"
 
 
 def unused_imports(tree: ast.Module):
@@ -143,3 +146,26 @@ def test_scan_finds_a_redundant_local_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_redundant_local_imports(path):
     assert redundant_local_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_tracing_layers_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # defines LAYERS; installs nothing
+    from sympdiff.linalg import Mat
+
+    missing = []
+    for module, attr, _ in tracing.LAYERS:
+        owner, _, name = attr.rpartition(".")
+        if owner == "Mat":
+            found = module == "linalg" and callable(getattr(Mat, name, None))
+        else:
+            found = callable(
+                getattr(importlib.import_module(f"sympdiff.{module}"), attr, None)
+            )
+        if not found:
+            missing.append(f"{module}.{attr}")
+    assert tracing.LAYERS
+    assert missing == []

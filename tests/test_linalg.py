@@ -3,13 +3,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sympdiff.errors import NotStable, SingularMatrix
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
 from sympdiff.linalg import (
     Mat,
+    _relation_matrix,
     companion,
     direct_sum,
     exact_cell_counts,
@@ -355,6 +356,45 @@ def oracle_matrices(draw):
     return _conjugate(D, [(i, j, c) for (i, j), c in ops])
 
 
+def _upper_shift(ctx, n):
+    """The nilpotent Jordan block with ones above the diagonal."""
+    return Mat(ctx, [[ctx.one if j == i + 1 else ctx.zero for j in range(n)]
+                     for i in range(n)])
+
+
+# matrices whose relation matrix has entries above the diagonal: the
+# upper-shift Jordan blocks (n chains, n - 1 units above), a 2 x 2
+# R = [[t^2, 2t], [0, t]] over GF(3), and R = [[t+1, 0, 1], [0, t, 1],
+# [0, 0, t]] over GF(2), where a pivot row keeps an entry the pivot does not
+# divide once its column is clear
+UPPER_SHIFTS = [
+    _upper_shift(ORACLE_CONTEXTS[i], n)
+    for i in (0, 1, 4, 6, 7)  # GF(2), GF(3), GF(4), Q, GF(2)(s)
+    for n in (2, 3, 6)
+]
+NONUNIT_ABOVE = Mat.from_ints(ORACLE_CONTEXTS[1], [[0, 0, 0], [0, 0, 0], [1, 1, 0]])
+ROW_REMAINDER = Mat.from_ints(ORACLE_CONTEXTS[0], [[1, 0, 1], [0, 0, 1], [0, 0, 0]])
+
+
+def test_example_shapes_have_entries_above_the_diagonal():
+    for M in UPPER_SHIFTS:
+        diag, above = _relation_matrix(M)
+        assert len(diag) == M.rows
+        assert sorted(above) == [(i, i + 1) for i in range(M.rows - 1)]
+        assert all(len(h) == 1 for h in above.values())
+    assert _relation_matrix(NONUNIT_ABOVE) == ([(0, 0, 1), (0, 1)], {(0, 1): (0, 2)})
+    assert _relation_matrix(ROW_REMAINDER) == (
+        [(1, 1), (0, 1), (0, 1)], {(0, 2): (1,), (1, 2): (1,)}
+    )
+
+
+def _with_examples(test):
+    for M in UPPER_SHIFTS + [NONUNIT_ABOVE, ROW_REMAINDER]:
+        test = example(M=M)(test)
+    return test
+
+
+@_with_examples
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(M=oracle_matrices())
 def test_invariant_factors_match_smith_form_of_tI_minus_M(M):

@@ -184,6 +184,9 @@ def test_poly_bad_objects(F3):
         decode_poly(42, F3)
     with pytest.raises(SerializationError):
         decode_poly({"coeffs": [1, 2]})  # no field key, no ctx
+    for spec in (["GF(3)"], {}, 3):
+        with pytest.raises(SerializationError, match="is not a string"):
+            decode_poly({"field": spec, "coeffs": [1, 1]}, F3)
 
 
 # ----------------------------------------------------------------------
