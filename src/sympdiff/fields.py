@@ -22,6 +22,7 @@ All context methods are total on canonical inputs except ``inv``/``div``
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -347,12 +348,19 @@ class PrimeField(FieldCtx):
         return hash(("GF", self.p))
 
 
+# cap on the products an ExtensionField context memoizes: every pair of
+# GF(p^k) up to GF(81) fits, larger fields memoize the first pairs met
+EXT_MUL_MEMO_MAX = 1 << 13
+
+
 class ExtensionField(FieldCtx):
     """GF(p^k) presented by an explicit monic irreducible modulus over GF(p).
 
     Scalars are length-``k`` int tuples ``(c0, ..., c_{k-1})`` for
     ``c0 + c1*g + ... + c_{k-1}*g^{k-1}`` where ``g`` is the class of ``t``
-    modulo the modulus.
+    modulo the modulus.  Products are memoized per context, filled as they
+    are met, up to ``EXT_MUL_MEMO_MAX`` pairs; the memo is left out of
+    equality, hashing and pickles.
     """
 
     kind = "extension"
@@ -380,6 +388,10 @@ class ExtensionField(FieldCtx):
         self.order = p ** k
         self.zero = (0,) * k
         self.one = tuple([1] + [0] * (k - 1))
+        self._mul_memo = {}
+
+    def __getstate__(self):
+        return {**self.__dict__, "_mul_memo": {}}
 
     def _pad(self, cs):
         return tuple(cs) + (0,) * (self.k - len(cs))
@@ -397,8 +409,14 @@ class ExtensionField(FieldCtx):
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        prod = _zmul(_ztrim(a), _ztrim(b), self.p)
-        return self._pad(_zdivmod(prod, self.modulus, self.p)[1])
+        memo = self._mul_memo
+        c = memo.get((a, b))
+        if c is None:
+            prod = _zmul(_ztrim(a), _ztrim(b), self.p)
+            c = self._pad(_zdivmod(prod, self.modulus, self.p)[1])
+            if len(memo) < EXT_MUL_MEMO_MAX:
+                memo[a, b] = c
+        return c
 
     def inv(self, a):
         ta = _ztrim(a)
@@ -563,8 +581,16 @@ _GF_RATF_RE = re.compile(r"^GF\((\d+)\)\(s\)$")
 
 
 def _iroot(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 1, by integer Newton iteration."""
-    x = 1 << -(-n.bit_length() // k)
+    """floor(n ** (1/k)) for n >= 1, by integer Newton iteration from above.
+
+    A float estimate of log2(n) / k puts the start within a factor
+    1 + 2^-30 of the root, so the iteration converges in a few steps even
+    for large k.
+    """
+    shift = max(n.bit_length() - 64, 0)
+    e = (math.log2(n >> shift) + shift) / k
+    whole = max(int(e) - 52, 0)
+    x = (int(2.0 ** (e - whole) * (1 + 2.0 ** -30)) + 1) << whole
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -573,12 +599,22 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _prime_power(n: int):
-    """(p, k) with n = p^k and p prime, or None."""
-    for k in range(max(n.bit_length() - 1, 1), 0, -1):
-        p = _iroot(n, k)
-        if p > 1 and p**k == n and _is_prime(p):
-            return p, k
-    return None
+    """(p, k) with n = p^k and p prime, or None.
+
+    Only prime exponents are tried: a root for k = ab is a root for a, then
+    for b.  An exact root replaces n, and the search goes on from the same
+    exponent: a root that is an a-th power for a smaller prime a would
+    make n one too.
+    """
+    k, e = 1, 2
+    while e < n.bit_length():
+        if _is_prime(e):
+            r = _iroot(n, e)
+            if r**e == n:
+                n, k = r, k * e
+                continue
+        e += 1
+    return (n, k) if n > 1 and _is_prime(n) else None
 
 
 def _spec_int(digits: str) -> int:

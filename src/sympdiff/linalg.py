@@ -14,7 +14,7 @@ Matrix products and polynomial evaluation over prime fields go through
 numpy int64 (exact: the entry bound is checked against the int64 range); a
 matrix keeps its array, so a chain of products converts each operand once.
 The chain elimination over prime fields runs on plain ints.  Everything else
-is pure Python.
+is pure Python; its products and Horner steps touch nonzero entries only.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class Mat:
     def zeros(cls, ctx, m, n=None):
         n = m if n is None else n
         z = ctx.zero
-        return cls(ctx, [[z] * n for _ in range(m)])
+        return cls(ctx, [[z] * n for _ in range(m)], cols=n)
 
     @classmethod
     def identity(cls, ctx, n):
@@ -204,19 +204,7 @@ class Mat:
             return Mat.zeros(ctx, self.rows, other.cols)
         if _numpy_exact(ctx, self.cols):
             return _from_np(ctx, (_to_np(self) @ _to_np(other)) % ctx.p)
-        add, mul, zero = ctx.add, ctx.mul, ctx.zero
-        bt = tuple(zip(*other.entries))
-        out = []
-        for ra in self.entries:
-            row = []
-            for cb in bt:
-                acc = zero
-                for x, y in zip(ra, cb):
-                    if x != zero and y != zero:
-                        acc = add(acc, mul(x, y))
-                row.append(acc)
-            out.append(row)
-        return Mat(ctx, out)
+        return Mat(ctx, _sparse_product(ctx, self.entries, other.entries, other.cols))
 
     def __pow__(self, e: int):
         self._square()
@@ -354,6 +342,27 @@ class Mat:
         return f"Mat({self.ctx!r}, {self.rows}x{self.cols})"
 
 
+def _sparse_product(ctx: FieldCtx, A, B, cols: int) -> List[list]:
+    """Rows of A @ B for entry grids A, B with B's width ``cols``.
+
+    Row i is the sum of A[i][j] * (row j of B) over the nonzero A[i][j] in
+    ascending j, with each row of B listed once as its nonzero (column,
+    entry) pairs.  Each entry adds the same products in the same order as
+    the inner product over the nonzero pairs, at 2 n^2 zero tests.
+    """
+    add, mul, zero = ctx.add, ctx.mul, ctx.zero
+    live = [[(j, y) for j, y in enumerate(rb) if y != zero] for rb in B]
+    out = []
+    for ra in A:
+        row = [zero] * cols
+        for x, rb in zip(ra, live):
+            if x != zero:
+                for j, y in rb:
+                    row[j] = add(row[j], mul(x, y))
+        out.append(row)
+    return out
+
+
 def direct_sum(*mats: Mat) -> Mat:
     if not mats:
         raise DimensionMismatch("direct_sum of nothing")
@@ -405,11 +414,13 @@ def mat_poly_eval(f: Poly, M: Mat) -> Mat:
             diag += c
             acc %= M.ctx.p
         return _from_np(M.ctx, acc)
-    acc = Mat.zeros(M.ctx, n)
-    ident = Mat.identity(M.ctx, n)
+    ctx = M.ctx
+    acc = Mat.zeros(ctx, n).entries
     for c in reversed(f.coeffs):
-        acc = acc @ M + ident.scale(c)
-    return acc
+        acc = _sparse_product(ctx, acc, M.entries, n)
+        for i, row in enumerate(acc):  # + c*I, on the diagonal only
+            row[i] = ctx.add(row[i], c)
+    return Mat(ctx, acc)
 
 
 # ----------------------------------------------------------------------

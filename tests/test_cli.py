@@ -269,20 +269,37 @@ def test_enumerate_emits_one_json_line_per_row(capsys):
         assert rep.rows == rep.cols == r["dim"] <= 2
 
 
-def test_oracle_cli_serial_and_parallel_agree(capsys):
-    code, out = run(capsys, ["oracle", "--field", "GF(2)", "--dim", "2"])
-    serial = json.loads(out)
-    assert code == 0
-    assert serial["ok"] is True
-    assert serial["total"] == 32  # 4 p's x 4 q's x 2 chains
+def test_oracle_cli_serial_and_parallel_agree(capsys, monkeypatch):
+    # the workers get the field context by pickle; over GF(4) that context
+    # memoizes its products
+    from sympdiff import cli
 
-    code, out = run(capsys, [
-        "oracle", "--field", "GF(2)", "--dim", "2", "--jobs", "2",
-    ])
-    parallel = json.loads(out)
-    assert code == 0
-    assert parallel["matrix"] == serial["matrix"]
-    assert parallel["total"] == serial["total"]
+    reports = []
+    encode = cli.ser.encode_sweep_report
+
+    def record(report):
+        reports.append([
+            (i.p, i.q, i.chain, i.decide_yes, i.brute_yes) for i in report.instances
+        ])
+        return encode(report)
+
+    monkeypatch.setattr(cli.ser, "encode_sweep_report", record)
+    # GF(2): 4 p's x 4 q's x 2 chains; GF(4): 16 x 16 x 4
+    for field, total in [("GF(2)", 32), ("GF(4)|t^2+t+1", 1024)]:
+        code, out = run(capsys, ["oracle", "--field", field, "--dim", "2"])
+        serial = json.loads(out)
+        assert code == 0
+        assert serial["ok"] is True
+        assert serial["total"] == total
+
+        code, out = run(capsys, [
+            "oracle", "--field", field, "--dim", "2", "--jobs", "2",
+        ])
+        parallel = json.loads(out)
+        assert code == 0
+        assert parallel["matrix"] == serial["matrix"]
+        assert parallel["total"] == serial["total"]
+        assert reports[-1] == reports[-2]
 
 
 def test_oracle_jobs_bounded_by_polys_and_cpus(capsys, monkeypatch):

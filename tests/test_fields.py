@@ -1,5 +1,7 @@
 """Field contexts: arithmetic laws, canonical forms, spec round-trips."""
 
+import itertools
+import pickle
 import time
 from fractions import Fraction
 
@@ -15,12 +17,15 @@ from sympdiff.errors import (
 )
 from sympdiff.exprparse import parse_scalar
 from sympdiff.fields import (
+    EXT_MUL_MEMO_MAX,
     RATFUNC_MAX_DEGREE,
     ExtensionField,
     PrimeField,
+    _prime_power,
     field_make,
     field_spec,
 )
+from sympdiff.poly import Poly
 
 
 def gf7_elems():
@@ -66,6 +71,48 @@ def test_extension_field_structure():
             lhs = ctx.mul(ctx.add(a, b), ctx.add(a, b))
             rhs = ctx.add(ctx.mul(a, a), ctx.mul(b, b))
             assert lhs == rhs
+
+
+def _unmemoized_product(ctx, a, b):
+    """a * b in GF(p^k) as polynomials over GF(p) modulo the modulus."""
+    Fp = PrimeField(ctx.p)
+    r = (Poly(Fp, a) * Poly(Fp, b)) % Poly(Fp, ctx.modulus)
+    return r.coeffs + (0,) * (ctx.k - len(r.coeffs))
+
+
+@pytest.mark.parametrize("spec", ["GF(4)|t^2+t+1", "GF(9)|t^2+1", "GF(27)|t^3+2*t+1"])
+def test_memoized_products_match_unmemoized(spec):
+    ctx = field_make(spec)
+    pairs = list(itertools.product(ctx.elements(), repeat=2))
+    want = [_unmemoized_product(ctx, a, b) for a, b in pairs]
+    for _ in range(2):  # the second pass reads the memo
+        assert [ctx.mul(a, b) for a, b in pairs] == want
+    assert len(ctx._mul_memo) == len(pairs) <= EXT_MUL_MEMO_MAX
+
+
+def test_product_memo_is_capped():
+    ctx = field_make("GF(256)|t^8+t^4+t^3+t+1")
+    elems = list(ctx.elements())
+    for a in elems:
+        for b in elems:
+            ctx.mul(a, b)
+    assert len(ctx._mul_memo) == EXT_MUL_MEMO_MAX < len(elems) ** 2
+    a, b = elems[-1], elems[-2]  # met after the memo filled up
+    assert (a, b) not in ctx._mul_memo
+    assert ctx.mul(a, b) == _unmemoized_product(ctx, a, b)
+
+
+def test_context_with_filled_memo_pickles():
+    ctx = field_make("GF(27)|t^3+2*t+1")
+    elems = list(ctx.elements())
+    for a in elems:
+        ctx.mul(a, elems[5])
+    clone = pickle.loads(pickle.dumps(ctx))
+    assert clone == ctx and hash(clone) == hash(ctx)
+    assert ctx._mul_memo and not clone._mul_memo  # the memo is not shipped
+    assert [clone.mul(a, elems[5]) for a in elems] == [
+        ctx.mul(a, elems[5]) for a in elems
+    ]
 
 
 def test_extension_field_rejects_reducible_modulus():
@@ -138,6 +185,24 @@ def test_large_prime_fields_build_quickly():
     ext = field_make(f"GF({m61 ** 2})|t^2+1")
     assert isinstance(ext, ExtensionField) and (ext.p, ext.k) == (m61, 2)
     assert time.monotonic() - start < 1.0
+
+
+def test_huge_composite_spec_is_rejected_quickly():
+    start = time.monotonic()
+    with pytest.raises(FieldSpecError):
+        field_make(f"GF({'7' * 4000})")
+    assert time.monotonic() - start < 1.0
+
+
+def test_prime_power_exponents():
+    m61 = 2**61 - 1
+    for p, k in [(2, 1), (2, 4), (3, 4), (2, 64), (3, 40), (7, 30), (m61, 6)]:
+        assert _prime_power(p**k) == (p, k)
+    for n in (0, 1, 6, 36, 6**10, 2**10 * 3**10, 10**12, m61**2 * 2):
+        assert _prime_power(n) is None
+    for spec, (p, k) in [("GF(16)|t^4+t+1", (2, 4)), ("GF(81)|t^4+t+2", (3, 4))]:
+        ctx = field_make(spec)
+        assert isinstance(ctx, ExtensionField) and (ctx.p, ctx.k) == (p, k)
 
 
 def test_strong_pseudoprime_is_rejected():

@@ -23,6 +23,7 @@ from sympdiff.linalg import (
 )
 from sympdiff.poly import Poly
 
+from matmul_reference import naive_poly_eval, naive_product
 from snf_reference import snf_invariant_factors
 
 
@@ -440,3 +441,85 @@ def test_rational_conjugate_at_n32(Q):
     mults = [Q.from_int(c) for c in (-2, -1, 1, 2)]
     M = _conjugate(D, _sweeps(32, 2, mults, seed=32))
     assert invariant_factors(M).factors == (a, b, c, d)
+
+
+# ----------------------------------------------------------------------
+# generic products and Horner steps against one inner product per entry
+# ----------------------------------------------------------------------
+
+KERNEL_CONTEXTS = [
+    field_make("Q"),
+    F4,
+    field_make("GF(27)|t^3+2*t+1"),
+    field_make("GF(2)(s)"),
+    field_make(f"GF({2**61 - 1})"),  # too wide for int64: the generic branch
+]
+
+
+def _random_scalar(ctx, rng):
+    if ctx.kind == "rationals":
+        return ctx.from_int(rng.randint(-9, 9)) / rng.randint(1, 4)
+    if ctx.kind == "extension":
+        return tuple(rng.randrange(ctx.p) for _ in range(ctx.k))
+    if ctx.kind == "ratfunc":
+        den = [rng.randrange(2) for _ in range(rng.randint(0, 2))] + [1]
+        return ctx.from_polys([rng.randrange(2) for _ in range(3)], den)
+    return rng.randrange(ctx.p)
+
+
+def _random_mat(ctx, rng, m, n, density):
+    return Mat(ctx, [
+        [_random_scalar(ctx, rng) if rng.random() < density else ctx.zero
+         for _ in range(n)]
+        for _ in range(m)
+    ], cols=n)
+
+
+def _kernel_shapes(ctx, rng):
+    """(A, B) pairs: rectangular, empty, all-zero, identity, dense, sparse."""
+    dense = _random_mat(ctx, rng, 5, 5, 1.0)
+    return [
+        (_random_mat(ctx, rng, 3, 5, 0.7), _random_mat(ctx, rng, 5, 2, 0.7)),
+        (_random_mat(ctx, rng, 0, 3, 1.0), _random_mat(ctx, rng, 3, 4, 1.0)),
+        (_random_mat(ctx, rng, 3, 0, 1.0), _random_mat(ctx, rng, 0, 4, 1.0)),
+        (_random_mat(ctx, rng, 3, 4, 1.0), _random_mat(ctx, rng, 4, 0, 1.0)),
+        (Mat.zeros(ctx, 3, 5), dense),
+        (Mat.identity(ctx, 5), dense),
+        (dense, Mat.identity(ctx, 5)),
+        (dense, _random_mat(ctx, rng, 5, 5, 1.0)),
+        (_random_mat(ctx, rng, 6, 6, 0.2), _random_mat(ctx, rng, 6, 6, 0.2)),
+    ]
+
+
+def _same_entries(got: Mat, want):
+    """Equal entry for entry, by == and by type."""
+    assert [list(row) for row in got.entries] == want
+    assert [[type(e) for e in row] for row in got.entries] == [
+        [type(e) for e in row] for row in want
+    ]
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=repr)
+def test_generic_product_matches_inner_products(ctx):
+    rng = random.Random(f"product:{ctx!r}")
+    for A, B in _kernel_shapes(ctx, rng):
+        P = A @ B
+        assert (P.rows, P.cols) == (A.rows, B.cols)
+        _same_entries(P, naive_product(A, B))
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=repr)
+def test_generic_horner_matches_inner_products(ctx):
+    rng = random.Random(f"horner:{ctx!r}")
+    squares = [
+        Mat.zeros(ctx, 0),
+        Mat.zeros(ctx, 3),
+        Mat.identity(ctx, 4),
+        _random_mat(ctx, rng, 5, 5, 1.0),
+        _random_mat(ctx, rng, 6, 6, 0.2),
+    ]
+    for M in squares:
+        for deg in (-1, 0, 1, 3):
+            f = Poly(ctx, [_random_scalar(ctx, rng) for _ in range(deg)]
+                     + [ctx.one] * (deg >= 0))
+            _same_entries(mat_poly_eval(f, M), naive_poly_eval(f, M))
