@@ -23,6 +23,7 @@ Exit codes: 0 success; 2 semantic NO (a NO verdict from ``decide`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -93,7 +94,10 @@ def _pair_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--q", required=True, help="monic quadratic q")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every request can share it."""
     parser = _Parser(prog="sympdiff", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 

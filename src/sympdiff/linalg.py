@@ -4,29 +4,36 @@ Provides the :class:`Mat` value class (immutable, tuple-backed), companion
 matrices, evaluation of polynomials at matrices, invariant factors,
 similarity testing, Jordan / primary multiplicities, and the Fitting split.
 
-Invariant factors come from Krylov chains e, Me, M^2 e, ... built with field
-arithmetic only: the relations that close the chains form a small
-upper-triangular matrix over ``F[t]`` presenting the same module as
-``tI - M``.  Elementary operations bring that k x k matrix (k = number of
-chains) to a diagonal, and gcd/lcm of its entries give the Smith diagonal.
+Invariant factors come from Krylov chains e, Me, M^2 e, ...: the relations
+that close the chains form a small upper-triangular matrix over ``F[t]``
+presenting the same module as ``tI - M``.  Elementary operations bring that
+k x k matrix (k = number of chains) to a diagonal, and gcd/lcm of its
+entries give the Smith diagonal.
 
 Matrix products and polynomial evaluation over prime fields go through
 numpy int64 (exact: the entry bound is checked against the int64 range); a
 matrix keeps its array, so a chain of products converts each operand once.
-The chain elimination over prime fields runs on plain ints.  Everything else
-is pure Python; its products and Horner steps touch nonzero entries only.
+The chain elimination runs on plain ints over prime fields, and
+fraction-free over Z and GF(p)[s] for Q and GF(p)(s): one content gcd per
+row operation instead of one gcd per scalar operation.  Over GF(p^k) it uses
+field arithmetic.  Everything else is pure Python; its products and Horner
+steps touch nonzero entries only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from operator import mul as _mul
+from fractions import Fraction
+from itertools import repeat
+from operator import add as _add, mul as _mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
 from .errors import (
     ConstructionInvariantViolated,
+    DegreeBoundExceeded,
     DimensionMismatch,
     MixedFieldContexts,
     NonMonic,
@@ -37,7 +44,15 @@ from .errors import (
     WrongDegree,
     ZeroPolynomial,
 )
-from .fields import FieldCtx
+from .fields import (
+    RATFUNC_MAX_DEGREE,
+    FieldCtx,
+    _zdivmod,
+    _zgcd,
+    _zmul,
+    _zneg,
+    _ztrim,
+)
 from .poly import Poly, is_irreducible, poly_ops
 
 
@@ -470,10 +485,20 @@ class InvFactors:
 
 
 def _vector_kernel(M: Mat):
-    """(reduce, scale, apply) on coordinate lists: w minus the multiples of
-    echelon rows that clear their pivot columns, c*v, and M @ x.  Over
-    GF(p) they run on plain ints."""
+    """(zero, one, reduce, push, apply, relation) for the chain loop of
+    :func:`_relation_matrix`.
+
+    reduce(w, echelon) clears w at the echelon's pivot columns, push(w, piv)
+    is the echelon row kept for w, apply(x) is the chain vector after x, and
+    relation(coords) turns the coordinate half of the vector that closes a
+    chain into the field coefficients of the chain's monic relation.  Over
+    GF(p) they run on plain ints, over Q and GF(p)(s) on integral vectors
+    (:func:`_ring_kernel`), elsewhere on field scalars with every echelon
+    row scaled to lead one.
+    """
     ctx, rows = M.ctx, M.entries
+    if ctx.kind in ("rationals", "ratfunc"):
+        return _ring_kernel(M)
     if ctx.kind == "prime":
         p = ctx.p
 
@@ -490,26 +515,169 @@ def _vector_kernel(M: Mat):
         def apply(x):
             return [sum(map(_mul, r, x)) % p for r in rows]
 
-        return reduce, scale, apply
-    zero, sub, mul = ctx.zero, ctx.sub, ctx.mul
+    else:
+        zero, sub, mul = ctx.zero, ctx.sub, ctx.mul
+
+        def reduce(w, echelon):
+            for c, row in echelon:
+                f = w[c]
+                if f != zero:
+                    w = [x if y == zero else sub(x, mul(f, y)) for x, y in zip(w, row)]
+            return w
+
+        def scale(v, c):
+            return [x if x == zero else mul(x, c) for x in v]
+
+        def apply(x):
+            live = [(j, c) for j, c in enumerate(x) if c != zero]
+            return [
+                ctx.sum(mul(r[j], c) for j, c in live if r[j] != zero) for r in rows
+            ]
+
+    one = ctx.one
+
+    def push(w, piv):
+        lead = w[piv]
+        return w if lead == one else scale(w, ctx.inv(lead))
+
+    def relation(coords):
+        return coords
+
+    return ctx.zero, one, reduce, push, apply, relation
+
+
+def _ring_kernel(M: Mat):
+    """The kernel over Q and GF(p)(s), fraction-free over Z and GF(p)[s].
+
+    M's denominators are cleared once: Mz = D M.  A chain vector is a
+    primitive ring vector x (content divided out) with a field scalar lam,
+    the true chain vector being lam x; Mz x is its content g times the next
+    x, whose lam is lam g / D.  An echelon row [vector | coordinates over
+    the x's] is a primitive ring vector too: reducing w against it is
+    w <- lead(row) w - w[c] row, then the content is divided out.  The
+    closing relation sum c_i x_i = 0 is sum (c_i / lam_i) b_i = 0 over the
+    true chain vectors b_i; dividing it by its lead coordinate makes it
+    monic.  Over GF(p)[s] an entry of degree above ``RATFUNC_MAX_DEGREE``
+    raises DegreeBoundExceeded.
+    """
+    ctx = M.ctx
+    zero, one, D, Mz, comb, dot, primitive, to_field = (
+        _integers(M) if ctx.kind == "rationals" else _polys_mod_p(M)
+    )
+    D = to_field(D)  # a field scalar from here on, for the lam updates
+    lams = []  # lam of each echelon row's chain vector
+    lam = ctx.one  # lam of the current chain vector
 
     def reduce(w, echelon):
         for c, row in echelon:
             f = w[c]
-            if f != zero:
-                w = [x if y == zero else sub(x, mul(f, y)) for x, y in zip(w, row)]
+            if f:
+                w = primitive(comb(row[c], w, f, row))[0]
         return w
 
-    def scale(v, c):
-        return [x if x == zero else mul(x, c) for x in v]
+    def push(w, piv):
+        lams.append(lam)
+        return w
 
     def apply(x):
-        live = [(j, c) for j, c in enumerate(x) if c != zero]
+        nonlocal lam
+        y, g = primitive([dot(r, x) for r in Mz])
+        lam = ctx.div(ctx.mul(lam, to_field(g)), D)  # 0 once the chain hits 0
+        return y
+
+    def relation(coords):
+        nonlocal lam
+        r = ctx.div(lam, to_field(coords[-1]))
+        lam = ctx.one  # the next chain starts at a unit vector
         return [
-            ctx.sum(mul(r[j], c) for j, c in live if r[j] != zero) for r in rows
+            ctx.div(ctx.mul(to_field(c), r), l) if c else ctx.zero
+            for c, l in zip(coords, lams)
+        ] + [ctx.one]
+
+    return zero, one, reduce, push, apply, relation
+
+
+def _integers(M: Mat):
+    """Z for a matrix over Q: (zero, one, D, D M, comb, dot, primitive,
+    to_field) with comb(a, w, f, row) = a w - f row, dot the inner product
+    and primitive(v) = (v / content, content)."""
+    D = math.lcm(*(a.denominator for row in M.entries for a in row))
+    Mz = [[a.numerator * (D // a.denominator) for a in row] for row in M.entries]
+
+    def comb(a, w, f, row):
+        return [a * x - f * y for x, y in zip(w, row)]
+
+    def dot(r, x):
+        return sum(map(_mul, r, x))
+
+    def primitive(v):
+        g = math.gcd(*v)
+        return ([x // g for x in v] if g > 1 else v), g
+
+    return 0, 1, D, Mz, comb, dot, primitive, Fraction
+
+
+def _polys_mod_p(M: Mat):
+    """GF(p)[s] for a matrix over GF(p)(s), as :func:`_integers` for Z;
+    the content is made monic."""
+    ctx = M.ctx
+    p = ctx.p
+    D = (1,)
+    for row in M.entries:
+        for _, d in row:
+            g = _zgcd(D, d, p)
+            if g != d:
+                D = _zmul(D, _zdivmod(d, g, p)[0], p)
+    Mz = [
+        [_zmul(num, _zdivmod(D, d, p)[0], p) if num else () for num, d in row]
+        for row in M.entries
+    ]
+
+    def comb(a, w, f, row):
+        nf = _zneg(f, p)
+        return [
+            _zdot(((a, x), (nf, y)), p) if x or y else x for x, y in zip(w, row)
         ]
 
-    return reduce, scale, apply
+    def dot(r, x):
+        return _zdot(zip(r, x), p)
+
+    def primitive(v):
+        g = ()  # the smallest entries first: a unit content stops early
+        for x in sorted((x for x in v if x), key=len):
+            g = _zgcd(x, g, p)
+            if len(g) == 1:
+                break
+        if len(g) > 1:
+            v = [_zdivmod(x, g, p)[0] for x in v]
+        if max(map(len, v)) > RATFUNC_MAX_DEGREE + 1:
+            raise DegreeBoundExceeded(
+                f"polynomial degree exceeds cap {RATFUNC_MAX_DEGREE}"
+            )
+        return v, g
+
+    def to_field(c):
+        return (c, (1,)) if c else ctx.zero
+
+    return (), (1,), D, Mz, comb, dot, primitive, to_field
+
+
+def _zdot(pairs, p):
+    """The sum of the products a b over the (a, b) pairs, over GF(p)[s]:
+    each nonzero coefficient of a adds a scaled slice of b."""
+    out = []
+    for a, b in pairs:
+        if a and b:
+            m = len(b)
+            short = len(a) + m - 1 - len(out)
+            if short > 0:
+                out += [0] * short
+            for i, c in enumerate(a):
+                if c:
+                    out[i:i + m] = map(
+                        _add, out[i:i + m], b if c == 1 else map(_mul, b, repeat(c))
+                    )
+    return _ztrim([c % p for c in out])
 
 
 def _relation_matrix(M: Mat) -> Tuple[List[tuple], dict]:
@@ -522,13 +690,12 @@ def _relation_matrix(M: Mat) -> Tuple[List[tuple], dict]:
     basis; M^d e_s reduces to zero, leaving the relation
     M^d e_s - sum_i h_ij(M) e_i = 0 with h_ij read off chain i's
     coordinates.  Column j of the matrix is that relation: g_j = t^d - h_jj
-    on the diagonal and -h_ij above it, with deg h_ij < deg g_i.
+    on the diagonal and -h_ij above it, with deg h_ij < deg g_i.  The
+    arithmetic is :func:`_vector_kernel`'s.
     """
-    ctx = M.ctx
     n = M.rows
-    zero, one = ctx.zero, ctx.one
-    trim = poly_ops(ctx).trim
-    reduce, scale, apply = _vector_kernel(M)
+    trim = poly_ops(M.ctx).trim
+    zero, one, reduce, push, apply, relation = _vector_kernel(M)
     echelon = []  # (pivot column, [vector | coordinates over the basis])
     starts: List[int] = []  # basis index of each chain's first vector
     diag: List[tuple] = []
@@ -550,19 +717,19 @@ def _relation_matrix(M: Mat) -> Tuple[List[tuple], dict]:
                     break
             else:
                 break
-            lead = w[piv]
-            echelon.append((piv, w if lead == one else scale(w, ctx.inv(lead))))
+            echelon.append((piv, push(w, piv)))
             size += 1
             x = apply(x)
         if size > start:
             # w's coordinate half is now the relation closing this chain
+            coords = relation(w[n:n + size + 1])
             j = len(starts)
             for i, (lo, hi) in enumerate(zip(starts, starts[1:] + [start])):
-                h = trim(w[n + lo:n + hi])
+                h = trim(coords[lo:hi])
                 if h:
                     above[i, j] = h
             starts.append(start)
-            diag.append(tuple(w[n + start:n + size + 1]))
+            diag.append(tuple(coords[start:]))
     return diag, above
 
 

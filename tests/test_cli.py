@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from sympdiff.cli import cli_run
+from sympdiff.cli import _build_parser, cli_run
 from sympdiff.decide import pair_context
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
@@ -355,6 +355,26 @@ def test_errors_are_structured_json(capsys):
 
 
 _PQ = ["--p", "t^2+1", "--q", "t^2+1"]
+
+# a usage error raised halfway through parsing (--dim is not an int), and a
+# valid request through the same subcommand
+_REQUESTS = {
+    "usage": ["enumerate", "--field", "GF(3)", *_PQ, "--dim", "two"],
+    "valid": ["enumerate", "--field", "GF(3)", *_PQ, "--dim", "2"],
+}
+
+
+@pytest.mark.parametrize("order", [("usage", "valid"), ("valid", "usage")])
+def test_shared_parser_answers_as_a_fresh_one(capsys, order):
+    fresh = {}
+    for name, argv in _REQUESTS.items():
+        _build_parser.cache_clear()
+        fresh[name] = run(capsys, argv)
+    assert fresh["usage"][0] == 1 and fresh["valid"][0] == 0
+    _build_parser.cache_clear()
+    for name in order + order:  # each request, then each again
+        assert run(capsys, _REQUESTS[name]) == fresh[name]
+    assert _build_parser.cache_info().misses == 1  # one parser for all four
 _LONG = "1" * 4400  # past Python's 4,300-digit limit on int(str)
 _ZERO = {"field": {}, "entries": [[0, 0], [0, 0]]}
 

@@ -1,11 +1,13 @@
 """Matrices: elimination, companion forms, invariant factors, Jordan data."""
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sympdiff.errors import NotStable, SingularMatrix
+from sympdiff.errors import DegreeBoundExceeded, NotStable, SingularMatrix
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
 from sympdiff.linalg import (
@@ -23,6 +25,7 @@ from sympdiff.linalg import (
 )
 from sympdiff.poly import Poly
 
+from krylov_reference import field_relation_matrix
 from matmul_reference import naive_poly_eval, naive_product
 from snf_reference import snf_invariant_factors
 
@@ -441,6 +444,105 @@ def test_rational_conjugate_at_n32(Q):
     mults = [Q.from_int(c) for c in (-2, -1, 1, 2)]
     M = _conjugate(D, _sweeps(32, 2, mults, seed=32))
     assert invariant_factors(M).factors == (a, b, c, d)
+
+
+# ----------------------------------------------------------------------
+# the fraction-free chains over Q and GF(p)(s) against field arithmetic
+# ----------------------------------------------------------------------
+
+KRYLOV_CONTEXTS = [field_make("Q"), field_make("GF(2)(s)"), field_make("GF(3)(s)")]
+
+
+def _krylov_scalars(ctx):
+    """Q: small fractions and integers near 10^12; GF(p)(s): quotients of
+    polynomials of degree <= 2 by monic ones of degree <= 1."""
+    if ctx.kind == "rationals":
+        return st.one_of(
+            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+            st.integers(-3, 3).map(lambda c: Fraction(10 ** 12 + c)),
+        )
+    coeff = st.integers(min_value=0, max_value=ctx.p - 1)
+    return st.builds(
+        lambda num, den: ctx.from_polys(num, den + [1]),
+        st.lists(coeff, max_size=3),
+        st.lists(coeff, max_size=1),
+    )
+
+
+@st.composite
+def krylov_matrices(draw):
+    ctx = draw(st.sampled_from(KRYLOV_CONTEXTS))
+    scalar = _krylov_scalars(ctx)
+    shape = draw(st.sampled_from(["zero", "scalar", "nilpotent", "companions"]))
+    n = draw(st.integers(min_value=1, max_value=6))
+    if shape == "zero":
+        return Mat.zeros(ctx, n)
+    if shape == "scalar":
+        return Mat.scalar(ctx, n, draw(scalar))
+    if shape == "nilpotent":
+        # strictly upper triangular: the chain of e_0 hits 0 at once
+        return Mat(ctx, [
+            [draw(scalar) if j > i else ctx.zero for j in range(n)] for i in range(n)
+        ])
+    polys = draw(st.lists(
+        st.lists(scalar, min_size=1, max_size=3), min_size=1, max_size=3
+    ))
+    while sum(map(len, polys)) > 6:
+        polys.pop()
+    D = direct_sum(*(companion(Poly(ctx, tuple(cs) + (ctx.one,))) for cs in polys))
+    if D.rows == 1:
+        return D
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=D.rows - 1),
+        st.integers(min_value=0, max_value=D.rows - 1),
+    ).filter(lambda ij: ij[0] != ij[1])
+    ops = draw(st.lists(st.tuples(pairs, scalar), max_size=D.rows))
+    return _conjugate(D, [(i, j, c) for (i, j), c in ops])
+
+
+Q_FIELD, F2S_FIELD = KRYLOV_CONTEXTS[0], KRYLOV_CONTEXTS[1]
+
+
+@example(M=Mat.zeros(Q_FIELD, 3))
+@example(M=Mat.zeros(F2S_FIELD, 2))
+@example(M=_upper_shift(Q_FIELD, 3))
+@example(M=_upper_shift(F2S_FIELD, 4))
+@example(M=Mat(Q_FIELD, [[Fraction(0), Fraction(1, 2)], [Fraction(0), Fraction(0)]]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(M=krylov_matrices())
+def test_fraction_free_relation_matrix_matches_field_arithmetic(M):
+    assert _relation_matrix(M) == field_relation_matrix(M)
+
+
+def _dense_ratfunc(n: int, seed: int) -> Mat:
+    """n x n over GF(2)(s), every entry drawn from 0, 1, s, s + 1."""
+    rng = random.Random(seed)
+    return Mat(F2S_FIELD, [
+        [F2S_FIELD.from_polys([rng.randrange(2), rng.randrange(2)]) for _ in range(n)]
+        for _ in range(n)
+    ])
+
+
+def test_dense_ratfunc_n20_answers():
+    # the field-arithmetic chains raise DegreeBoundExceeded on this matrix
+    M = _dense_ratfunc(20, seed=20)
+    factors = invariant_factors(M).factors
+    assert [f.degree for f in factors] == [20]
+    assert mat_poly_eval(factors[-1], M).is_zero
+
+
+def test_integral_degree_cap_raises_quickly():
+    # the smallest shape that trips the cap: clearing the denominator s + 1
+    # lifts the entry s^256 to degree 257
+    F = F2S_FIELD
+    M = Mat(F, [
+        [F.from_polys([0] * 256 + [1]), F.zero],
+        [F.from_polys([1], [1, 1]), F.zero],
+    ])
+    start = time.perf_counter()
+    with pytest.raises(DegreeBoundExceeded):
+        invariant_factors(M)
+    assert time.perf_counter() - start < 2
 
 
 # ----------------------------------------------------------------------
