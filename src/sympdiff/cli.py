@@ -27,6 +27,7 @@ import functools
 import json
 import os
 import sys
+import time
 from typing import List, Optional
 
 from . import serialize as ser
@@ -225,10 +226,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _merge_sweeps(parts: List[SweepReport]) -> SweepReport:
+    """The parts' instances in one report.  The parts ran at once, so their
+    times overlap: the caller sets ``seconds`` to the wall time."""
     merged = parts[0]
     for part in parts[1:]:
         merged.instances.extend(part.instances)
-        merged.seconds += part.seconds
     return merged
 
 
@@ -241,6 +243,7 @@ def _cmd_oracle(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        start = time.monotonic()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
                 oracle_sweep,
@@ -250,6 +253,7 @@ def _cmd_oracle(args) -> int:
                 [qs] * len(ps),
             ))
         report = _merge_sweeps(parts)
+        report.seconds = time.monotonic() - start
     else:
         report = oracle_sweep(ctx, args.dim, ps=ps, qs=qs)
     _emit(ser.encode_sweep_report(report))

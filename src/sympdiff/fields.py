@@ -300,6 +300,7 @@ class PrimeField(FieldCtx):
     """GF(p); scalars are ints in [0, p)."""
 
     kind = "prime"
+    k = 1  # degree over the prime field
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -359,8 +360,8 @@ class ExtensionField(FieldCtx):
     Scalars are length-``k`` int tuples ``(c0, ..., c_{k-1})`` for
     ``c0 + c1*g + ... + c_{k-1}*g^{k-1}`` where ``g`` is the class of ``t``
     modulo the modulus.  Products are memoized per context, filled as they
-    are met, up to ``EXT_MUL_MEMO_MAX`` pairs; the memo is left out of
-    equality, hashing and pickles.
+    are met, up to ``EXT_MUL_MEMO_MAX`` pairs; the memo and ``linalg``'s
+    lift table are left out of equality, hashing and pickles.
     """
 
     kind = "extension"
@@ -389,9 +390,10 @@ class ExtensionField(FieldCtx):
         self.zero = (0,) * k
         self.one = tuple([1] + [0] * (k - 1))
         self._mul_memo = {}
+        self._regular = None
 
     def __getstate__(self):
-        return {**self.__dict__, "_mul_memo": {}}
+        return {**self.__dict__, "_mul_memo": {}, "_regular": None}
 
     def _pad(self, cs):
         return tuple(cs) + (0,) * (self.k - len(cs))

@@ -2,7 +2,7 @@
 
 Provides the :class:`Mat` value class (immutable, tuple-backed), companion
 matrices, evaluation of polynomials at matrices, invariant factors,
-similarity testing, Jordan / primary multiplicities, and the Fitting split.
+similarity testing, and Jordan / primary multiplicities.
 
 Invariant factors come from Krylov chains e, Me, M^2 e, ...: the relations
 that close the chains form a small upper-triangular matrix over ``F[t]``
@@ -10,14 +10,14 @@ presenting the same module as ``tI - M``.  Elementary operations bring that
 k x k matrix (k = number of chains) to a diagonal, and gcd/lcm of its
 entries give the Smith diagonal.
 
-Matrix products and polynomial evaluation over prime fields go through
-numpy int64 (exact: the entry bound is checked against the int64 range); a
-matrix keeps its array, so a chain of products converts each operand once.
-The chain elimination runs on plain ints over prime fields, and
-fraction-free over Z and GF(p)[s] for Q and GF(p)(s): one content gcd per
-row operation instead of one gcd per scalar operation.  Over GF(p^k) it uses
-field arithmetic.  Everything else is pure Python; its products and Horner
-steps touch nonzero entries only.
+Matrix products and polynomial evaluation over finite fields go through
+numpy int64 on the lift to GF(p) (:func:`_lift`, as in the brute-force
+search), exact where :func:`_numpy_exact` allows; a matrix keeps its lift,
+so a chain of products converts each operand once.  The chain elimination
+runs on plain ints over prime fields, and fraction-free over Z and GF(p)[s]
+for Q and GF(p)(s): one content gcd per row operation instead of one gcd
+per scalar operation.  Over GF(p^k) it uses field arithmetic.  Everything
+else is pure Python; its products and Horner steps touch nonzero entries.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ from .errors import (
     NonMonic,
     NotIrreducible,
     NotSquare,
-    NotStable,
     SingularMatrix,
     WrongDegree,
-    ZeroPolynomial,
 )
 from .fields import (
     RATFUNC_MAX_DEGREE,
     FieldCtx,
+    PrimeField,
     _zdivmod,
     _zgcd,
     _zmul,
@@ -57,19 +56,51 @@ from .poly import Poly, is_irreducible, poly_ops
 
 
 def _numpy_exact(ctx: FieldCtx, terms: int) -> bool:
-    """Whether sums of ``terms`` products of GF(p) entries fit in int64."""
-    return ctx.kind == "prime" and terms * (ctx.p - 1) ** 2 < 2 ** 62
+    """Whether sums of ``terms`` products of lifted entries fit in int64."""
+    return ctx.order is not None and terms * ctx.k * (ctx.p - 1) ** 2 < 2 ** 62
 
 
-def _to_np(M: "Mat"):
-    if M._arr is None:  # read-only, so the Mat stays immutable
-        object.__setattr__(M, "_arr", _np.array(M.entries, dtype=_np.int64))
-        M._arr.flags.writeable = False
+def _lift(ctx: FieldCtx, X):
+    """The regular representation, the one map from GF(p^k) to GF(p): block
+    (r, c) of the (..., mk, nk) lift of an (..., m, n, k) coordinate array
+    multiplies by entry (r, c) in the basis 1, g, ..., g^(k-1), its column j
+    the entry times g^j.  Its table is built once per context."""
+    k = X.shape[-1]
+    if k == 1:
+        return X[..., 0]
+    if ctx._regular is None:  # row i: the block C^i of g^i, row-major
+        C = companion(Poly(PrimeField(ctx.p), ctx.modulus))
+        table = [sum((C ** i).entries, ()) for i in range(k)]
+        ctx._regular = _np.array(table, _np.int64 if _numpy_exact(ctx, 1) else object)
+    m, n = X.shape[-3:-1]
+    blocks = (X @ ctx._regular % ctx.p).reshape(X.shape[:-1] + (k, k))
+    return blocks.swapaxes(-3, -2).reshape(X.shape[:-3] + (m * k, n * k))
+
+
+def _to_np(M: "Mat", dtype=_np.int64):
+    """M's lift (:func:`_lift`), the int64 one kept on M, read-only."""
+    if M._arr is None or dtype is not _np.int64:
+        a = _np.array(M.entries, dtype)
+        if M.ctx.kind != "prime" or not M.rows:  # else a is its own lift
+            a = _lift(M.ctx, a.reshape(M.rows, M.cols, M.ctx.k))
+        if dtype is not _np.int64:
+            return a
+        a.flags.writeable = False
+        object.__setattr__(M, "_arr", a)
     return M._arr
 
 
+def _unlift(ctx: FieldCtx, a) -> list:
+    """The rows of the matrix lifted to ``a``: column 0 of each block."""
+    if ctx.kind == "prime":
+        return a.tolist()
+    k = ctx.k
+    rows = a.reshape(len(a) // k, k, a.shape[1] // k, k)[..., 0].swapaxes(1, 2)
+    return [list(map(tuple, row)) for row in rows.tolist()]
+
+
 def _from_np(ctx: FieldCtx, a) -> "Mat":
-    M = Mat(ctx, a.tolist())
+    M = Mat(ctx, _unlift(ctx, a))
     a.flags.writeable = False
     object.__setattr__(M, "_arr", a)
     return M
@@ -90,7 +121,7 @@ class Mat:
         object.__setattr__(self, "rows", m)
         object.__setattr__(self, "cols", n)
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_arr", None)  # int64 copy over GF(p)
+        object.__setattr__(self, "_arr", None)  # its int64 lift (_to_np)
 
     def __setattr__(self, *_):
         raise AttributeError("Mat is immutable")
@@ -160,9 +191,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def take_cols(self, indices) -> "Mat":
-        return Mat(self.ctx, [[row[j] for j in indices] for row in self.entries])
 
     def _check(self, other: "Mat"):
         if self.ctx != other.ctx:
@@ -326,7 +354,7 @@ class Mat:
     def column_space_basis(self) -> "Mat":
         """Columns of self at the rref pivot positions."""
         _, pivots = self._rref()
-        return self.take_cols(pivots)
+        return Mat(self.ctx, [[row[j] for j in pivots] for row in self.entries])
 
     # -- comparisons and display ---------------------------------------------
 
@@ -421,10 +449,15 @@ def mat_poly_eval(f: Poly, M: Mat) -> Mat:
     if f.ctx != M.ctx:
         raise MixedFieldContexts(f"{f.ctx} vs {M.ctx}")
     n = M.rows
-    if n and _numpy_exact(M.ctx, n + 1):  # acc @ M + c*I < (n+1)(p-1)^2
-        acc = _np.zeros((n, n), dtype=_np.int64)
-        diag = acc.reshape(-1)[:: n + 1]  # a view of acc's diagonal
-        for c in reversed(f.coeffs):
+    if n and f.coeffs and _numpy_exact(M.ctx, n + 1):  # sums < (n+1)k(p-1)^2
+        k = M.ctx.k
+        N = n * k
+        cs = f.coeffs if k == 1 else _lift(  # c's k x k block (over GF(p), c)
+            M.ctx, _np.array(f.coeffs, dtype=_np.int64)[:, None]).reshape(-1, k, k)
+        acc = _np.zeros((N, N), dtype=_np.int64)  # + c*I: on diag, its n diagonal blocks
+        diag = _np.ndarray((n, k, k), acc.dtype, acc, 0, (8 * k * (N + 1), 8 * N, 8))
+        diag += cs[-1]  # the first step, from acc = 0
+        for c in cs[-2::-1]:
             _np.matmul(acc, _to_np(M), out=acc)
             diag += c
             acc %= M.ctx.p
@@ -832,7 +865,7 @@ def similar(M1: Mat, M2: Mat) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Jordan / primary multiplicities and the Fitting split
+# Jordan / primary multiplicities
 # ----------------------------------------------------------------------
 
 
@@ -884,38 +917,3 @@ def exact_cell_counts(seq: Tuple[int, ...]) -> Tuple[int, ...]:
         nxt = seq[k + 1] if k + 1 < len(seq) else 0
         out.append(seq[k] - nxt)
     return tuple(out)
-
-
-def fitting_split(M: Mat, f: Poly) -> Tuple[Mat, Mat]:
-    """Bases (as column matrices) of E = ker f(M)^n and R = im f(M)^n,
-    iterated to stabilization; E + R is a direct sum spanning everything."""
-    M._square()
-    if f.is_zero:
-        raise ZeroPolynomial("fitting_split of the zero polynomial")
-    G = mat_poly_eval(f, M)
-    P = G
-    rk = P.rank()
-    while True:
-        Q = P @ G
-        rk2 = Q.rank()
-        if rk2 == rk:
-            break
-        P, rk = Q, rk2
-    E = P.kernel_basis()
-    R = P.column_space_basis()
-    if E.cols + R.cols != M.rows:
-        raise ConstructionInvariantViolated("Fitting split dimensions do not add up")
-    return E, R
-
-
-def restrict(M: Mat, W: Mat) -> Mat:
-    """Matrix of M restricted to the span of W's columns, in that basis.
-
-    Raises NotStable when M does not map the span into itself.
-    """
-    if W.rows != M.rows:
-        raise DimensionMismatch("basis has wrong ambient dimension")
-    try:
-        return W.solve(M @ W)
-    except SingularMatrix as e:
-        raise NotStable("subspace is not stable") from e

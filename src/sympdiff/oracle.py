@@ -17,8 +17,9 @@ condition is k = n(n-1)/2 equations, one per strict-upper entry, whose
 coefficients are entries of U.  The search solves them once and scans only
 their solutions, in the full enumeration's order, in growing chunks that
 stop at the first hit.  Over GF(p^k) it scans the same candidates as
-matrices over GF(p) (the regular representation), so one scan serves every
-finite field.  It finds the same first witness.  The k equations, like the
+matrices over GF(p), through ``linalg``'s lift (the regular representation,
+which ``Mat`` products and polynomial evaluation over every small finite
+field use too), so one scan serves every finite field.  It finds the same first witness.  The k equations, like the
 rest of the search, use only the definition of a witness -- p(U1) = 0,
 q(U2) = 0, B*U1 and B*U2 alternating -- and never the decision procedure,
 so the two routes stay independent.

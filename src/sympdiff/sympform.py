@@ -21,7 +21,7 @@ from .errors import (
     WrongDegree,
 )
 from .fields import FieldCtx
-from .linalg import InvFactors, Mat, direct_sum, invariant_factors, restrict, similar
+from .linalg import InvFactors, Mat, direct_sum, invariant_factors, similar
 from .poly import Poly
 
 
@@ -175,43 +175,3 @@ def frobenius_symmetrizer(r: Poly) -> Mat:
             acc = ctx.sub(acc, ctx.mul(ri, hj))
         h.append(acc)
     return Mat(ctx, [h[i:i + d] for i in range(d)])
-
-
-# ----------------------------------------------------------------------
-# induced pairs on stable subspaces
-# ----------------------------------------------------------------------
-
-
-def induced_pair(P: SymplecticPair, W: Mat) -> SymplecticPair:
-    """The pair induced on W / (W ∩ W^perp) for a U-stable subspace W
-    (columns of W a basis)."""
-    B, U = P.B, P.U
-    if W.rows != B.rows:
-        raise DimensionMismatch("subspace basis has wrong ambient dimension")
-    if W.cols == 0:
-        return SymplecticPair(Mat(P.ctx, []), Mat(P.ctx, []))
-    u_res = restrict(U, W)  # raises NotStable if U does not stabilize span(W)
-    gram = W.transpose() @ B @ W
-    rad = gram.kernel_basis()  # radical coordinates inside W
-    if rad.cols == 0:
-        return SymplecticPair(gram, u_res)
-    # complete the radical to a basis: standard vectors at the non-pivot
-    # columns of the row-echelon form of rad^T (lexicographic pivots)
-    _, pivots = rad.transpose()._rref()
-    comp = [j for j in range(W.cols) if j not in pivots]
-    ctx = P.ctx
-    sel = Mat(
-        ctx,
-        [[ctx.one if j == c else ctx.zero for c in comp] for j in range(W.cols)],
-        cols=len(comp),
-    )
-    newW = W @ sel
-    if not comp:
-        return SymplecticPair(Mat(ctx, []), Mat(ctx, []))
-    gram_bar = newW.transpose() @ B @ newW
-    # express U*newW in the basis (newW | W*rad); the quotient matrix is the
-    # newW-component
-    full = Mat.block(ctx, [[newW, W @ rad]])
-    coords = full.solve(U @ newW)
-    u_bar = Mat(ctx, coords.entries[: len(comp)])
-    return SymplecticPair(gram_bar, u_bar)

@@ -29,6 +29,7 @@ from .errors import (
     WrongDegree,
 )
 from .linalg import Mat, companion, direct_sum, invariant_factors, mat_poly_eval
+from .linalg import _lift, _numpy_exact, _to_np, _unlift
 from .poly import Poly, decompose_base_sigma, trace_of
 from .sympform import (
     SymplecticPair,
@@ -386,25 +387,6 @@ def _digits(idx, pr: int, width: int):
     return idx[:, None] // pr ** np.arange(width - 1, -1, -1, dtype=np.int64) % pr
 
 
-def _regular(ctx, X):
-    """Each GF(p^k) entry of X, given by its k coordinates on the last
-    axis, as the k x k matrix over GF(p) of multiplication by it in the
-    basis 1, g, ..., g^(k-1): column j holds the coordinates of the entry
-    times g^j."""
-    k = ctx.k
-    g = (0, 1) + (0,) * (k - 2)
-    pw = [ctx.one]
-    for _ in range(2 * k - 2):
-        pw.append(ctx.mul(pw[-1], g))
-    # row i of G is the matrix of multiplication by g^i (column b holds
-    # g^(i+b)); that of x = sum_i x_i * g^i is sum_i x_i * row i
-    G = np.array(
-        [[pw[i + b][a] for a in range(k) for b in range(k)] for i in range(k)],
-        dtype=X.dtype,
-    )
-    return (X @ G % ctx.p).reshape(X.shape + (k,))
-
-
 def brute_force_witness(
     P: SymplecticPair, pctx: PairCtx, bound: int = DEFAULT_SEARCH_BOUND
 ) -> Optional[Witness]:
@@ -429,19 +411,18 @@ def brute_force_witness(
 
     U1 = B^{-1} * M is linear in M, so the candidate with free coordinates
     c is U1 = U0 + sum_f c_f * D_f, with U0 = B^{-1} * M(base) and D_f =
-    B^{-1} * M(direction f) computed once.  Over GF(p^k) every n x n
-    matrix is replaced by its nk x nk image over GF(p) (each entry becomes
-    the k x k block of multiplication by it), an injective ring
-    homomorphism, so p(U1) = 0 can be tested there; each c_f = a_0 +
-    a_1*g + ... becomes k digits a_j with directions g^j * D_f, a_0 most
-    significant, which is the order of ``ctx.elements()``.  Candidates
-    are the integers below p^(digits), read in base p; the sum over the
-    lowest digits is tabulated once, and the scan goes in chunks that
-    double from 64 to 2^15 candidates (k^2 times fewer over GF(p^k)) and
-    stops at the chunk of its first hit, so a witness at index i costs
-    O(i) candidates.  A hit is checked
-    again as a ``Mat`` over the field itself.  The sums are int64 where
-    they cannot overflow and exact Python ints otherwise.
+    B^{-1} * M(direction f) computed once.  The scan runs on the lift to
+    GF(p) (``linalg._lift``), an injective ring homomorphism that maps
+    n x n matrices over GF(p^k) to nk x nk ones, so p(U1) = 0 can be tested
+    there; each c_f = a_0 + a_1*g + ... becomes k digits a_j with
+    directions g^j * D_f, a_0 most significant, which is the order of
+    ``ctx.elements()``.  Candidates are the integers below p^(digits), read
+    in base p; the sum over the lowest digits is tabulated once, and the
+    scan goes in chunks that double from 64 to 2^15 candidates (k^2 times
+    fewer over GF(p^k)) and stops at the chunk of its first hit, so a
+    witness at index i costs O(i) candidates.  A hit is checked again as a
+    ``Mat`` over the field itself.  The sums are int64 where
+    ``linalg._numpy_exact`` allows and exact Python ints otherwise.
 
     Raises MixedFieldContexts when P and pctx live over different fields,
     SingularMatrix when B is singular, InvalidPair when B is not
@@ -472,42 +453,21 @@ def brute_force_witness(
         raise DimensionBoundExceeded(
             f"pair dimension {n} over {ctx} leaves at least 2^63 candidates"
         )
-    pr = ctx.characteristic
-    k = getattr(ctx, "k", 1)  # GF(p^k) is k-dimensional over GF(p)
+    pr, k = ctx.characteristic, ctx.k
     nk = n * k
-    # every sum below stays under max(terms, nk + k) * p^2: U0 + sum of
-    # digits times directions adds a residue to at most terms products of
-    # residues, and B^{-1} * M, U1 * (U1 + p1*I) and the lift add at most
-    # nk + k (the k entries of U1 + p1*I in a sum from p1's diagonal block
-    # are below 2p)
-    terms = k * n * (n - 1) // 2
-    dtype = np.int64 if max(terms, nk + k) * pr**2 < 2**63 else object
-    to_np = lambda rows: np.array(rows, dtype=dtype)
-    vals = to_np([base] + directions)
-    if k == 1:
-        lift = lambda X: X
-        unlift = lambda A: Mat.from_ints(ctx, A.tolist())
-    else:
-        lift = lambda X: np.swapaxes(_regular(ctx, X), -3, -2).reshape(
-            X.shape[:-3] + (X.shape[-3] * k, X.shape[-2] * k)
-        )
-        # entry (r, c) is column 0 of block (r, c): the entry times 1
-        unlift = lambda A: Mat(
-            ctx,
-            [
-                list(map(tuple, row))
-                for row in A.reshape(n, k, n, k)[..., 0].swapaxes(1, 2).tolist()
-            ],
-        )
-        # digit a_j of free coordinate f moves M by g^j * direction f
-        steps = np.moveaxis(_regular(ctx, vals[1:]), -1, 1)
-        vals = np.concatenate([vals[:1], steps.reshape((-1,) + vals.shape[1:])])
+    K = n * (n - 1) // 2
+    # sums: U0 + k*K digit-direction products, nk products by U1 + p1*I < 2p
+    dtype = np.int64 if _numpy_exact(ctx, max(K, n)) else object
+    vals = np.array([base] + directions, dtype).reshape(-1, K, k)
+    # digit a_j of coordinate f moves M by g^j * direction f (lifted column j)
+    steps = _lift(ctx, vals[1:, :, None]).reshape(-1, K, k, k)
+    vals = np.concatenate([vals[:1], steps.transpose(0, 3, 1, 2).reshape(-1, K, k)])
     d = len(vals) - 1
-    M = np.zeros((d + 1, n, n) + vals.shape[2:], dtype=dtype)
+    M = np.zeros((d + 1, n, n, k), dtype=dtype)
     iu = _upper(n)
     M[:, iu[0], iu[1]] = vals
     M[:, iu[1], iu[0]] = -vals
-    UM = (lift(to_np(Binv.entries)) @ lift(M) % pr).reshape(d + 1, nk * nk)
+    UM = (_to_np(Binv, dtype) @ _lift(ctx, M) % pr).reshape(d + 1, nk * nk)
     U0, D = UM[:1], UM[1:]
     m = 0
     while m < d and pr ** (m + 1) <= _FIRST_CHUNK:
@@ -516,10 +476,10 @@ def brute_force_witness(
     if m:
         low = (U0 + _digits(np.arange(pr**m), pr, m) @ D[d - m :]) % pr
     highs = pr ** (d - m)
-    scalar = lambda c: lift(np.multiply.outer(np.eye(n, dtype=dtype), to_np(c)))
-    p1_ident = scalar(pctx.p.coeffs[1])
+    eye = np.eye(n, dtype=dtype)[..., None]  # c*I is eye * (c's coordinates)
+    p1_ident = _lift(ctx, eye * np.array(pctx.p.coeffs[1], dtype).reshape(k))
     # p(U1) = 0 exactly when U1 * (U1 + p1*I) = -p0*I
-    minus_p0 = scalar(ctx.neg(pctx.p.coeffs[0]))
+    minus_p0 = _lift(ctx, eye * np.array(ctx.neg(pctx.p.coeffs[0]), dtype).reshape(k))
     # chunk sizes count values of the high digits, len(low) candidates each
     per_high = len(low) * k * k
     start, size = 0, max(1, _FIRST_CHUNK // per_high)
@@ -534,7 +494,7 @@ def brute_force_witness(
         U1 = U1.reshape(-1, nk, nk)
         PU1 = U1 @ (U1 + p1_ident) % pr
         for c in np.flatnonzero((PU1 == minus_p0).all(axis=(1, 2))):
-            U1c = unlift(U1[c])
+            U1c = Mat(ctx, _unlift(ctx, U1[c]))
             U2c = U1c - P.U
             # B*U2 is tested over the field: the transpose of a lifted
             # matrix is not the lift of the transpose

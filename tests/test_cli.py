@@ -302,9 +302,11 @@ def test_oracle_cli_serial_and_parallel_agree(capsys, monkeypatch):
         assert reports[-1] == reports[-2]
 
 
-def test_oracle_jobs_bounded_by_polys_and_cpus(capsys, monkeypatch):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replaces the process pool with one that forks nothing; returns the
+    list of the pool sizes asked for."""
     import concurrent.futures
-    import os
 
     pools = []
 
@@ -322,6 +324,12 @@ def test_oracle_jobs_bounded_by_polys_and_cpus(capsys, monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
+def test_oracle_jobs_bounded_by_polys_and_cpus(capsys, monkeypatch, serial_pool):
+    import os
+
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ["oracle", "--field", "GF(2)", "--dim", "2", "--jobs", "5000"]
     code, out = run(capsys, argv)
@@ -332,7 +340,33 @@ def test_oracle_jobs_bounded_by_polys_and_cpus(capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     code, out = run(capsys, argv)  # one worker: no pool at all
     assert code == 0
-    assert pools == [3, 4]
+    assert serial_pool == [3, 4]
+
+
+def test_oracle_jobs_reports_wall_time(capsys, monkeypatch, serial_pool):
+    # each worker's part claims 1000 s; the sweep reports the pool's wall
+    # time, not the sum of its parts
+    import os
+
+    from sympdiff import cli
+
+    sweep = cli.oracle_sweep
+
+    def slow_part(*args, **kwargs):
+        report = sweep(*args, **kwargs)
+        report.seconds = 1000.0
+        return report
+
+    monkeypatch.setattr(cli, "oracle_sweep", slow_part)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    start = time.monotonic()
+    code, out = run(capsys, [
+        "oracle", "--field", "GF(2)", "--dim", "2", "--jobs", "4",
+    ])
+    elapsed = time.monotonic() - start
+    report = json.loads(out)
+    assert code == 0 and report["total"] == 32 and serial_pool == [4]
+    assert 0 <= report["seconds"] <= elapsed + 0.001
 
 
 def test_errors_are_structured_json(capsys):

@@ -36,11 +36,9 @@ from sympdiff.linalg import (
     Mat,
     companion,
     direct_sum,
-    fitting_split,
     invariant_factors,
     jordan_sequence,
     primary_sequence,
-    restrict,
 )
 from sympdiff.poly import (
     Poly,
@@ -51,10 +49,11 @@ from sympdiff.poly import (
 )
 from sympdiff.sympform import (
     SymplecticPair,
-    induced_pair,
     require_valid,
     symplectic_extension,
 )
+
+from subspace_reference import fitting_split, induced_pair, restrict
 
 
 # ----------------------------------------------------------------------

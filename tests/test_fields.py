@@ -25,6 +25,7 @@ from sympdiff.fields import (
     field_make,
     field_spec,
 )
+from sympdiff.linalg import Mat
 from sympdiff.poly import Poly
 
 
@@ -107,9 +108,14 @@ def test_context_with_filled_memo_pickles():
     elems = list(ctx.elements())
     for a in elems:
         ctx.mul(a, elems[5])
+    M = Mat(ctx, [elems[1:3], elems[3:5]])
+    square = M @ M  # builds the table of the lift to GF(3)
     clone = pickle.loads(pickle.dumps(ctx))
     assert clone == ctx and hash(clone) == hash(ctx)
     assert ctx._mul_memo and not clone._mul_memo  # the memo is not shipped
+    assert ctx._regular is not None and clone._regular is None  # nor the table
+    M = Mat(clone, M.entries)
+    assert M @ M == Mat(clone, square.entries)
     assert [clone.mul(a, elems[5]) for a in elems] == [
         ctx.mul(a, elems[5]) for a in elems
     ]

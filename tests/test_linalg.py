@@ -10,17 +10,18 @@ from hypothesis import example, given, settings, strategies as st
 from sympdiff.errors import DegreeBoundExceeded, NotStable, SingularMatrix
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
+import sympdiff.linalg
 from sympdiff.linalg import (
     Mat,
     _relation_matrix,
+    _to_np,
+    _unlift,
     companion,
     direct_sum,
     exact_cell_counts,
-    fitting_split,
     invariant_factors,
     jordan_sequence,
     mat_poly_eval,
-    restrict,
     similar,
 )
 from sympdiff.poly import Poly
@@ -28,6 +29,7 @@ from sympdiff.poly import Poly
 from krylov_reference import field_relation_matrix
 from matmul_reference import naive_poly_eval, naive_product
 from snf_reference import snf_invariant_factors
+from subspace_reference import fitting_split, restrict
 
 
 def gf5_mat(n):
@@ -555,6 +557,12 @@ KERNEL_CONTEXTS = [
     field_make("GF(27)|t^3+2*t+1"),
     field_make("GF(2)(s)"),
     field_make(f"GF({2**61 - 1})"),  # too wide for int64: the generic branch
+    field_make("GF(9)|t^2+1"),
+    field_make("GF(32)|t^5+t^2+1"),
+    # 14 (p-1)^2 < 2^62: products of inner size 6 and Horner at n = 6 are
+    # lifted to int64 with sums just under the bound
+    field_make("GF(573939143^2)|t^2+1"),
+    field_make(f"GF({2**31 - 1}^2)|t^2+1"),  # 2 (p-1)^2 > 2^62: generic
 ]
 
 
@@ -625,3 +633,61 @@ def test_generic_horner_matches_inner_products(ctx):
             f = Poly(ctx, [_random_scalar(ctx, rng) for _ in range(deg)]
                      + [ctx.one] * (deg >= 0))
             _same_entries(mat_poly_eval(f, M), naive_poly_eval(f, M))
+
+
+@pytest.mark.parametrize("spec, lifted", [
+    ("GF(573939143^2)|t^2+1", True),
+    # 7 (p-1)^2 < 2^62 < 12 (p-1)^2: only the k-fold count goes generic
+    ("GF(700000031^2)|t^2+1", False),
+    (f"GF({2**31 - 1}^2)|t^2+1", False),
+])
+def test_lift_boundary_picks_the_branch(spec, lifted, monkeypatch):
+    ctx = field_make(spec)
+    generic = []
+    sparse = sympdiff.linalg._sparse_product
+
+    def counted(*args):
+        generic.append(1)
+        return sparse(*args)
+
+    monkeypatch.setattr(sympdiff.linalg, "_sparse_product", counted)
+    rng = random.Random(spec)
+    M = _random_mat(ctx, rng, 6, 6, 1.0)
+    M @ M
+    mat_poly_eval(Poly(ctx, [ctx.one] * 4), M)
+    assert len(generic) == (0 if lifted else 1 + 4)
+
+
+LIFT_CONTEXTS = [
+    field_make("GF(3)"),
+    F4,
+    field_make("GF(9)|t^2+1"),
+    field_make("GF(27)|t^3+2*t+1"),
+    field_make("GF(32)|t^5+t^2+1"),
+    field_make("GF(5)|t+1"),  # a degree-1 extension: 1-tuple entries
+    field_make("GF(573939143^2)|t^2+1"),
+]
+
+
+@pytest.mark.parametrize("ctx", LIFT_CONTEXTS, ids=repr)
+def test_lift_is_an_injective_ring_map(ctx):
+    rng = random.Random(f"lift:{ctx!r}")
+    for A, B in _kernel_shapes(ctx, rng):
+        for X in (A, B):
+            assert _to_np(X).shape == (X.rows * ctx.k, X.cols * ctx.k)
+            assert Mat(ctx, _unlift(ctx, _to_np(X)), cols=X.cols) == X
+        AB = Mat(ctx, naive_product(A, B), cols=B.cols)
+        assert ((_to_np(A) @ _to_np(B)) % ctx.p == _to_np(AB)).all()
+
+
+@pytest.mark.parametrize("ctx", LIFT_CONTEXTS, ids=repr)
+def test_numpy_born_matrices_are_read_only(ctx):
+    rng = random.Random(f"frozen:{ctx!r}")
+    M = _random_mat(ctx, rng, 4, 4, 1.0)
+    before = M.entries
+    for born in (M @ M, mat_poly_eval(Poly(ctx, [ctx.one] * 3), M)):
+        for arr in (born._arr, _to_np(M)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+    assert M.entries == before
