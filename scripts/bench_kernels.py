@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Per-call time of ``Mat`` products and ``mat_poly_eval`` over finite fields.
+"""Per-call time of ``Mat`` products, differences, ranks and ``mat_poly_eval``.
 
 Run from the repository root (point ``PYTHONPATH`` at another checkout's
 ``src`` to time that one)::
 
     PYTHONPATH=src python3 scripts/bench_kernels.py \\
-        --fields "GF(3)" "GF(4)|t^2+t+1" --sizes 4 8 14 32 --reps 101
+        --fields "GF(3)" "GF(4)|t^2+t+1" Q "GF(2)(s)" --sizes 4 8 14 --reps 101 \\
+        --density 0.2
 
-Every call gets fresh operands, seeded dense random n x n matrices, so its
-time includes converting them; the polynomial is a seeded monic quadratic.
-Prints one JSON object: field -> n -> the median microseconds per call of
-``A @ B`` (``matmul_us``) and of ``mat_poly_eval(f, A)`` (``horner_us``).
+Every call gets fresh operands, seeded random n x n matrices whose entries
+are nonzero with probability ``--density`` (1 by default), so its time
+includes converting them; the polynomial is a seeded monic quadratic.
+Scalars are uniform over a finite field, ``a/b`` with |a| <= 9 and
+1 <= b <= 4 over Q, and quotients of polynomials of degree <= 2 over
+GF(p)(s).  Prints one JSON object: field -> n -> the median microseconds per
+call of ``A @ B`` (``matmul_us``), ``A - B`` (``sub_us``), ``A.rank()``
+(``rank_us``) and ``mat_poly_eval(f, A)`` (``horner_us``).
 """
 
 import argparse
@@ -25,6 +30,13 @@ from sympdiff.poly import Poly
 
 
 def _scalar(ctx, rng):
+    if ctx.kind == "rationals":
+        return ctx.from_int(rng.randint(-9, 9)) / rng.randint(1, 4)
+    if ctx.kind == "ratfunc":
+        def poly():
+            return [rng.randrange(ctx.p) for _ in range(3)]
+
+        return ctx.from_polys(poly(), poly() + [1])
     if ctx.kind == "extension":
         return tuple(rng.randrange(ctx.p) for _ in range(ctx.k))
     return rng.randrange(ctx.p)
@@ -39,29 +51,43 @@ def _timed(fn, args_list):
     return round(statistics.median(out) * 1e6, 1)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--fields", nargs="+", required=True)
     ap.add_argument("--sizes", nargs="+", type=int, required=True)
     ap.add_argument("--reps", type=int, default=101)
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+    ap.add_argument("--density", type=float, default=1.0)
+    args = ap.parse_args(argv)
     result = {}
     for spec in args.fields:
         ctx = field_make(spec)
         rng = random.Random(f"{args.seed}:{spec}")
         f = Poly(ctx, [_scalar(ctx, rng), _scalar(ctx, rng), ctx.one])
+
+        def entry():
+            return _scalar(ctx, rng) if rng.random() < args.density else ctx.zero
+
         row = result[spec] = {}
         for n in args.sizes:
             grids = [
-                [[_scalar(ctx, rng) for _ in range(n)] for _ in range(n)]
+                [[entry() for _ in range(n)] for _ in range(n)]
                 for _ in range(2 * args.reps)
             ]
-            fresh = [Mat(ctx, g) for g in grids]
-            pairs = list(zip(fresh[::2], fresh[1::2]))
-            row[n] = {"matmul_us": _timed(Mat.__matmul__, pairs)}
-            fresh = [Mat(ctx, g) for g in grids[: args.reps]]
-            row[n]["horner_us"] = _timed(mat_poly_eval, [(f, A) for A in fresh])
+
+            def pairs():
+                fresh = [Mat(ctx, g, cols=n) for g in grids]
+                return list(zip(fresh[::2], fresh[1::2]))
+
+            def singles():
+                return [(Mat(ctx, g, cols=n),) for g in grids[: args.reps]]
+
+            row[n] = {
+                "matmul_us": _timed(Mat.__matmul__, pairs()),
+                "sub_us": _timed(Mat.__sub__, pairs()),
+                "rank_us": _timed(Mat.rank, singles()),
+                "horner_us": _timed(mat_poly_eval, [(f,) + A for A in singles()]),
+            }
     print(json.dumps(result))
 
 

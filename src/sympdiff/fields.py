@@ -21,7 +21,6 @@ All context methods are total on canonical inputs except ``inv``/``div``
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -349,8 +348,9 @@ class PrimeField(FieldCtx):
         return hash(("GF", self.p))
 
 
-# cap on the products an ExtensionField context memoizes: every pair of
-# GF(p^k) up to GF(81) fits, larger fields memoize the first pairs met
+# cap on each scalar memo of an ExtensionField context (sums, differences,
+# products, inverses): every pair of GF(p^k) up to GF(81) fits, larger
+# fields memoize the first pairs met
 EXT_MUL_MEMO_MAX = 1 << 13
 
 
@@ -359,9 +359,12 @@ class ExtensionField(FieldCtx):
 
     Scalars are length-``k`` int tuples ``(c0, ..., c_{k-1})`` for
     ``c0 + c1*g + ... + c_{k-1}*g^{k-1}`` where ``g`` is the class of ``t``
-    modulo the modulus.  Products are memoized per context, filled as they
-    are met, up to ``EXT_MUL_MEMO_MAX`` pairs; the memo and ``linalg``'s
-    lift table are left out of equality, hashing and pickles.
+    modulo the modulus.  Sums, differences and products are memoized per
+    context and operand pair, inverses per operand, filled as they are
+    met, up to ``EXT_MUL_MEMO_MAX`` entries each; the memos and
+    ``linalg``'s lift table are left out of equality, hashing and pickles.
+    ``elements`` counts through the coordinate tuples one at a time, so it
+    costs nothing up front over a large field.
     """
 
     kind = "extension"
@@ -389,22 +392,35 @@ class ExtensionField(FieldCtx):
         self.order = p ** k
         self.zero = (0,) * k
         self.one = tuple([1] + [0] * (k - 1))
-        self._mul_memo = {}
+        self._add_memo, self._sub_memo, self._mul_memo, self._inv_memo = {}, {}, {}, {}
         self._regular = None
 
     def __getstate__(self):
-        return {**self.__dict__, "_mul_memo": {}, "_regular": None}
+        return {**self.__dict__, "_add_memo": {}, "_sub_memo": {}, "_mul_memo": {},
+                "_inv_memo": {}, "_regular": None}
 
     def _pad(self, cs):
         return tuple(cs) + (0,) * (self.k - len(cs))
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        memo = self._add_memo
+        c = memo.get((a, b))
+        if c is None:
+            p = self.p
+            c = tuple((x + y) % p for x, y in zip(a, b))
+            if len(memo) < EXT_MUL_MEMO_MAX:
+                memo[a, b] = c
+        return c
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        memo = self._sub_memo
+        c = memo.get((a, b))
+        if c is None:
+            p = self.p
+            c = tuple((x - y) % p for x, y in zip(a, b))
+            if len(memo) < EXT_MUL_MEMO_MAX:
+                memo[a, b] = c
+        return c
 
     def neg(self, a):
         p = self.p
@@ -421,20 +437,35 @@ class ExtensionField(FieldCtx):
         return c
 
     def inv(self, a):
-        ta = _ztrim(a)
-        if not ta:
-            raise DivisionByZero(f"1/0 over GF({self.p}^{self.k})")
-        g, s, _ = _zxgcd(ta, self.modulus, self.p)
-        if g != (1,):  # impossible for an irreducible modulus
-            raise DivisionByZero("modulus not irreducible?")
-        return self._pad(s)
+        memo = self._inv_memo
+        c = memo.get(a)
+        if c is None:
+            ta = _ztrim(a)
+            if not ta:
+                raise DivisionByZero(f"1/0 over GF({self.p}^{self.k})")
+            g, s, _ = _zxgcd(ta, self.modulus, self.p)
+            if g != (1,):  # impossible for an irreducible modulus
+                raise DivisionByZero("modulus not irreducible?")
+            c = self._pad(s)
+            if len(memo) < EXT_MUL_MEMO_MAX:
+                memo[a] = c
+        return c
 
     def from_int(self, n):
         return self._pad((n % self.p,) if n % self.p else ())
 
     def elements(self):
-        for cs in itertools.product(range(self.p), repeat=self.k):
-            yield cs
+        """Lexicographic, the last coordinate fastest."""
+        p, cs = self.p, [0] * self.k
+        while True:
+            yield tuple(cs)
+            i = self.k - 1
+            while i >= 0 and cs[i] == p - 1:
+                cs[i] = 0
+                i -= 1
+            if i < 0:
+                return
+            cs[i] += 1
 
     def format(self, a):
         return _zformat(_ztrim(a), "g")

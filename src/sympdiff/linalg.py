@@ -17,7 +17,10 @@ so a chain of products converts each operand once.  The chain elimination
 runs on plain ints over prime fields, and fraction-free over Z and GF(p)[s]
 for Q and GF(p)(s): one content gcd per row operation instead of one gcd
 per scalar operation.  Over GF(p^k) it uses field arithmetic.  Everything
-else is pure Python; its products and Horner steps touch nonzero entries.
+else is pure Python and pays per nonzero entry: products and Horner steps
+skip zero factors, elimination reduces by the pivot row's nonzero entries
+(plain int rows over GF(p)), and entrywise ops pass zeros through.  Over Q
+zero tests compare against the int 0, which Fraction answers fastest.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ from .fields import (
     _ztrim,
 )
 from .poly import Poly, is_irreducible, poly_ops
+
+
+def _nil(ctx: FieldCtx):
+    """What a scalar is compared against to test it for zero: the int 0
+    over Q, whose comparison takes Fraction's int fast path, else zero."""
+    return 0 if ctx.kind == "rationals" else ctx.zero
 
 
 def _numpy_exact(ctx: FieldCtx, terms: int) -> bool:
@@ -185,8 +194,8 @@ class Mat:
 
     @property
     def is_zero(self) -> bool:
-        z = self.ctx.zero
-        return all(e == z for row in self.entries for e in row)
+        z, n = _nil(self.ctx), self.cols
+        return all(row.count(z) == n for row in self.entries)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -206,35 +215,33 @@ class Mat:
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("add shapes differ")
-        add = self.ctx.add
-        return Mat(
-            self.ctx,
-            [
-                map(add, ra, rb)
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        add, z = self.ctx.add, _nil(self.ctx)
+        return Mat(self.ctx, [
+            [x if y == z else y if x == z else add(x, y) for x, y in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
+        ])
 
     def __sub__(self, other):
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("sub shapes differ")
-        sub = self.ctx.sub
-        return Mat(
-            self.ctx,
-            [
-                map(sub, ra, rb)
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        sub, z = self.ctx.sub, _nil(self.ctx)
+        return Mat(self.ctx, [
+            [x if y == z else sub(x, y) for x, y in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
+        ])
 
     def __neg__(self):
-        neg = self.ctx.neg
-        return Mat(self.ctx, [map(neg, row) for row in self.entries])
+        neg, z = self.ctx.neg, _nil(self.ctx)
+        return Mat(self.ctx, [
+            [x if x == z else neg(x) for x in row] for row in self.entries
+        ])
 
     def scale(self, c) -> "Mat":
-        mul = self.ctx.mul
-        return Mat(self.ctx, [[mul(a, c) for a in row] for row in self.entries])
+        mul, z = self.ctx.mul, _nil(self.ctx)
+        return Mat(self.ctx, [
+            [x if x == z else mul(x, c) for x in row] for row in self.entries
+        ])
 
     def __matmul__(self, other):
         self._check(other)
@@ -272,27 +279,45 @@ class Mat:
     # -- elimination-based queries ------------------------------------------
 
     def _rref(self):
-        """Reduced row echelon form; returns (rows as lists, pivot column list)."""
+        """Reduced row echelon form; returns (rows as lists, pivot column list).
+
+        The pivot row at column c is zero left of c.  Over GF(p) the rows
+        are int lists reduced from column c on; elsewhere a reduction step
+        touches only the pivot row's nonzero entries.
+        """
         ctx = self.ctx
-        zero = ctx.zero
+        z = _nil(ctx)
         rows = [list(r) for r in self.entries]
-        m, n = self.rows, self.cols
+        m = self.rows
         pivots = []
         r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, m) if rows[i][c] != zero), None)
+        for c in range(self.cols):
+            piv = next((i for i in range(r, m) if rows[i][c] != z), None)
             if piv is None:
                 continue
             rows[r], rows[piv] = rows[piv], rows[r]
-            inv = ctx.inv(rows[r][c])
-            if rows[r][c] != ctx.one:
-                rows[r] = [ctx.mul(x, inv) for x in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c] != zero:
-                    f = rows[i][c]
-                    rows[i] = [
-                        ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                    ]
+            head = rows[r]
+            if ctx.kind == "prime":
+                p = ctx.p
+                if head[c] != 1:
+                    inv = pow(head[c], -1, p)
+                    head[c:] = [x * inv % p for x in head[c:]]
+                tail = head[c:]
+                for i, row in enumerate(rows):
+                    f = row[c]
+                    if f and i != r:
+                        row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+            else:
+                mul, sub = ctx.mul, ctx.sub
+                if head[c] != ctx.one:
+                    inv = ctx.inv(head[c])
+                    head[c:] = [x if x == z else mul(x, inv) for x in head[c:]]
+                live = [(j, y) for j, y in enumerate(head[c:], c) if y != z]
+                for i, row in enumerate(rows):
+                    f = row[c]
+                    if f != z and i != r:
+                        for j, y in live:
+                            row[j] = sub(row[j], mul(f, y))
             pivots.append(c)
             r += 1
             if r == m:
@@ -393,13 +418,13 @@ def _sparse_product(ctx: FieldCtx, A, B, cols: int) -> List[list]:
     entry) pairs.  Each entry adds the same products in the same order as
     the inner product over the nonzero pairs, at 2 n^2 zero tests.
     """
-    add, mul, zero = ctx.add, ctx.mul, ctx.zero
-    live = [[(j, y) for j, y in enumerate(rb) if y != zero] for rb in B]
+    add, mul, zero, z = ctx.add, ctx.mul, ctx.zero, _nil(ctx)
+    live = [[(j, y) for j, y in enumerate(rb) if y != z] for rb in B]
     out = []
     for ra in A:
         row = [zero] * cols
         for x, rb in zip(ra, live):
-            if x != zero:
+            if x != z:
                 for j, y in rb:
                     row[j] = add(row[j], mul(x, y))
         out.append(row)

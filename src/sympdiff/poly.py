@@ -465,8 +465,14 @@ def decompose_base_sigma(f: Poly, delta) -> Optional[Poly]:
 
 def _sqrt_finite(ctx: FieldCtx, a):
     """A square root of a in a finite field of odd order, or None
-    (Tonelli-Shanks, with the first non-square in ``ctx.elements()``
-    order)."""
+    (Tonelli-Shanks, with the first non-square among the candidates below;
+    another non-square can only flip the sign of the root).
+
+    Over GF(p^k), k >= 2, the candidates g + c, c in GF(p), come before
+    ``ctx.elements()``: the norm of g + c is +-f(-c), f the modulus, a
+    non-square for about half of the c, whereas for even k the first p
+    elements, c g^(k-1), can all be squares (they are over
+    GF(p^2)|t^2+1, whose g^2 = -1 has order 4)."""
     power, mul, one = ctx.power, ctx.mul, ctx.one
     half = (ctx.order - 1) // 2
     if ctx.is_zero(a):
@@ -477,7 +483,11 @@ def _sqrt_finite(ctx: FieldCtx, a):
     while odd % 2 == 0:
         odd, m = odd // 2, m + 1
     minus_one = ctx.neg(one)
-    nonsquare = next(z for z in ctx.elements() if power(z, half) == minus_one)
+    candidates = ctx.elements()
+    if ctx.kind == "extension" and ctx.k > 1:
+        shifts = ((c, 1) + ctx.zero[2:] for c in range(ctx.p))
+        candidates = itertools.chain(shifts, candidates)
+    nonsquare = next(z for z in candidates if power(z, half) == minus_one)
     z = power(nonsquare, odd)  # of order 2^m
     x, b = power(a, (odd + 1) // 2), power(a, odd)  # x^2 = a*b throughout
     while b != one:

@@ -21,7 +21,7 @@ from .errors import (
     WrongDegree,
 )
 from .fields import FieldCtx
-from .linalg import InvFactors, Mat, direct_sum, invariant_factors, similar
+from .linalg import InvFactors, Mat, _nil, direct_sum, invariant_factors, similar
 from .poly import Poly
 
 
@@ -86,16 +86,21 @@ class ValidityReport:
 
 
 def is_alternating(M: Mat) -> bool:
-    """Skew-symmetric with zero diagonal (both checked; char-2-safe)."""
+    """Skew-symmetric with zero diagonal (both checked; char-2-safe).  Only
+    the nonzero entries below the diagonal are negated."""
     if not M.is_square:
         raise NotSquare(f"{M.rows}x{M.cols}")
-    ctx = M.ctx
-    n = M.rows
-    for i in range(n):
-        if not ctx.is_zero(M.entries[i][i]):
+    neg, z = M.ctx.neg, _nil(M.ctx)
+    rows = M.entries
+    for i, row in enumerate(rows):
+        if row[i] != z:
             return False
-        for j in range(i + 1, n):
-            if M.entries[i][j] != ctx.neg(M.entries[j][i]):
+        for j in range(i + 1, M.rows):
+            y = rows[j][i]
+            if y == z:
+                if row[j] != z:
+                    return False
+            elif row[j] != neg(y):
                 return False
     return True
 

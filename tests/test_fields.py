@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sympdiff.fields
+from sympdiff.decide import pair_context
 from sympdiff.errors import (
     DegreeBoundExceeded,
     DivisionByZero,
@@ -74,51 +76,83 @@ def test_extension_field_structure():
             assert lhs == rhs
 
 
-def _unmemoized_product(ctx, a, b):
-    """a * b in GF(p^k) as polynomials over GF(p) modulo the modulus."""
+def _unmemoized(ctx, op, a, b=None):
+    """a op b (or 1/a) in GF(p^k) as polynomials over GF(p) modulo the
+    modulus; an inverse is found by search."""
+    if op == "inv":
+        return next(
+            c for c in ctx.elements() if _unmemoized(ctx, "mul", a, c) == ctx.one
+        )
     Fp = PrimeField(ctx.p)
-    r = (Poly(Fp, a) * Poly(Fp, b)) % Poly(Fp, ctx.modulus)
+    x, y, m = Poly(Fp, a), Poly(Fp, b), Poly(Fp, ctx.modulus)
+    r = {"add": x + y, "sub": x - y, "mul": (x * y) % m}[op]
     return r.coeffs + (0,) * (ctx.k - len(r.coeffs))
+
+
+def _operands(ctx, op):
+    if op == "inv":
+        return [(a,) for a in ctx.elements() if a != ctx.zero]
+    return list(itertools.product(ctx.elements(), repeat=2))
+
+
+MEMOS = {"add": "_add_memo", "sub": "_sub_memo", "mul": "_mul_memo", "inv": "_inv_memo"}
 
 
 @pytest.mark.parametrize("spec", ["GF(4)|t^2+t+1", "GF(9)|t^2+1", "GF(27)|t^3+2*t+1"])
 def test_memoized_products_match_unmemoized(spec):
+    """Products, and also sums, differences and inverses."""
     ctx = field_make(spec)
-    pairs = list(itertools.product(ctx.elements(), repeat=2))
-    want = [_unmemoized_product(ctx, a, b) for a, b in pairs]
-    for _ in range(2):  # the second pass reads the memo
-        assert [ctx.mul(a, b) for a, b in pairs] == want
-    assert len(ctx._mul_memo) == len(pairs) <= EXT_MUL_MEMO_MAX
+    for op, name in MEMOS.items():
+        args = _operands(ctx, op)
+        want = [_unmemoized(ctx, op, *a) for a in args]
+        for _ in range(2):  # the second pass reads the memo
+            assert [getattr(ctx, op)(*a) for a in args] == want
+        assert len(getattr(ctx, name)) == len(args) <= EXT_MUL_MEMO_MAX
 
 
-def test_product_memo_is_capped():
+def test_product_memo_is_capped(monkeypatch):
+    """Every memo, products, sums, differences and inverses."""
     ctx = field_make("GF(256)|t^8+t^4+t^3+t+1")
-    elems = list(ctx.elements())
-    for a in elems:
-        for b in elems:
-            ctx.mul(a, b)
-    assert len(ctx._mul_memo) == EXT_MUL_MEMO_MAX < len(elems) ** 2
-    a, b = elems[-1], elems[-2]  # met after the memo filled up
-    assert (a, b) not in ctx._mul_memo
-    assert ctx.mul(a, b) == _unmemoized_product(ctx, a, b)
+    for op, name in MEMOS.items():
+        args = _operands(ctx, op)
+        for a in args:
+            getattr(ctx, op)(*a)
+        memo = getattr(ctx, name)
+        assert len(memo) == min(len(args), EXT_MUL_MEMO_MAX)
+        if len(args) <= EXT_MUL_MEMO_MAX:  # 255 inverses: a smaller cap holds
+            monkeypatch.setattr(sympdiff.fields, "EXT_MUL_MEMO_MAX", 100)
+            memo.clear()
+            for a in args:
+                getattr(ctx, op)(*a)
+        assert len(memo) == sympdiff.fields.EXT_MUL_MEMO_MAX < len(args)
+        last = args[-1]  # met after the memo filled up
+        assert (last if op != "inv" else last[0]) not in memo
+        assert getattr(ctx, op)(*last) == _unmemoized(ctx, op, *last)
+        monkeypatch.undo()
 
 
 def test_context_with_filled_memo_pickles():
     ctx = field_make("GF(27)|t^3+2*t+1")
     elems = list(ctx.elements())
     for a in elems:
-        ctx.mul(a, elems[5])
+        ctx.mul(a, elems[5]), ctx.add(a, elems[5]), ctx.sub(a, elems[5])
+        if a != ctx.zero:
+            ctx.inv(a)
     M = Mat(ctx, [elems[1:3], elems[3:5]])
     square = M @ M  # builds the table of the lift to GF(3)
     clone = pickle.loads(pickle.dumps(ctx))
     assert clone == ctx and hash(clone) == hash(ctx)
-    assert ctx._mul_memo and not clone._mul_memo  # the memo is not shipped
+    for name in MEMOS.values():  # no memo is shipped
+        assert getattr(ctx, name) and getattr(clone, name) == {}
+    assert len({id(getattr(clone, name)) for name in MEMOS.values()}) == len(MEMOS)
     assert ctx._regular is not None and clone._regular is None  # nor the table
     M = Mat(clone, M.entries)
     assert M @ M == Mat(clone, square.entries)
-    assert [clone.mul(a, elems[5]) for a in elems] == [
-        ctx.mul(a, elems[5]) for a in elems
-    ]
+    for op in ("add", "sub", "mul"):
+        assert [getattr(clone, op)(a, elems[5]) for a in elems] == [
+            getattr(ctx, op)(a, elems[5]) for a in elems
+        ]
+    assert [clone.inv(a) for a in elems[1:]] == [ctx.inv(a) for a in elems[1:]]
 
 
 def test_extension_field_rejects_reducible_modulus():
@@ -220,3 +254,23 @@ def test_strong_pseudoprime_is_rejected():
 def test_elements_enumeration_is_deterministic(F3):
     assert list(F3.elements()) == list(F3.elements())
     assert sorted(F3.elements(), key=F3.sort_key) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("spec", ["GF(9)|t^2+1", "GF(27)|t^3+2*t+1"])
+def test_extension_elements_keep_their_order(spec):
+    ctx = field_make(spec)
+    old_order = itertools.product(range(ctx.p), repeat=ctx.k)
+    first = itertools.islice(ctx.elements(), 50)
+    assert list(first) == list(itertools.islice(old_order, 50))
+    assert len(set(ctx.elements())) == ctx.order
+
+
+@pytest.mark.parametrize("spec", ["GF(573939143^2)|t^2+1", f"GF({2**31 - 1}^2)|t^2+1"])
+def test_square_roots_over_a_large_extension_answer_quickly(spec, poly):
+    # t^2 - 1 needs a square root of its discriminant, and Tonelli-Shanks a
+    # non-square: the first p elements, c*g, are all squares here
+    ctx = field_make(spec)
+    start = time.perf_counter()
+    pctx = pair_context(poly(ctx, "t^2-1"), poly(ctx, "t^2-1"))
+    assert time.perf_counter() - start < 1.0
+    assert sorted(pctx.Lam_roots) == sorted([ctx.zero, ctx.from_int(4)])

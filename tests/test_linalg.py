@@ -25,9 +25,19 @@ from sympdiff.linalg import (
     similar,
 )
 from sympdiff.poly import Poly
+from sympdiff.sympform import is_alternating
 
 from krylov_reference import field_relation_matrix
 from matmul_reference import naive_poly_eval, naive_product
+from rref_reference import (
+    dense_entrywise,
+    dense_inverse,
+    dense_is_alternating,
+    dense_kernel_basis,
+    dense_rank,
+    dense_rref,
+    dense_solve,
+)
 from snf_reference import snf_invariant_factors
 from subspace_reference import fitting_split, restrict
 
@@ -691,3 +701,99 @@ def test_numpy_born_matrices_are_read_only(ctx):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1
     assert M.entries == before
+
+
+# ----------------------------------------------------------------------
+# elimination and entrywise ops against the every-entry reference
+# ----------------------------------------------------------------------
+
+RREF_CONTEXTS = [
+    field_make("Q"),
+    field_make("GF(3)"),
+    field_make("GF(10000019)"),
+    F4,
+    field_make("GF(27)|t^3+2*t+1"),
+    field_make("GF(2)(s)"),
+]
+
+
+def _rref_cases(ctx, rng):
+    """Dense and <= 20%-nonzero matrices: square, singular, rectangular."""
+    out = [Mat.zeros(ctx, 3, 4), Mat.identity(ctx, 4)]
+    for density in (1.0, 0.2):
+        out += [
+            _random_mat(ctx, rng, 6, 6, density),
+            _random_mat(ctx, rng, 4, 7, density),
+            _random_mat(ctx, rng, 7, 4, density),
+        ]
+        # singular: row 4 a multiple of row 0 plus row 1
+        rows = [list(r) for r in _random_mat(ctx, rng, 6, 6, density).entries]
+        c = _random_scalar(ctx, rng)
+        rows[4] = [ctx.add(ctx.mul(c, x), y) for x, y in zip(rows[0], rows[1])]
+        out.append(Mat(ctx, rows))
+    return out
+
+
+def _alternating_cases(ctx, rng, cases):
+    """A - A^T with its diagonal zeroed (alternating in every
+    characteristic) for each square case, and copies broken at one entry."""
+    out = []
+    for A in cases:
+        if A.is_square and A.rows:
+            n = A.rows
+            S = A - A.transpose()
+            alt = Mat(ctx, [[ctx.zero if i == j else S[i, j] for j in range(n)]
+                            for i in range(n)])
+            out.append(alt)
+            # one nonzero with a zero mirror, above or below; a diagonal one
+            flips = ((0, n - 1, n - 1, 0), (n - 1, 0, 0, n - 1), (1, 1, 1, 1))
+            for i, j, k, l in flips:
+                bad = [list(r) for r in alt.entries]
+                bad[k][l], bad[i][j] = ctx.zero, ctx.one
+                out.append(Mat(ctx, bad))
+    return out
+
+
+@pytest.mark.parametrize("ctx", RREF_CONTEXTS, ids=repr)
+def test_elimination_matches_dense_reference(ctx):
+    rng = random.Random(f"rref:{ctx!r}")
+    for M in _rref_cases(ctx, rng):
+        rows, pivots = M._rref()
+        want_rows, want_pivots = dense_rref(M)
+        assert pivots == want_pivots
+        _same_entries(Mat(ctx, rows, cols=M.cols), want_rows)
+        assert M.rank() == dense_rank(M)
+        _same_entries(M.kernel_basis(), dense_kernel_basis(M))
+        if M.is_square:
+            want = dense_inverse(M)
+            if want is None:
+                with pytest.raises(SingularMatrix):
+                    M.inverse()
+            else:
+                _same_entries(M.inverse(), want)
+        X = _random_mat(ctx, rng, M.cols, 2, 0.5)
+        for rhs in (M @ X, _random_mat(ctx, rng, M.rows, 2, 0.5)):
+            want = dense_solve(M, rhs)
+            if want is None:
+                with pytest.raises(SingularMatrix):
+                    M.solve(rhs)
+            else:
+                _same_entries(M.solve(rhs), want)
+
+
+@pytest.mark.parametrize("ctx", RREF_CONTEXTS, ids=repr)
+def test_entrywise_ops_match_dense_reference(ctx):
+    rng = random.Random(f"entrywise:{ctx!r}")
+    cases = _rref_cases(ctx, rng)
+    for A in cases:
+        B = _random_mat(ctx, rng, A.rows, A.cols, rng.choice((1.0, 0.2)))
+        _same_entries(A + B, dense_entrywise(ctx.add, A, B))
+        _same_entries(A - B, dense_entrywise(ctx.sub, A, B))
+        _same_entries(-A, dense_entrywise(ctx.neg, A))
+        for c in (_random_scalar(ctx, rng), ctx.zero, ctx.one):
+            _same_entries(A.scale(c), dense_entrywise(lambda x: ctx.mul(x, c), A))
+        assert A.is_zero == all(x == ctx.zero for row in A.entries for x in row)
+    alternating = _alternating_cases(ctx, rng, cases)
+    assert any(map(is_alternating, alternating))
+    for M in alternating + [A for A in cases if A.is_square]:
+        assert is_alternating(M) == dense_is_alternating(M)
