@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call time of ``Mat`` products, differences, ranks and ``mat_poly_eval``.
+"""Per-call time of ``Mat`` products, differences, ranks, ``mat_poly_eval``
+and duplication blocks.
 
 Run from the repository root (point ``PYTHONPATH`` at another checkout's
 ``src`` to time that one)::
@@ -11,11 +12,16 @@ Run from the repository root (point ``PYTHONPATH`` at another checkout's
 Every call gets fresh operands, seeded random n x n matrices whose entries
 are nonzero with probability ``--density`` (1 by default), so its time
 includes converting them; the polynomial is a seeded monic quadratic.
+A duplication block is built and verified (``duplication_witness``: one
+``w_algebra_block`` and one ``verify_witness``) for the pair of that
+quadratic and a second one, each call with a fresh seeded monic r of degree
+max(1, n // 4), so the block is 4 max(1, n // 4) square.
 Scalars are uniform over a finite field, ``a/b`` with |a| <= 9 and
 1 <= b <= 4 over Q, and quotients of polynomials of degree <= 2 over
 GF(p)(s).  Prints one JSON object: field -> n -> the median microseconds per
 call of ``A @ B`` (``matmul_us``), ``A - B`` (``sub_us``), ``A.rank()``
-(``rank_us``) and ``mat_poly_eval(f, A)`` (``horner_us``).
+(``rank_us``), ``mat_poly_eval(f, A)`` (``horner_us``) and the duplication
+block (``block_us``).
 """
 
 import argparse
@@ -24,9 +30,11 @@ import random
 import statistics
 import time
 
+from sympdiff.decide import pair_context
 from sympdiff.fields import field_make
 from sympdiff.linalg import Mat, mat_poly_eval
 from sympdiff.poly import Poly
+from sympdiff.witness import duplication_witness
 
 
 def _scalar(ctx, rng):
@@ -63,7 +71,11 @@ def main(argv=None):
     for spec in args.fields:
         ctx = field_make(spec)
         rng = random.Random(f"{args.seed}:{spec}")
-        f = Poly(ctx, [_scalar(ctx, rng), _scalar(ctx, rng), ctx.one])
+        def monic(degree):
+            return Poly(ctx, [_scalar(ctx, rng) for _ in range(degree)] + [ctx.one])
+
+        f = monic(2)
+        pctx = pair_context(f, monic(2))
 
         def entry():
             return _scalar(ctx, rng) if rng.random() < args.density else ctx.zero
@@ -87,6 +99,9 @@ def main(argv=None):
                 "sub_us": _timed(Mat.__sub__, pairs()),
                 "rank_us": _timed(Mat.rank, singles()),
                 "horner_us": _timed(mat_poly_eval, [(f,) + A for A in singles()]),
+                "block_us": _timed(duplication_witness, [
+                    (pctx, monic(max(1, n // 4))) for _ in range(args.reps)
+                ]),
             }
     print(json.dumps(result))
 

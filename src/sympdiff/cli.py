@@ -54,8 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _load_json(text: str):
@@ -220,8 +219,8 @@ def _cmd_enumerate(args) -> int:
         inventory = [parse_poly(ctx, part)
                      for part in args.inventory.split(";") if part.strip()]
     for row in indecomposable_reps(pctx, args.dim, irreducibles=inventory):
-        json.dump(ser.encode_table_row(row), sys.stdout)
-        sys.stdout.write("\n")
+        # json.dumps without an indent takes the C encoder; json.dump never does
+        sys.stdout.write(json.dumps(ser.encode_table_row(row)) + "\n")
     return 0
 
 

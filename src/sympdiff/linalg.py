@@ -13,7 +13,11 @@ entries give the Smith diagonal.
 Matrix products and polynomial evaluation over finite fields go through
 numpy int64 on the lift to GF(p) (:func:`_lift`, as in the brute-force
 search), exact where :func:`_numpy_exact` allows; a matrix keeps its lift,
-so a chain of products converts each operand once.  The chain elimination
+so a chain of products converts each operand once.  Their results are born
+from the lift alone: the entry tuples are built when first read, and sums,
+differences, negations, scalings, ``==`` and ``is_zero`` of matrices that
+carry a lift stay in int64, so checks that only combine and compare
+products never build tuples.  The chain elimination
 runs on plain ints over prime fields, and fraction-free over Z and GF(p)[s]
 for Q and GF(p)(s): one content gcd per row operation instead of one gcd
 per scalar operation.  Over GF(p^k) it uses field arithmetic.  Everything
@@ -99,24 +103,45 @@ def _to_np(M: "Mat", dtype=_np.int64):
     return M._arr
 
 
-def _unlift(ctx: FieldCtx, a) -> list:
+def _unlift(ctx: FieldCtx, a) -> tuple:
     """The rows of the matrix lifted to ``a``: column 0 of each block."""
     if ctx.kind == "prime":
-        return a.tolist()
+        return tuple(map(tuple, a.tolist()))
     k = ctx.k
     rows = a.reshape(len(a) // k, k, a.shape[1] // k, k)[..., 0].swapaxes(1, 2)
-    return [list(map(tuple, row)) for row in rows.tolist()]
+    return tuple(tuple(map(tuple, row)) for row in rows.tolist())
 
 
 def _from_np(ctx: FieldCtx, a) -> "Mat":
-    M = Mat(ctx, _unlift(ctx, a))
-    a.flags.writeable = False
-    object.__setattr__(M, "_arr", a)
+    """The Mat lifted to ``a``, which it keeps read-only; its entries are
+    built from ``a`` when first read (:meth:`Mat.__getattr__`)."""
+    a.setflags(write=False)
+    M = object.__new__(Mat)
+    k = ctx.k
+    _set_ctx(M, ctx)
+    _set_rows(M, len(a) // k)
+    _set_cols(M, a.shape[1] // k)
+    _set_arr(M, a)
     return M
 
 
+def _lifts(*mats: "Mat"):
+    """The int64 lifts of ``mats`` when one of them carries its lift, and
+    sums of one product of lifted entries (k over GF(p^k)) fit; else None."""
+    for M in mats:
+        if M._arr is not None:
+            return [_to_np(X) for X in mats] if _numpy_exact(M.ctx, 1) else None
+    return None
+
+
 class Mat:
-    """Immutable dense matrix over a field context."""
+    """Immutable dense matrix over a field context.
+
+    ``entries`` is a tuple of row tuples.  A Mat born from numpy
+    (:func:`_from_np`) holds only its int64 lift at first and builds them
+    on first read; entrywise ops, ``==`` and ``is_zero`` answer from the
+    lifts when an operand carries one (:func:`_lifts`).
+    """
 
     __slots__ = ("ctx", "rows", "cols", "entries", "_arr")
 
@@ -131,6 +156,14 @@ class Mat:
         object.__setattr__(self, "cols", n)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_arr", None)  # its int64 lift (_to_np)
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: the entries of a numpy-born Mat
+        if name != "entries":
+            raise AttributeError(name)
+        rows = _unlift(self.ctx, self._arr)
+        object.__setattr__(self, "entries", rows)
+        return rows
 
     def __setattr__(self, *_):
         raise AttributeError("Mat is immutable")
@@ -180,7 +213,7 @@ class Mat:
                     raise DimensionMismatch("block row heights differ")
             for i in range(h):
                 out_rows.append([e for b in brow for e in b.entries[i]])
-        return cls(ctx, out_rows)
+        return cls(ctx, out_rows, sum(b.cols for b in grid[0]) if grid else 0)
 
     @classmethod
     def column(cls, ctx, vec):
@@ -194,6 +227,9 @@ class Mat:
 
     @property
     def is_zero(self) -> bool:
+        lifts = _lifts(self)
+        if lifts:
+            return not _np.count_nonzero(lifts[0])
         z, n = _nil(self.ctx), self.cols
         return all(row.count(z) == n for row in self.entries)
 
@@ -215,33 +251,51 @@ class Mat:
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("add shapes differ")
+        lifts = _lifts(self, other)
+        if lifts:
+            return _from_np(self.ctx, (lifts[0] + lifts[1]) % self.ctx.p)
         add, z = self.ctx.add, _nil(self.ctx)
         return Mat(self.ctx, [
             [x if y == z else y if x == z else add(x, y) for x, y in zip(ra, rb)]
             for ra, rb in zip(self.entries, other.entries)
-        ])
+        ], self.cols)
 
     def __sub__(self, other):
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("sub shapes differ")
+        lifts = _lifts(self, other)
+        if lifts:
+            return _from_np(self.ctx, (lifts[0] - lifts[1]) % self.ctx.p)
         sub, z = self.ctx.sub, _nil(self.ctx)
         return Mat(self.ctx, [
             [x if y == z else sub(x, y) for x, y in zip(ra, rb)]
             for ra, rb in zip(self.entries, other.entries)
-        ])
+        ], self.cols)
 
     def __neg__(self):
+        lifts = _lifts(self)
+        if lifts:
+            return _from_np(self.ctx, -lifts[0] % self.ctx.p)
         neg, z = self.ctx.neg, _nil(self.ctx)
         return Mat(self.ctx, [
             [x if x == z else neg(x) for x in row] for row in self.entries
-        ])
+        ], self.cols)
 
     def scale(self, c) -> "Mat":
+        lifts = _lifts(self)
+        if lifts:
+            ctx, a = self.ctx, lifts[0]
+            if ctx.kind == "prime":
+                return _from_np(ctx, a * c % ctx.p)
+            # each k-column block of the lift times the k x k lift of c
+            k = ctx.k
+            lc = _lift(ctx, _np.array(c, _np.int64).reshape(1, 1, k))
+            return _from_np(ctx, (a.reshape(-1, k) @ lc % ctx.p).reshape(a.shape))
         mul, z = self.ctx.mul, _nil(self.ctx)
         return Mat(self.ctx, [
             [x if x == z else mul(x, c) for x in row] for row in self.entries
-        ])
+        ], self.cols)
 
     def __matmul__(self, other):
         self._check(other)
@@ -384,14 +438,19 @@ class Mat:
     # -- comparisons and display ---------------------------------------------
 
     def __eq__(self, other):
-        return (
+        if not (
             isinstance(other, Mat)
             and other.ctx == self.ctx
-            and other.entries == self.entries
-        )
+            and (other.rows, other.cols) == (self.rows, self.cols)
+        ):
+            return False
+        lifts = _lifts(self, other)
+        if lifts:  # equal shapes and dtypes: equal exactly when their bytes are
+            return lifts[0].tobytes() == lifts[1].tobytes()
+        return other.entries == self.entries
 
     def __hash__(self):
-        return hash((self.ctx, self.entries))
+        return hash((self.ctx, self.rows, self.cols, self.entries))
 
     def __str__(self):
         fmt = self.ctx.format
@@ -408,6 +467,11 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.ctx!r}, {self.rows}x{self.cols})"
+
+
+_set_ctx, _set_rows, _set_cols, _set_arr = (
+    getattr(Mat, name).__set__ for name in ("ctx", "rows", "cols", "_arr")
+)
 
 
 def _sparse_product(ctx: FieldCtx, A, B, cols: int) -> List[list]:
@@ -447,7 +511,7 @@ def direct_sum(*mats: Mat) -> Mat:
         left, right = (z,) * co, (z,) * (total_c - co - m.cols)
         out.extend(left + row + right for row in m.entries)
         co += m.cols
-    return Mat(ctx, out)
+    return Mat(ctx, out, total_c)
 
 
 def companion(r: Poly) -> Mat:

@@ -10,6 +10,7 @@ extension S(v) of some endomorphism v.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -105,8 +106,9 @@ def is_alternating(M: Mat) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
 def standard_gram(ctx: FieldCtx, n: int) -> Mat:
-    """The 2n x 2n Gram matrix [[0, -I], [I, 0]]."""
+    """The 2n x 2n Gram matrix [[0, -I], [I, 0]], built once per (ctx, n)."""
     ident = Mat.identity(ctx, n)
     zero = Mat.zeros(ctx, n)
     return Mat.block(ctx, [[zero, -ident], [ident, zero]])

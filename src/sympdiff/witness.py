@@ -387,6 +387,12 @@ def _digits(idx, pr: int, width: int):
     return idx[:, None] // pr ** np.arange(width - 1, -1, -1, dtype=np.int64) % pr
 
 
+@functools.lru_cache(maxsize=64)
+def _gram_inverse(B: Mat) -> Mat:
+    """B^-1, once per distinct Gram matrix (a sweep meets few)."""
+    return B.inverse()
+
+
 def brute_force_witness(
     P: SymplecticPair, pctx: PairCtx, bound: int = DEFAULT_SEARCH_BOUND
 ) -> Optional[Witness]:
@@ -440,7 +446,7 @@ def brute_force_witness(
     if n == 0:
         empty = Mat(ctx, [])
         return Witness(B=empty, U=empty, U1=empty, U2=empty)
-    Binv = P.B.inverse()
+    Binv = _gram_inverse(P.B)
     if not is_alternating(P.B):
         raise InvalidPair("Gram matrix is not alternating")
     if not is_alternating(P.B @ P.U):

@@ -532,3 +532,56 @@ def test_selftest_exit_code_tracks_results(capsys, monkeypatch):
     code, out = run(capsys, ["selftest", "--seed", "7"])
     assert code == 1
     assert [r["passed"] for r in json.loads(out)] == [True, False]
+
+
+class _CountingOut(io.StringIO):
+    """stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def _reference_encoding(out: str, lines: bool) -> str:
+    """What ``json.dump`` writes for the JSON values in ``out``: one line
+    each without an indent, else one value with indent=2."""
+    buf = io.StringIO()
+    for text in out.splitlines() if lines else [out]:
+        json.dump(json.loads(text), buf, **({} if lines else {"indent": 2}))
+        buf.write("\n")
+    return buf.getvalue()
+
+
+def test_every_subcommand_writes_json_dump_bytes_once_per_answer(
+    monkeypatch, tmp_path
+):
+    import sympdiff.acceptance as acceptance
+
+    class Criterion:
+        number, name, passed, detail, seconds = 1, "stub", True, "é ✓", 0.25
+
+    monkeypatch.setattr(acceptance, "run_all", lambda seed=0: [Criterion()])
+    pq = ["--field", "GF(3)", "--p", "t^2+1", "--q", "t^2+1"]
+    calls = [
+        ["classify", *pq],
+        ["decide", *pq, "--v", "companion:t^2+2"],
+        ["decide", "--field", "Q", "--p", "t^2+2", "--q", "t^2+2", "--v", "companion:t+1"],
+        ["witness", *pq, "--v", "companion:t^2+2"],
+        ["verify", *pq, "--witness", str(tmp_path / "witness.json")],
+        ["enumerate", "--field", "GF(3)", "--p", "t^2-t", "--q", "t^2-t", "--dim", "2"],
+        ["oracle", "--field", "GF(2)", "--dim", "2"],
+        ["selftest"],
+        ["classify", "--field", "GF(4)", "--p", "t^2", "--q", "t^2"],  # an error
+    ]
+    for argv in calls:
+        out = _CountingOut()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli_run(argv)
+        text = out.getvalue()
+        if argv[0] == "witness":
+            (tmp_path / "witness.json").write_text(json.dumps(json.loads(text)["witness"]))
+        rows = argv[0] == "enumerate"
+        assert text == _reference_encoding(text, rows), argv
+        assert out.writes == (text.count("\n") if rows else 1), argv

@@ -1,9 +1,11 @@
 """Matrices: elimination, companion forms, invariant factors, Jordan data."""
 
+import pickle
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from sympdiff.fields import field_make
 import sympdiff.linalg
 from sympdiff.linalg import (
     Mat,
+    _from_np,
     _relation_matrix,
     _to_np,
     _unlift,
@@ -797,3 +800,108 @@ def test_entrywise_ops_match_dense_reference(ctx):
     assert any(map(is_alternating, alternating))
     for M in alternating + [A for A in cases if A.is_square]:
         assert is_alternating(M) == dense_is_alternating(M)
+
+
+# ----------------------------------------------------------------------
+# numpy-born matrices: entries built on first read, ops from the lift
+# ----------------------------------------------------------------------
+
+ARRAY_BORN_CONTEXTS = [
+    field_make("GF(2)"),
+    field_make("GF(3)"),
+    field_make("GF(5)"),
+    F4,
+    field_make("GF(9)|t^2+1"),
+    field_make("GF(27)|t^3+2*t+1"),
+    # 2 (p-1)^2 < 2^62: scale's k-fold sums at the edge of int64
+    field_make("GF(573939143^2)|t^2+1"),
+]
+
+
+def _entries_built(M: Mat) -> bool:
+    """Whether M's entry tuples exist yet (read from the slot, not built)."""
+    try:
+        Mat.entries.__get__(M)
+    except AttributeError:
+        return False
+    return True
+
+
+def _plain(X: Mat) -> Mat:
+    """An entry-built copy of X that carries no lift."""
+    return Mat(X.ctx, X.entries, cols=X.cols)
+
+
+def _born(X: Mat) -> Mat:
+    """X born from numpy the way products are: its lift, and no entries."""
+    M = _from_np(X.ctx, _to_np(_plain(X)))
+    assert not _entries_built(M) and (M.rows, M.cols) == (X.rows, X.cols)
+    return M
+
+
+_BINARY_OPS = [Mat.__add__, Mat.__sub__, Mat.__eq__, Mat.__ne__,
+               lambda a, b: Mat.block(a.ctx, [[a, b], [b, a]]),
+               lambda a, b: direct_sum(a, b, a)]
+_UNARY_OPS = [Mat.__neg__, Mat.transpose, Mat.rank, hash,
+              lambda a: a.is_zero, lambda a: pickle.loads(pickle.dumps(a))]
+
+
+def _same_answer(got, want):
+    """Equal answers; Mats equal entry for entry and by type, lifts frozen."""
+    if not isinstance(want, Mat):
+        assert got == want
+        return
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    _same_entries(got, [list(row) for row in want.entries])
+    if got._arr is not None:
+        assert not got._arr.flags.writeable
+
+
+@pytest.mark.parametrize("ctx", ARRAY_BORN_CONTEXTS, ids=repr)
+def test_array_born_matches_entry_built(ctx):
+    rng = random.Random(f"born:{ctx!r}")
+    for m, n in ((3, 5), (4, 4), (0, 3), (3, 0), (0, 0)):
+        for density in (1.0, 0.3, 0.0):
+            X, Y = (_random_mat(ctx, rng, m, n, density) for _ in range(2))
+            mats = [X, Y]
+            if m and n:  # X but for one entry
+                rows = [list(r) for r in X.entries]
+                rows[-1][-1] = ctx.add(rows[-1][-1], ctx.one)
+                mats.append(Mat(ctx, rows))
+            if m == n:  # X - X^T with a zero diagonal: alternating
+                S = X - X.transpose()
+                mats.append(Mat(ctx, [[ctx.zero if i == j else S[i, j]
+                                       for j in range(n)] for i in range(n)]))
+            for a in mats:
+                # the reference runs on entry-built copies, which stay unlifted
+                ref_a = _plain(a)
+                unary = _UNARY_OPS + [lambda M, c=c: M.scale(c) for c in
+                                      (_random_scalar(ctx, rng), ctx.zero, ctx.one)]
+                if m == n:
+                    unary.append(is_alternating)
+                for op in unary:
+                    _same_answer(op(_born(a)), op(ref_a))
+                for b in mats:
+                    ref_b = _plain(b)
+                    for op in _BINARY_OPS:
+                        want = op(ref_a, ref_b)
+                        for pair in ((_born(a), _born(b)), (_born(a), _plain(b)),
+                                     (_plain(a), _born(b))):
+                            _same_answer(op(*pair), want)
+                    assert ref_b._arr is None
+                assert ref_a._arr is None
+    # the first read builds the tuples once; later reads return them
+    A = _born(_random_mat(ctx, rng, 3, 4, 1.0))
+    first = A.entries
+    assert _entries_built(A) and A.entries is first
+    assert not A._arr.flags.writeable
+    assert A == _plain(A) and hash(A) == hash(_plain(A))
+
+
+def test_empty_matrices_differ_by_column_count(F3):
+    a, b = Mat.zeros(F3, 0, 3), Mat.zeros(F3, 0, 5)
+    assert a != b and hash(a) != hash(b)
+    born = [_from_np(F3, np.zeros((0, n), np.int64)) for n in (3, 5)]
+    assert born[0] == a and born[1] == b and born[0] != born[1]
+    assert hash(born[0]) == hash(a) != hash(born[1])
+    assert Mat.zeros(F3, 3, 0).transpose() == a

@@ -20,7 +20,7 @@ def test_counterexample_demo_passes(capsys):
 
 
 def test_bench_kernels_times_every_field_kind(capsys):
-    fields = ["Q", "GF(2)(s)", "GF(3)", "GF(4)|t^2+t+1", "GF(27)|t^3+2*t+1"]
+    fields = ["Q", "GF(2)(s)", "GF(3)", "GF(5)", "GF(4)|t^2+t+1", "GF(27)|t^3+2*t+1"]
     _load("bench_kernels").main(
         ["--fields", *fields, "--sizes", "3", "--reps", "2", "--density", "0.5"]
     )
@@ -28,5 +28,7 @@ def test_bench_kernels_times_every_field_kind(capsys):
     assert list(result) == fields
     for spec in fields:
         cells = result[spec]["3"]
-        assert sorted(cells) == ["horner_us", "matmul_us", "rank_us", "sub_us"]
+        assert sorted(cells) == [
+            "block_us", "horner_us", "matmul_us", "rank_us", "sub_us"
+        ]
         assert all(us > 0 for us in cells.values())

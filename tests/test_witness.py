@@ -176,6 +176,25 @@ def test_brute_force_golden_first_hit(F3):
     assert verify_witness(w, pc).ok
 
 
+def test_grams_are_built_and_inverted_once(F3, monkeypatch):
+    from sympdiff.sympform import standard_gram
+
+    inverted = []
+    inverse = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse", lambda M: inverted.append(M) or inverse(M))
+    witness._gram_inverse.cache_clear()
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    # equal fields and sizes share one Gram; each distinct Gram is inverted once
+    assert standard_gram(F3, 2) is standard_gram(field_make("GF(3)"), 2)
+    found = [brute_force_witness(symplectic_extension(v), pc)
+             for v in (Mat.zeros(F3, 2), Mat.zeros(F3, 2), Mat.identity(F3, 2))]
+    assert found[0] == found[1] is not None
+    B = Mat.from_ints(F3, [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]])
+    for _ in range(2):
+        brute_force_witness(SymplecticPair(B, Mat.zeros(F3, 4)), pc)
+    assert inverted == [standard_gram(F3, 2), B]
+
+
 def _sampled_instances(ctx, pair_dim, count, seed):
     """``count`` seeded draws of (pctx, pair) from the instances of
     ``oracle_sweep(ctx, pair_dim)``."""
