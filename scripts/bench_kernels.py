@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call time of ``Mat`` products, differences, ranks, ``mat_poly_eval``
-and duplication blocks.
+"""Per-call time of ``Mat`` products, differences, ranks, ``mat_poly_eval``,
+``invariant_factors`` and duplication blocks.
 
 Run from the repository root (point ``PYTHONPATH`` at another checkout's
 ``src`` to time that one)::
@@ -20,8 +20,9 @@ Scalars are uniform over a finite field, ``a/b`` with |a| <= 9 and
 1 <= b <= 4 over Q, and quotients of polynomials of degree <= 2 over
 GF(p)(s).  Prints one JSON object: field -> n -> the median microseconds per
 call of ``A @ B`` (``matmul_us``), ``A - B`` (``sub_us``), ``A.rank()``
-(``rank_us``), ``mat_poly_eval(f, A)`` (``horner_us``) and the duplication
-block (``block_us``).
+(``rank_us``), ``mat_poly_eval(f, A)`` (``horner_us``),
+``invariant_factors(A)`` (``invfac_us``) and the duplication block
+(``block_us``).
 """
 
 import argparse
@@ -32,7 +33,7 @@ import time
 
 from sympdiff.decide import pair_context
 from sympdiff.fields import field_make
-from sympdiff.linalg import Mat, mat_poly_eval
+from sympdiff.linalg import Mat, invariant_factors, mat_poly_eval
 from sympdiff.poly import Poly
 from sympdiff.witness import duplication_witness
 
@@ -99,6 +100,7 @@ def main(argv=None):
                 "sub_us": _timed(Mat.__sub__, pairs()),
                 "rank_us": _timed(Mat.rank, singles()),
                 "horner_us": _timed(mat_poly_eval, [(f,) + A for A in singles()]),
+                "invfac_us": _timed(invariant_factors, singles()),
                 "block_us": _timed(duplication_witness, [
                     (pctx, monic(max(1, n // 4))) for _ in range(args.reps)
                 ]),

@@ -131,7 +131,7 @@ def _dup_sweep(shared: Optional[dict]) -> dict:
                 label = f"{spec} p={p} q={q} r={r}"
                 block = w_algebra_block(pc, r)
                 A, B, C, H = block.A, block.B, block.C, block.H
-                w = Witness(B=H, U=A - B, U1=A, U2=B)
+                w = Witness(B=H, U=block.U, U1=A, U2=B)
                 rep = verify_witness(w, pc)
                 expected = (r.compose(pc.sigma),) * 2
                 if not rep.ok or invariant_factors(w.U).factors != expected:

@@ -21,6 +21,7 @@ All context methods are total on canonical inputs except ``inv``/``div``
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterator
@@ -201,6 +202,20 @@ def _zformat(cs, var="s"):
     return "+".join(terms)
 
 
+def _power(x, e: int, one, mul):
+    """x^e for e >= 0 by square-and-multiply, with no square after the
+    last bit; ``one`` and ``mul`` are the identity and product of the ring
+    (field scalars, matrices, polynomials, residues)."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return result
+
+
 # ----------------------------------------------------------------------
 # field contexts
 # ----------------------------------------------------------------------
@@ -225,19 +240,7 @@ class FieldCtx:
     def power(self, a, n: int):
         if n < 0:
             a, n = self.inv(a), -n
-        result, base = self.one, a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def sum(self, xs):
-        acc = self.zero
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
+        return _power(a, n, self.one, self.mul)
 
     def elements(self) -> Iterator:
         raise InfiniteField(f"cannot enumerate elements of {self}")
@@ -349,8 +352,8 @@ class PrimeField(FieldCtx):
 
 
 # cap on each scalar memo of an ExtensionField context (sums, differences,
-# products, inverses): every pair of GF(p^k) up to GF(81) fits, larger
-# fields memoize the first pairs met
+# products, inverses): each keeps its most recently used operands, so every
+# pair of GF(p^k) up to GF(81) fits
 EXT_MUL_MEMO_MAX = 1 << 13
 
 
@@ -359,12 +362,13 @@ class ExtensionField(FieldCtx):
 
     Scalars are length-``k`` int tuples ``(c0, ..., c_{k-1})`` for
     ``c0 + c1*g + ... + c_{k-1}*g^{k-1}`` where ``g`` is the class of ``t``
-    modulo the modulus.  Sums, differences and products are memoized per
-    context and operand pair, inverses per operand, filled as they are
-    met, up to ``EXT_MUL_MEMO_MAX`` entries each; the memos and
-    ``linalg``'s lift table are left out of equality, hashing and pickles.
-    ``elements`` counts through the coordinate tuples one at a time, so it
-    costs nothing up front over a large field.
+    modulo the modulus.  ``add``, ``sub``, ``mul`` and ``inv`` are memoized
+    per context (``functools.lru_cache``), each keeping the
+    ``EXT_MUL_MEMO_MAX`` most recently used operands; a context pickles as
+    its ``(p, k, modulus)`` and so starts over with empty memos.  Matrix
+    products and the Krylov step of ``linalg`` run on the lift to GF(p)
+    instead (``linalg._lift``).  ``elements`` counts through the coordinate
+    tuples one at a time, so it costs nothing up front over a large field.
     """
 
     kind = "extension"
@@ -392,64 +396,40 @@ class ExtensionField(FieldCtx):
         self.order = p ** k
         self.zero = (0,) * k
         self.one = tuple([1] + [0] * (k - 1))
-        self._add_memo, self._sub_memo, self._mul_memo, self._inv_memo = {}, {}, {}, {}
-        self._regular = None
+        memo = functools.lru_cache(maxsize=EXT_MUL_MEMO_MAX)
+        self.add, self.sub = memo(self._add), memo(self._sub)
+        self.mul, self.inv = memo(self._mul), memo(self._inv)
 
-    def __getstate__(self):
-        return {**self.__dict__, "_add_memo": {}, "_sub_memo": {}, "_mul_memo": {},
-                "_inv_memo": {}, "_regular": None}
+    def __reduce__(self):
+        return (ExtensionField, (self.p, self.k, self.modulus))
 
     def _pad(self, cs):
         return tuple(cs) + (0,) * (self.k - len(cs))
 
-    def add(self, a, b):
-        memo = self._add_memo
-        c = memo.get((a, b))
-        if c is None:
-            p = self.p
-            c = tuple((x + y) % p for x, y in zip(a, b))
-            if len(memo) < EXT_MUL_MEMO_MAX:
-                memo[a, b] = c
-        return c
+    def _add(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        memo = self._sub_memo
-        c = memo.get((a, b))
-        if c is None:
-            p = self.p
-            c = tuple((x - y) % p for x, y in zip(a, b))
-            if len(memo) < EXT_MUL_MEMO_MAX:
-                memo[a, b] = c
-        return c
+    def _sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a):
         p = self.p
         return tuple((-x) % p for x in a)
 
-    def mul(self, a, b):
-        memo = self._mul_memo
-        c = memo.get((a, b))
-        if c is None:
-            prod = _zmul(_ztrim(a), _ztrim(b), self.p)
-            c = self._pad(_zdivmod(prod, self.modulus, self.p)[1])
-            if len(memo) < EXT_MUL_MEMO_MAX:
-                memo[a, b] = c
-        return c
+    def _mul(self, a, b):
+        prod = _zmul(_ztrim(a), _ztrim(b), self.p)
+        return self._pad(_zdivmod(prod, self.modulus, self.p)[1])
 
-    def inv(self, a):
-        memo = self._inv_memo
-        c = memo.get(a)
-        if c is None:
-            ta = _ztrim(a)
-            if not ta:
-                raise DivisionByZero(f"1/0 over GF({self.p}^{self.k})")
-            g, s, _ = _zxgcd(ta, self.modulus, self.p)
-            if g != (1,):  # impossible for an irreducible modulus
-                raise DivisionByZero("modulus not irreducible?")
-            c = self._pad(s)
-            if len(memo) < EXT_MUL_MEMO_MAX:
-                memo[a] = c
-        return c
+    def _inv(self, a):
+        ta = _ztrim(a)
+        if not ta:
+            raise DivisionByZero(f"1/0 over GF({self.p}^{self.k})")
+        g, s, _ = _zxgcd(ta, self.modulus, self.p)
+        if g != (1,):  # impossible for an irreducible modulus
+            raise DivisionByZero("modulus not irreducible?")
+        return self._pad(s)
 
     def from_int(self, n):
         return self._pad((n % self.p,) if n % self.p else ())

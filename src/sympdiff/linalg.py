@@ -20,15 +20,18 @@ carry a lift stay in int64, so checks that only combine and compare
 products never build tuples.  The chain elimination
 runs on plain ints over prime fields, and fraction-free over Z and GF(p)[s]
 for Q and GF(p)(s): one content gcd per row operation instead of one gcd
-per scalar operation.  Over GF(p^k) it uses field arithmetic.  Everything
-else is pure Python and pays per nonzero entry: products and Horner steps
-skip zero factors, elimination reduces by the pivot row's nonzero entries
-(plain int rows over GF(p)), and entrywise ops pass zeros through.  Over Q
-zero tests compare against the int 0, which Fraction answers fastest.
+per scalar operation.  Over GF(p^k) it reduces in field arithmetic, and a
+chain step is one numpy product of the lift with the flattened coordinates.
+Everything else is pure Python and pays per nonzero entry: products and
+Horner steps skip zero factors, elimination reduces by the pivot row's
+nonzero entries (plain int rows over GF(p)), and entrywise ops pass zeros
+through.  Over Q zero tests compare against the int 0, which Fraction
+answers fastest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +56,7 @@ from .fields import (
     RATFUNC_MAX_DEGREE,
     FieldCtx,
     PrimeField,
+    _power,
     _zdivmod,
     _zgcd,
     _zmul,
@@ -73,20 +77,25 @@ def _numpy_exact(ctx: FieldCtx, terms: int) -> bool:
     return ctx.order is not None and terms * ctx.k * (ctx.p - 1) ** 2 < 2 ** 62
 
 
+@functools.lru_cache(maxsize=64)
+def _regular(ctx: FieldCtx):
+    """The table of :func:`_lift` over GF(p^k), built once per context: row
+    i is the block C^i of g^i, row-major, C the companion of the modulus."""
+    C = companion(Poly(PrimeField(ctx.p), ctx.modulus))
+    table = [sum((C ** i).entries, ()) for i in range(ctx.k)]
+    return _np.array(table, _np.int64 if _numpy_exact(ctx, 1) else object)
+
+
 def _lift(ctx: FieldCtx, X):
     """The regular representation, the one map from GF(p^k) to GF(p): block
     (r, c) of the (..., mk, nk) lift of an (..., m, n, k) coordinate array
     multiplies by entry (r, c) in the basis 1, g, ..., g^(k-1), its column j
-    the entry times g^j.  Its table is built once per context."""
+    the entry times g^j."""
     k = X.shape[-1]
     if k == 1:
         return X[..., 0]
-    if ctx._regular is None:  # row i: the block C^i of g^i, row-major
-        C = companion(Poly(PrimeField(ctx.p), ctx.modulus))
-        table = [sum((C ** i).entries, ()) for i in range(k)]
-        ctx._regular = _np.array(table, _np.int64 if _numpy_exact(ctx, 1) else object)
     m, n = X.shape[-3:-1]
-    blocks = (X @ ctx._regular % ctx.p).reshape(X.shape[:-1] + (k, k))
+    blocks = (X @ _regular(ctx) % ctx.p).reshape(X.shape[:-1] + (k, k))
     return blocks.swapaxes(-3, -2).reshape(X.shape[:-3] + (m * k, n * k))
 
 
@@ -314,14 +323,7 @@ class Mat:
         self._square()
         if e < 0:
             return self.inverse() ** (-e)
-        result = Mat.identity(self.ctx, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return _power(self, e, Mat.identity(self.ctx, self.rows), Mat.__matmul__)
 
     def transpose(self) -> "Mat":
         if self.rows == 0:
@@ -615,14 +617,17 @@ def _vector_kernel(M: Mat):
     relation(coords) turns the coordinate half of the vector that closes a
     chain into the field coefficients of the chain's monic relation.  Over
     GF(p) they run on plain ints, over Q and GF(p)(s) on integral vectors
-    (:func:`_ring_kernel`), elsewhere on field scalars with every echelon
-    row scaled to lead one.
+    (:func:`_ring_kernel`).  Over GF(p^k) reduce and push run on field
+    scalars with every echelon row scaled to lead one, and apply multiplies
+    M's lift (:func:`_lift`) by x's flattened coordinates, in int64 where
+    the sums fit (M's own lift when it has one) and on Python ints beyond.
     """
-    ctx, rows = M.ctx, M.entries
+    ctx = M.ctx
     if ctx.kind in ("rationals", "ratfunc"):
         return _ring_kernel(M)
+    p = ctx.p
     if ctx.kind == "prime":
-        p = ctx.p
+        rows = M.entries
 
         def reduce(w, echelon):
             for c, row in echelon:
@@ -638,7 +643,9 @@ def _vector_kernel(M: Mat):
             return [sum(map(_mul, r, x)) % p for r in rows]
 
     else:
-        zero, sub, mul = ctx.zero, ctx.sub, ctx.mul
+        zero, sub, mul, n = ctx.zero, ctx.sub, ctx.mul, M.rows
+        dtype = _np.int64 if _numpy_exact(ctx, n) else object
+        lift = _to_np(M, dtype)
 
         def reduce(w, echelon):
             for c, row in echelon:
@@ -651,10 +658,8 @@ def _vector_kernel(M: Mat):
             return [x if x == zero else mul(x, c) for x in v]
 
         def apply(x):
-            live = [(j, c) for j, c in enumerate(x) if c != zero]
-            return [
-                ctx.sum(mul(r[j], c) for j, c in live if r[j] != zero) for r in rows
-            ]
+            y = lift @ _np.array(x, dtype).reshape(-1) % p
+            return list(map(tuple, y.reshape(n, -1).tolist()))
 
     one = ctx.one
 

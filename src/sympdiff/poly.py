@@ -260,15 +260,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise InvalidArgument("negative polynomial power")
-        result = Poly.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square past the last bit
-                base = base * base
-        return result
+        return fields._power(self, n, Poly.one(self.ctx), Poly.__mul__)
 
     def __divmod__(self, other):
         self._check(other)
@@ -690,14 +682,10 @@ def _has_rational_root(f: Poly) -> bool:
 
 def _pow_mod(ops: PolyOps, a, e: int, mod):
     """a^e modulo ``mod``, on coefficient tuples."""
-    result = (ops.ctx.one,)
-    a = ops.divmod(a, mod)[1]
-    while e:
-        if e & 1:
-            result = ops.divmod(ops.mul(result, a), mod)[1]
-        a = ops.divmod(ops.mul(a, a), mod)[1]
-        e >>= 1
-    return result
+    def mulmod(x, y):
+        return ops.divmod(ops.mul(x, y), mod)[1]
+
+    return fields._power(ops.divmod(a, mod)[1], e, (ops.ctx.one,), mulmod)
 
 
 def is_irreducible(f: Poly) -> bool:

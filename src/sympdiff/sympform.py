@@ -41,19 +41,9 @@ class SymplecticPair:
 
 
 @dataclass(frozen=True)
-class Witness:
-    B: Mat
-    U: Mat
+class Witness(SymplecticPair):
     U1: Mat
     U2: Mat
-
-    @property
-    def ctx(self) -> FieldCtx:
-        return self.B.ctx
-
-    @property
-    def dimension(self) -> int:
-        return self.B.rows
 
 
 @dataclass(frozen=True)
@@ -66,24 +56,19 @@ class ValidityReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.nondegenerate
-            and self.alternating
-            and self.b_alternating
-            and self.doubled
-        )
+        return not self.failures()
 
     def failures(self) -> Tuple[str, ...]:
-        out = []
-        if not self.nondegenerate:
-            out.append("Gram matrix is singular")
-        if not self.alternating:
-            out.append("Gram matrix is not alternating")
-        if not self.b_alternating:
-            out.append("B*U is not alternating (U is not b-alternating)")
-        if not self.doubled:
-            out.append("invariant factors of U are not doubled")
-        return tuple(out)
+        return tuple(msg for name, msg in _PAIR_FAILURES.items() if not getattr(self, name))
+
+
+# the message of each check of a ValidityReport when it fails
+_PAIR_FAILURES = {
+    "nondegenerate": "Gram matrix is singular",
+    "alternating": "Gram matrix is not alternating",
+    "b_alternating": "B*U is not alternating (U is not b-alternating)",
+    "doubled": "invariant factors of U are not doubled",
+}
 
 
 def is_alternating(M: Mat) -> bool:

@@ -85,13 +85,14 @@ class WBlock:
     """The duplication block for (p, q) and a monic r of degree d: 4x4
     matrices over R = F[t]/(r), expanded to 4d x 4d over F in the basis
     grouped by module generator, powers of the class of t within each
-    group."""
+    group; U = A - B."""
 
     r: Poly
     A: Mat
     B: Mat
     C: Mat
     H: Mat
+    U: Mat
 
     @property
     def dimension(self) -> int:
@@ -178,16 +179,17 @@ def w_algebra_block(pctx: PairCtx, r: Poly) -> WBlock:
             f"duplication block for r={r}: AB + BA != mu*A + lambda*B - x*I"
         )
     rs = r.compose(pctx.sigma)
-    if invariant_factors(A - B).factors != (rs, rs):
+    U = A - B
+    if invariant_factors(U).factors != (rs, rs):
         raise ConstructionInvariantViolated(
             f"duplication block for r={r}: A - B does not have doubled "
             f"invariant factor r(t^2 - delta*t)"
         )
-    return WBlock(r=r, A=A, B=B, C=C, H=H)
+    return WBlock(r=r, A=A, B=B, C=C, H=H, U=U)
 
 
 def _block_witness(block: WBlock) -> Witness:
-    return Witness(B=block.H, U=block.A - block.B, U1=block.A, U2=block.B)
+    return Witness(B=block.H, U=block.U, U1=block.A, U2=block.B)
 
 
 def _verified(

@@ -3,11 +3,13 @@
 The chain elimination of ``sympdiff.linalg._relation_matrix`` with field
 arithmetic only: every echelon row is scaled to lead one and every
 operation normalises a field scalar.  Over Q and GF(p)(s) the library runs
-the same chains fraction-free, over Z and GF(p)[s]; the relation matrix
-(diagonal and entries above it) is unique, so both must agree exactly.
+the same chains fraction-free, over Z and GF(p)[s], and over GF(p^k) it
+steps them on the lift to GF(p); the relation matrix (diagonal and entries
+above it) is unique, so both must agree exactly.
 Slow where scalars swell, so it serves only as a test oracle.
 """
 
+import functools
 from typing import List, Tuple
 
 from sympdiff.linalg import Mat
@@ -32,7 +34,8 @@ def field_relation_matrix(M: Mat) -> Tuple[List[tuple], dict]:
     def apply(x):
         live = [(j, c) for j, c in enumerate(x) if c != zero]
         return [
-            ctx.sum(mul(r[j], c) for j, c in live if r[j] != zero) for r in rows
+            functools.reduce(ctx.add, (mul(r[j], c) for j, c in live if r[j] != zero), zero)
+            for r in rows
         ]
 
     echelon = []  # (pivot column, [vector | coordinates over the basis])

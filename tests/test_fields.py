@@ -27,8 +27,9 @@ from sympdiff.fields import (
     field_make,
     field_spec,
 )
+from sympdiff import linalg
 from sympdiff.linalg import Mat
-from sympdiff.poly import Poly
+from sympdiff.poly import Poly, _pow_mod, poly_ops
 
 
 def gf7_elems():
@@ -95,40 +96,50 @@ def _operands(ctx, op):
     return list(itertools.product(ctx.elements(), repeat=2))
 
 
-MEMOS = {"add": "_add_memo", "sub": "_sub_memo", "mul": "_mul_memo", "inv": "_inv_memo"}
+MEMOS = ("add", "sub", "mul", "inv")
 
 
 @pytest.mark.parametrize("spec", ["GF(4)|t^2+t+1", "GF(9)|t^2+1", "GF(27)|t^3+2*t+1"])
 def test_memoized_products_match_unmemoized(spec):
     """Products, and also sums, differences and inverses."""
     ctx = field_make(spec)
-    for op, name in MEMOS.items():
-        args = _operands(ctx, op)
+    for op in MEMOS:
+        memo, args = getattr(ctx, op), _operands(ctx, op)
         want = [_unmemoized(ctx, op, *a) for a in args]
-        for _ in range(2):  # the second pass reads the memo
-            assert [getattr(ctx, op)(*a) for a in args] == want
-        assert len(getattr(ctx, name)) == len(args) <= EXT_MUL_MEMO_MAX
+        assert [memo(*a) for a in args] == want
+        filled = memo.cache_info()
+        assert filled.misses == filled.currsize == len(args) <= EXT_MUL_MEMO_MAX
+        assert [memo(*a) for a in args] == want  # the second pass hits
+        again = memo.cache_info()
+        assert (again.hits - filled.hits, again.misses) == (len(args), filled.misses)
 
 
 def test_product_memo_is_capped(monkeypatch):
     """Every memo, products, sums, differences and inverses."""
-    ctx = field_make("GF(256)|t^8+t^4+t^3+t+1")
-    for op, name in MEMOS.items():
+    spec = "GF(256)|t^8+t^4+t^3+t+1"
+    ctx = field_make(spec)
+    for op in MEMOS:
         args = _operands(ctx, op)
         for a in args:
             getattr(ctx, op)(*a)
-        memo = getattr(ctx, name)
-        assert len(memo) == min(len(args), EXT_MUL_MEMO_MAX)
-        if len(args) <= EXT_MUL_MEMO_MAX:  # 255 inverses: a smaller cap holds
-            monkeypatch.setattr(sympdiff.fields, "EXT_MUL_MEMO_MAX", 100)
-            memo.clear()
-            for a in args:
-                getattr(ctx, op)(*a)
-        assert len(memo) == sympdiff.fields.EXT_MUL_MEMO_MAX < len(args)
-        last = args[-1]  # met after the memo filled up
-        assert (last if op != "inv" else last[0]) not in memo
-        assert getattr(ctx, op)(*last) == _unmemoized(ctx, op, *last)
-        monkeypatch.undo()
+        info = getattr(ctx, op).cache_info()
+        assert info.currsize == min(len(args), EXT_MUL_MEMO_MAX)
+        assert info.maxsize == EXT_MUL_MEMO_MAX
+    monkeypatch.setattr(sympdiff.fields, "EXT_MUL_MEMO_MAX", 100)
+    small = field_make(spec)  # the cap is read when the context is built
+    for op in MEMOS:
+        memo, args = getattr(small, op), _operands(small, op)[:300]
+        for a in args:
+            memo(*a)
+        assert memo.cache_info().currsize == 100
+        last, first = args[-1], args[0]  # kept, and evicted when it filled
+        full = memo.cache_info()
+        assert memo(*last) == _unmemoized(small, op, *last)
+        assert memo(*first) == _unmemoized(small, op, *first)
+        after = memo.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            full.hits + 1, full.misses + 1, 100
+        )
 
 
 def test_context_with_filled_memo_pickles():
@@ -138,14 +149,14 @@ def test_context_with_filled_memo_pickles():
         ctx.mul(a, elems[5]), ctx.add(a, elems[5]), ctx.sub(a, elems[5])
         if a != ctx.zero:
             ctx.inv(a)
+    linalg._regular.cache_clear()
     M = Mat(ctx, [elems[1:3], elems[3:5]])
     square = M @ M  # builds the table of the lift to GF(3)
     clone = pickle.loads(pickle.dumps(ctx))
-    assert clone == ctx and hash(clone) == hash(ctx)
-    for name in MEMOS.values():  # no memo is shipped
-        assert getattr(ctx, name) and getattr(clone, name) == {}
-    assert len({id(getattr(clone, name)) for name in MEMOS.values()}) == len(MEMOS)
-    assert ctx._regular is not None and clone._regular is None  # nor the table
+    assert clone is not ctx and clone == ctx and hash(clone) == hash(ctx)
+    for op in MEMOS:  # no memo is shipped
+        assert getattr(ctx, op).cache_info().currsize
+        assert getattr(clone, op).cache_info().currsize == 0
     M = Mat(clone, M.entries)
     assert M @ M == Mat(clone, square.entries)
     for op in ("add", "sub", "mul"):
@@ -153,6 +164,33 @@ def test_context_with_filled_memo_pickles():
             getattr(ctx, op)(a, elems[5]) for a in elems
         ]
     assert [clone.inv(a) for a in elems[1:]] == [ctx.inv(a) for a in elems[1:]]
+    # one lift table per context, shared by its equal clone
+    assert linalg._regular.cache_info().misses == 1
+    assert linalg._regular(clone) is linalg._regular(ctx)
+
+
+@pytest.mark.parametrize("spec", ["GF(5)", "GF(9)|t^2+1", "Q"])
+def test_every_power_matches_repeated_products(spec):
+    """ctx.power, Mat ** e, Poly ** e and poly._pow_mod share one
+    square-and-multiply: e = 0 and 1, larger e, and negative e where the
+    caller inverts."""
+    ctx = field_make(spec)
+    one = ctx.one
+    a = ctx.add(one, one) if ctx.kind != "extension" else (1, 2)
+    M = Mat(ctx, [[a, one], [ctx.zero, one]])  # invertible
+    f = Poly(ctx, (a, one))
+    mod = Poly(ctx, (one, ctx.zero, ctx.zero, one))
+    ops = poly_ops(ctx)
+    x, X, g, h = one, Mat.identity(ctx, 2), Poly.one(ctx), Poly.one(ctx)
+    for e in range(12):
+        assert ctx.power(a, e) == x
+        assert M ** e == X
+        assert f ** e == g
+        assert _pow_mod(ops, f.coeffs, e, mod.coeffs) == h.coeffs
+        if e:
+            assert ctx.power(a, -e) == ctx.inv(x)
+            assert M ** -e == X.inverse()
+        x, X, g, h = ctx.mul(x, a), X @ M, g * f, (h * f) % mod
 
 
 def test_extension_field_rejects_reducible_modulus():

@@ -669,6 +669,8 @@ def test_lift_boundary_picks_the_branch(spec, lifted, monkeypatch):
     M @ M
     mat_poly_eval(Poly(ctx, [ctx.one] * 4), M)
     assert len(generic) == (0 if lifted else 1 + 4)
+    # the Krylov step on the lift, in int64 or on Python ints
+    assert _relation_matrix(M) == field_relation_matrix(M)
 
 
 LIFT_CONTEXTS = [

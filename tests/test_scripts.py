@@ -29,6 +29,6 @@ def test_bench_kernels_times_every_field_kind(capsys):
     for spec in fields:
         cells = result[spec]["3"]
         assert sorted(cells) == [
-            "block_us", "horner_us", "matmul_us", "rank_us", "sub_us"
+            "block_us", "horner_us", "invfac_us", "matmul_us", "rank_us", "sub_us"
         ]
         assert all(us > 0 for us in cells.values())
