@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .atlas import indecomposable_reps
-from .decide import _strip_supported, decide_extension, decide_pair, pair_context
+from .decide import (
+    _strip_supported,
+    count_sequence,
+    decide_extension,
+    decide_pair,
+    pair_context,
+)
 from .exprparse import parse_poly
 from .fields import field_make
 from .linalg import (
@@ -31,7 +37,6 @@ from .linalg import (
     direct_sum,
     exact_cell_counts,
     invariant_factors,
-    jordan_sequence,
     mat_poly_eval,
 )
 from .oracle import oracle_sweep
@@ -569,7 +574,8 @@ def criterion_12(seed: int = 0, shared: Optional[dict] = None) -> CriterionResul
             if not mat_poly_eval(tpow, inst.v).is_zero:
                 continue  # not nilpotent
             U = symplectic_extension(inst.v).U
-            cells = exact_cell_counts(jordan_sequence(U, ctx.zero))
+            t = Poly.t(ctx)
+            cells = exact_cell_counts(count_sequence(invariant_factors(U).factors, t))
             j1 = cells[0] if len(cells) >= 1 else 0
             j3 = cells[2] if len(cells) >= 3 else 0
             checked += 1

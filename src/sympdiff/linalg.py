@@ -1,8 +1,8 @@
 """Exact dense linear algebra over a field context.
 
 Provides the :class:`Mat` value class (immutable, tuple-backed), companion
-matrices, evaluation of polynomials at matrices, invariant factors,
-similarity testing, and Jordan / primary multiplicities.
+matrices, Kronecker products, evaluation of polynomials at matrices,
+invariant factors, similarity testing, and exact cell counts.
 
 Invariant factors come from Krylov chains e, Me, M^2 e, ...: the relations
 that close the chains form a small upper-triangular matrix over ``F[t]``
@@ -47,7 +47,6 @@ from .errors import (
     DimensionMismatch,
     MixedFieldContexts,
     NonMonic,
-    NotIrreducible,
     NotSquare,
     SingularMatrix,
     WrongDegree,
@@ -63,7 +62,7 @@ from .fields import (
     _zneg,
     _ztrim,
 )
-from .poly import Poly, is_irreducible, poly_ops
+from .poly import Poly, poly_ops
 
 
 def _nil(ctx: FieldCtx):
@@ -516,6 +515,19 @@ def direct_sum(*mats: Mat) -> Mat:
     return Mat(ctx, out, total_c)
 
 
+def kron(X: Mat, Y: Mat) -> Mat:
+    """The Kronecker product: block (i, j) is X[i][j] * Y.  Entries 0 and 1
+    of X give 0 and Y; each other distinct entry scales Y's nonzeros once."""
+    X._check(Y)
+    mul, z = X.ctx.mul, _nil(X.ctx)
+    blocks = {z: [(X.ctx.zero,) * Y.cols] * Y.rows, X.ctx.one: Y.entries}  # x*Y
+    for x in set(sum(X.entries, ())) - blocks.keys():
+        blocks[x] = [tuple(y if y == z else mul(x, y) for y in row) for row in Y.entries]
+    return Mat(X.ctx, [
+        sum((blocks[x][i] for x in xrow), ()) for xrow in X.entries for i in range(Y.rows)
+    ], X.cols * Y.cols)
+
+
 def companion(r: Poly) -> Mat:
     """Companion matrix: subdiagonal ones, last column the negated lower
     coefficients of the monic input."""
@@ -959,49 +971,8 @@ def similar(M1: Mat, M2: Mat) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Jordan / primary multiplicities
+# cell counts
 # ----------------------------------------------------------------------
-
-
-def _check_primary_modulus(g: Poly):
-    """Irreducibility obligation: verified where decidable, trusted beyond."""
-    try:
-        ok = is_irreducible(g)
-    except NotIrreducible:
-        return  # undecidable here (deg >= 4 over an infinite field): trusted
-    if not ok:
-        raise NotIrreducible(f"{g} is not irreducible")
-
-
-def primary_sequence(M: Mat, g: Poly) -> Tuple[int, ...]:
-    """(n_1, n_2, ...): n_k = number of primary invariants g^l of M with
-    l >= k; stops at the first zero."""
-    M._square()
-    _check_primary_modulus(g)
-    d = g.degree
-    G = mat_poly_eval(g, M)
-    out = []
-    P = G
-    prev_rank = M.rows
-    while True:
-        rk = P.rank()
-        diff = prev_rank - rk
-        if diff == 0:
-            break
-        if diff % d:
-            raise ConstructionInvariantViolated(
-                f"rank drop {diff} not divisible by deg {g} = {d}"
-            )
-        out.append(diff // d)
-        prev_rank = rk
-        P = P @ G
-    return tuple(out)
-
-
-def jordan_sequence(M: Mat, z) -> Tuple[int, ...]:
-    """Counts of Jordan cells at eigenvalue z of size >= 1, >= 2, ..."""
-    lin = Poly(M.ctx, (M.ctx.neg(z), M.ctx.one))
-    return primary_sequence(M, lin)
 
 
 def exact_cell_counts(seq: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -160,11 +160,10 @@ def decode_mat(obj, ctx: Optional[FieldCtx] = None) -> Mat:
         raise SerializationError("matrix entries must be a list of rows")
     rows = obj.get("rows", len(entries))
     cols = obj.get("cols", len(entries[0]) if entries else 0)
-    if (
-        not isinstance(cols, int)
-        or len(entries) != rows
-        or any(len(r) != cols for r in entries)
-    ):
+    for key, n in (("rows", rows), ("cols", cols)):
+        if type(n) is not int:  # as in _int_coeffs: no bools, floats or strings
+            raise SerializationError(f"matrix {key!r} {n!r} is not an integer")
+    if len(entries) != rows or any(len(r) != cols for r in entries):
         raise SerializationError("matrix entries do not match the declared shape")
     grid = [[decode_scalar(fctx, e) for e in row] for row in entries]
     return Mat(fctx, grid, cols=cols)

@@ -22,7 +22,7 @@ from .errors import (
     WrongDegree,
 )
 from .fields import FieldCtx
-from .linalg import InvFactors, Mat, _nil, direct_sum, invariant_factors, similar
+from .linalg import InvFactors, Mat, _nil, direct_sum, invariant_factors, kron, similar
 from .poly import Poly
 
 
@@ -93,10 +93,9 @@ def is_alternating(M: Mat) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def standard_gram(ctx: FieldCtx, n: int) -> Mat:
-    """The 2n x 2n Gram matrix [[0, -I], [I, 0]], built once per (ctx, n)."""
-    ident = Mat.identity(ctx, n)
-    zero = Mat.zeros(ctx, n)
-    return Mat.block(ctx, [[zero, -ident], [ident, zero]])
+    """The 2n x 2n Gram matrix [[0, -I], [I, 0]] = kron([[0, -1], [1, 0]],
+    I_n), built once per (ctx, n)."""
+    return kron(Mat.from_ints(ctx, [[0, -1], [1, 0]]), Mat.identity(ctx, n))
 
 
 def symplectic_extension(v: Mat) -> SymplecticPair:

@@ -28,7 +28,7 @@ from .errors import (
     NonMonic,
     WrongDegree,
 )
-from .linalg import Mat, companion, direct_sum, invariant_factors, mat_poly_eval
+from .linalg import Mat, companion, direct_sum, invariant_factors, kron, mat_poly_eval
 from .linalg import _lift, _numpy_exact, _to_np, _unlift
 from .poly import Poly, decompose_base_sigma, trace_of
 from .sympform import (
@@ -85,7 +85,9 @@ class WBlock:
     """The duplication block for (p, q) and a monic r of degree d: 4x4
     matrices over R = F[t]/(r), expanded to 4d x 4d over F in the basis
     grouped by module generator, powers of the class of t within each
-    group; U = A - B."""
+    group; U = A - B.  Every entry has degree at most 1 in t, so X0 + X1*t
+    (X0, X1 over F) expands to kron(X0, I_d) + kron(X1, C(r)), and the
+    Gram is kron(H4, s), s the Hankel symmetrizer of r."""
 
     r: Poly
     A: Mat
@@ -102,8 +104,9 @@ class WBlock:
 def w_algebra_block(pctx: PairCtx, r: Poly) -> WBlock:
     """The four-generator algebra block: matrices A, B with p(A) = 0,
     q(B) = 0, AB + BA = mu*A + lambda*B - x*I4 over R = F[t]/(r) with
-    x = (p(0) + q(0)) + class(t), expanded over F, together with C = AB
-    and the alternating Gram matrix H built from a symmetrizer of C(r).
+    x = (p(0) + q(0)) + class(t), together with C = AB and the alternating
+    Gram H, expanded over F as Kronecker products (``WBlock``): X0 + X1*t
+    becomes kron(X0, I_d) + kron(X1, C(r)), and H is kron(H4, s).
 
     Checks only the two facts that ``verify_witness`` cannot see on the
     witness (H, A - B, A, B): the relation AB + BA = mu*A + lambda*B - x*I
@@ -117,63 +120,33 @@ def w_algebra_block(pctx: PairCtx, r: Poly) -> WBlock:
     if r.degree < 1:
         raise WrongDegree("r must be nonconstant")
     ctx = pctx.ctx
-    p, q = pctx.p, pctx.q
-    lam, mu = trace_of(p), trace_of(q)
-    alpha, beta = p.coeffs[0], q.coeffs[0]
-    d = r.degree
-    Cr = companion(r)
-
-    def cst(c) -> Poly:
-        return Poly.constant(ctx, c)
-
-    zero, one = cst(ctx.zero), cst(ctx.one)
-    x = Poly(ctx, (ctx.add(alpha, beta), ctx.one)) % r
-    lam_mu = cst(ctx.mul(lam, mu))
-    lmx = (lam_mu - x) % r
-    a4 = [
-        [zero, cst(ctx.neg(alpha)), zero, zero],
-        [one, cst(lam), zero, zero],
-        [zero, zero, zero, cst(ctx.neg(alpha))],
-        [zero, zero, one, cst(lam)],
-    ]
-    b4 = [
-        [zero, -x, cst(ctx.neg(beta)), cst(ctx.neg(ctx.mul(lam, beta)))],
-        [zero, cst(mu), zero, cst(beta)],
-        [one, cst(lam), cst(mu), lmx],
-        [zero, cst(ctx.neg(ctx.one)), zero, zero],
-    ]
-    c4 = [
-        [zero, cst(ctx.neg(ctx.mul(alpha, mu))), zero,
-         cst(ctx.neg(ctx.mul(alpha, beta)))],
-        [zero, lmx, cst(ctx.neg(beta)), zero],
-        [zero, cst(alpha), zero, zero],
-        [one, zero, cst(mu), lmx],
-    ]
-    # multiplication matrix of an R-entry on the power basis, once per entry
-    # (a constant c multiplies as c*I)
-    mult = functools.lru_cache(maxsize=None)(
-        lambda e: mat_poly_eval(e, Cr)
-        if e.degree > 0
-        else Mat.scalar(ctx, d, e.coefficient(0))
-    )
-
-    def expand(grid: Sequence[Sequence[Poly]]) -> Mat:
-        return Mat.block(ctx, [[mult(e) for e in row] for row in grid])
-
-    A, B, C = expand(a4), expand(b4), expand(c4)
-    s = frobenius_symmetrizer(r)
-    zd = Mat.zeros(ctx, d)
-    ls = s.scale(lam)
-    H = Mat.block(
-        ctx,
-        [
-            [zd, zd, zd, s],
-            [zd, zd, s, ls],
-            [zd, -s, zd, zd],
-            [-s, -ls, zd, zd],
-        ],
-    )
-    X4 = direct_sum(*[mult(x)] * 4)
+    neg, mul = ctx.neg, ctx.mul
+    lam, mu = trace_of(pctx.p), trace_of(pctx.q)
+    alpha, beta = pctx.p.coeffs[0], pctx.q.coeffs[0]
+    x0 = ctx.add(alpha, beta)
+    lmx = ctx.sub(mul(lam, mu), x0)  # the F-part of lambda*mu - x; its t-part is -1
+    z, o, m1 = ctx.zero, ctx.one, neg(ctx.one)
+    ident, Cr = Mat.identity(ctx, r.degree), companion(r)
+    zr, t1, t3 = (z,) * 4, (z, m1, z, z), (z, z, z, m1)  # the rows of the t-parts
+    A = kron(Mat(ctx, [
+        (z, neg(alpha), z, z), (o, lam, z, z), (z, z, z, neg(alpha)), (z, z, o, lam)
+    ]), ident)
+    B = kron(Mat(ctx, [
+        (z, neg(x0), neg(beta), neg(mul(lam, beta))),
+        (z, mu, z, beta),
+        (o, lam, mu, lmx),
+        (z, m1, z, z),
+    ]), ident) + kron(Mat(ctx, [t1, zr, t3, zr]), Cr)
+    C = kron(Mat(ctx, [
+        (z, neg(mul(alpha, mu)), z, neg(mul(alpha, beta))),
+        (z, lmx, neg(beta), z),
+        (z, alpha, z, z),
+        (o, z, mu, lmx),
+    ]), ident) + kron(Mat(ctx, [zr, t1, zr, t3]), Cr)
+    H = kron(Mat(ctx, [
+        (z, z, z, o), (z, z, o, lam), (z, m1, z, z), (m1, neg(lam), z, z)
+    ]), frobenius_symmetrizer(r))
+    X4 = kron(Mat.identity(ctx, 4), ident.scale(x0) + Cr)
     if A @ B + B @ A != A.scale(mu) + B.scale(lam) - X4:
         raise ConstructionInvariantViolated(
             f"duplication block for r={r}: AB + BA != mu*A + lambda*B - x*I"

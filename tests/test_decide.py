@@ -15,6 +15,7 @@ from sympdiff.decide import (
     PairCtx,
     _root_orbits,
     classify_case,
+    count_sequence,
     decide_extension,
     decide_pair,
     intertwined,
@@ -32,19 +33,20 @@ from sympdiff.errors import (
 )
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
+from sympdiff.oracle import oracle_sweep
 from sympdiff.linalg import (
     Mat,
     companion,
     direct_sum,
+    exact_cell_counts,
     invariant_factors,
-    jordan_sequence,
-    primary_sequence,
 )
 from sympdiff.poly import (
     Poly,
     decompose_base_sigma,
     delta_of,
     monic_polys,
+    quad_irreducible,
     roots_in_field,
 )
 from sympdiff.sympform import (
@@ -53,6 +55,7 @@ from sympdiff.sympform import (
     symplectic_extension,
 )
 
+from jordan_reference import jordan_sequence, primary_sequence
 from subspace_reference import fitting_split, induced_pair, restrict
 
 
@@ -498,3 +501,54 @@ def test_decide_pair_runs_one_snf(monkeypatch, F3):
     report = decide_pair(P, pc)
     assert len(calls) == 1
     assert report == replace(decide_extension(v, pc), pair_level=report.pair_level)
+
+
+# ----------------------------------------------------------------------
+# cell counts: invariant factors against rank drops
+# ----------------------------------------------------------------------
+
+
+def _same_counts(M, z):
+    t_minus_z = Poly(M.ctx, (M.ctx.neg(z), M.ctx.one))
+    seq = count_sequence(invariant_factors(M).factors, t_minus_z)
+    assert seq == jordan_sequence(M, z)
+    return exact_cell_counts(seq)
+
+
+def test_cell_counts_match_rank_drops_on_criterion_12():
+    # the instances criterion 12 visits: dimension-4 brute-force YES with
+    # p = q irreducible and nilpotent v, read at eigenvalue 0
+    visited = 0
+    for spec in ("GF(2)", "GF(3)"):
+        ctx = field_make(spec)
+        for inst in oracle_sweep(ctx, 4).instances:
+            if inst.p != inst.q or not quad_irreducible(inst.p) or not inst.brute_yes:
+                continue
+            if not (inst.v ** inst.v.rows).is_zero:
+                continue
+            _same_counts(symplectic_extension(inst.v).U, ctx.zero)
+            visited += 1
+    assert visited == 8  # criterion 12's "8 nilpotent YES instances"
+
+
+def test_cell_counts_match_rank_drops_at_nonzero_eigenvalues(F5):
+    rng = random.Random(12)
+    for _ in range(40):
+        # Jordan cells at random eigenvalues, conjugated by a random P
+        cells = [(rng.randrange(1, 5), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 4))]
+        J = direct_sum(*(
+            companion(Poly(F5, (F5.from_int(-z), F5.one)) ** k) for z, k in cells
+        ))
+        n = J.rows
+        while True:
+            P = Mat.from_ints(F5, [[rng.randrange(5) for _ in range(n)]
+                                   for _ in range(n)])
+            if P.is_invertible():
+                break
+        M = P @ J @ P.inverse()
+        for z in range(1, 5):
+            got = _same_counts(M, F5.from_int(z))
+            want = [sum(1 for zc, k in cells if zc == z and k == size)
+                    for size in range(1, len(got) + 1)]
+            assert list(got) == want

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sympdiff.errors import DegreeBoundExceeded, NotStable, SingularMatrix
+from sympdiff.errors import (
+    DegreeBoundExceeded,
+    MixedFieldContexts,
+    NotStable,
+    SingularMatrix,
+)
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
 import sympdiff.linalg
@@ -23,13 +28,14 @@ from sympdiff.linalg import (
     direct_sum,
     exact_cell_counts,
     invariant_factors,
-    jordan_sequence,
+    kron,
     mat_poly_eval,
     similar,
 )
 from sympdiff.poly import Poly
 from sympdiff.sympform import is_alternating
 
+from jordan_reference import jordan_sequence
 from krylov_reference import field_relation_matrix
 from matmul_reference import naive_poly_eval, naive_product
 from rref_reference import (
@@ -907,3 +913,46 @@ def test_empty_matrices_differ_by_column_count(F3):
     assert born[0] == a and born[1] == b and born[0] != born[1]
     assert hash(born[0]) == hash(a) != hash(born[1])
     assert Mat.zeros(F3, 3, 0).transpose() == a
+
+
+# ----------------------------------------------------------------------
+# Kronecker products against the block definition
+# ----------------------------------------------------------------------
+
+KRON_CONTEXTS = [
+    field_make("Q"),
+    field_make("GF(3)"),
+    F4,
+    field_make("GF(27)|t^3+2*t+1"),
+    field_make("GF(2)(s)"),
+]
+
+
+@pytest.mark.parametrize("ctx", KRON_CONTEXTS, ids=repr)
+def test_kron_is_the_block_matrix(ctx):
+    rng = random.Random(22)
+    for (m, n), (p, q) in [
+        ((1, 1), (1, 1)), ((2, 3), (3, 2)), ((3, 3), (2, 2)),
+        ((0, 3), (2, 2)), ((2, 0), (2, 2)), ((2, 2), (0, 3)), ((2, 2), (3, 0)),
+    ]:
+        X = _random_mat(ctx, rng, m, n, 0.6)
+        Y = _random_mat(ctx, rng, p, q, 0.7)
+        K = kron(X, Y)
+        assert (K.rows, K.cols) == (m * p, n * q)
+        # block (i, j) is X[i][j] * Y, entry by entry and by type
+        _same_entries(K, [
+            [ctx.mul(X[i, j], Y[a, b]) for j in range(n) for b in range(q)]
+            for i in range(m) for a in range(p)
+        ])
+    Y = Mat.identity(ctx, 2)
+    assert kron(Mat.identity(ctx, 3), Y) == Mat.identity(ctx, 6)
+    assert kron(Mat.zeros(ctx, 2, 3), Y) == Mat.zeros(ctx, 4, 6)
+    with pytest.raises(MixedFieldContexts):
+        kron(Y, Mat.identity(field_make("GF(5)"), 2))
+
+
+def test_kron_of_array_born_operands(F3):
+    rng = random.Random(5)
+    for ctx in (F3, F4):
+        X, Y = _random_mat(ctx, rng, 2, 3, 1.0), _random_mat(ctx, rng, 3, 2, 1.0)
+        assert kron(_born(X), _born(Y)) == kron(X, Y)

@@ -217,6 +217,16 @@ def test_mat_shape_defaults_and_mismatch(F3):
         decode_mat({"entries": [[1]]})  # no field key, no ctx
 
 
+@pytest.mark.parametrize("key", ["rows", "cols"])
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_mat_shape_must_be_a_plain_int(key, bad):
+    # True == 1 == 1.0, so only the type tells these from the shape 1 x 1
+    obj = {"field": "GF(3)", "rows": 1, "cols": 1, "entries": [[1]]}
+    assert decode_mat(obj).entries == ((1,),)
+    with pytest.raises(SerializationError, match=repr(key)):
+        decode_mat(dict(obj, **{key: bad}))
+
+
 def test_pair_round_trip(F5):
     P = symplectic_extension(companion(parse_poly(F5, "t^2+2")))
     obj = encode_pair(P)

@@ -1,6 +1,7 @@
 """Witness construction: duplication blocks, composition, brute force."""
 
 import dataclasses
+import itertools
 import random
 import time
 
@@ -40,6 +41,7 @@ from sympdiff.witness import (
 )
 
 from search_reference import _generic_search, _n2_solution_space
+from wblock_reference import r_expansion_block
 
 
 def test_w_block_golden_nilpotent(Q):
@@ -54,6 +56,56 @@ def test_w_block_golden_nilpotent(Q):
         Q, [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]]
     )
     assert blk.C == blk.A @ blk.B
+
+
+def _matches_r_expansion(pc, r):
+    """The Kronecker-built block equals the per-entry expansion over R as
+    entry tuples, value and type."""
+    blk = w_algebra_block(pc, r)
+    A, B, C, H = r_expansion_block(pc, r)
+    got = [M.entries for M in (blk.A, blk.B, blk.C, blk.H, blk.U)]
+    want = [M.entries for M in (A, B, C, H, A - B)]
+    assert got == want, (pc.p, pc.q, r)
+    assert [[type(e) for row in g for e in row] for g in got] == [
+        [type(e) for row in w for e in row] for w in want
+    ]
+
+
+def test_w_block_matches_r_expansion_exhaustively(F2, F3):
+    # every (p, q, r) over GF(2) and GF(3) with deg r <= 2
+    for ctx in (F2, F3):
+        quads = list(monic_polys(ctx, 2))
+        rs = list(monic_polys(ctx, 1)) + quads
+        for p, q in itertools.product(quads, repeat=2):
+            pc = pair_context(p, q)
+            for r in rs:
+                _matches_r_expansion(pc, r)
+
+
+@pytest.mark.parametrize("spec", ["GF(5)", "GF(4)|t^2+t+1", "GF(27)|t^3+2*t+1"])
+def test_w_block_matches_r_expansion_sampled(spec):
+    ctx = field_make(spec)
+    rng = random.Random(22)
+    scalars = list(ctx.elements())
+
+    def monic(d):
+        return Poly(ctx, tuple(rng.choice(scalars) for _ in range(d)) + (ctx.one,))
+
+    for i in range(30):
+        _matches_r_expansion(pair_context(monic(2), monic(2)), monic(1 + i % 3))
+
+
+def test_w_block_matches_r_expansion_infinite_fields(Q):
+    F2s = field_make("GF(2)(s)")
+    for ctx, pt, qt, rt in [
+        (Q, "t^2+1", "t^2+4", "t-3"),
+        (Q, "t^2-2", "t^2+1", "t^2+5"),
+        (Q, "t^2-2", "t^2+1", "t^3-t/2+7"),
+        (F2s, "t^2+t+s", "t^2+s", "t+s"),
+        (F2s, "t^2+s*t+1", "t^2+t+s", "t^3+s*t+1/s"),
+    ]:
+        pc = pair_context(parse_poly(ctx, pt), parse_poly(ctx, qt))
+        _matches_r_expansion(pc, parse_poly(ctx, rt))
 
 
 def test_duplication_witness_factors(F3, F5, Q):
