@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -53,8 +54,88 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+_INT = {int}
+
+
+def _scalar_text(o) -> Optional[str]:
+    """The JSON text of a str, None, bool, int or float as json writes them
+    (NaN and the infinities included), else None."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int_text(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o in (math.inf, -math.inf):
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _dumps_indented(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python
+    encoder json falls back to for an indent.  A list of plain ints is
+    rendered once per distinct value and depth: a matrix repeats its
+    entries.  A value or key of a type json cannot write goes to json.dumps,
+    which raises its TypeError."""
+    out: List[str] = []
+    write = out.append
+    leaves: dict = {}
+
+    def value(o, nl: str) -> None:
+        if isinstance(o, (list, tuple)):
+            if not o:
+                write("[]")
+                return
+            inner = nl + "  "
+            if type(o[0]) is int and {*map(type, o)} == _INT:
+                key = (tuple(o), inner)
+                text = leaves.get(key)
+                if text is None:
+                    text = leaves[key] = (
+                        "[" + inner + ("," + inner).join(map(_int_text, o)) + nl + "]"
+                    )
+                write(text)
+                return
+            sep, head = "," + inner, "[" + inner
+            for x in o:
+                write(head)
+                head = sep
+                value(x, inner)
+            write(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                write("{}")
+                return
+            inner = nl + "  "
+            sep, head = "," + inner, "{" + inner
+            for k, x in o.items():
+                key = k if isinstance(k, str) else _scalar_text(k)
+                if key is None:
+                    json.dumps(o)  # raises json's TypeError for the key
+                write(head + _encode_str(key) + ": ")
+                head = sep
+                value(x, inner)
+            write(nl + "}")
+        else:
+            text = _scalar_text(o)
+            write(json.dumps(o) if text is None else text)  # json raises
+
+    value(obj, "\n")
+    return "".join(out)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_dumps_indented(obj) + "\n")
 
 
 def _load_json(text: str):

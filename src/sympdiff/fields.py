@@ -637,8 +637,13 @@ def _spec_int(digits: str) -> int:
         raise FieldSpecError(f"a {len(digits)}-digit number in a field spec") from None
 
 
+# cap on the contexts field_make keeps, one per spec string
+FIELD_CTX_MAX = 16
+
+
+@functools.lru_cache(maxsize=FIELD_CTX_MAX)
 def field_make(spec: str) -> FieldCtx:
-    """Build a field context from a specification string.
+    """The field context of a specification string.
 
     Grammar::
 
@@ -648,6 +653,15 @@ def field_make(spec: str) -> FieldCtx:
 
     ``GF(n)`` with ``n`` prime gives the prime field; a prime power needs an
     explicit modulus.
+
+    Contexts are interned: a spec string seen before returns the same
+    context, memos included, from a ``functools.lru_cache`` of the
+    ``FIELD_CTX_MAX`` most recently used specs, so the primality and
+    irreducibility tests run once per spec.  A refused spec is not cached
+    and raises on every call.  The memos of the kept contexts hold at most
+    ``FIELD_CTX_MAX * 4 * EXT_MUL_MEMO_MAX`` entries (GF(p^k) sums,
+    differences, products and inverses), about 260 bytes each over GF(2^8):
+    8.5 MB per context, 136 MB in all at worst.
     """
     spec = spec.strip()
     if spec == "Q":

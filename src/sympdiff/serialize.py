@@ -139,15 +139,22 @@ def decode_poly(obj, ctx: Optional[FieldCtx] = None) -> Poly:
 
 
 def encode_mat(m: Mat) -> Dict[str, Any]:
+    """Each distinct entry is encoded once, so equal entries share one JSON
+    value: copy the result before changing one of its entries in place."""
     ctx = m.ctx
+    memo: Dict[Any, Any] = {}
+
+    def enc(a):
+        obj = memo.get(a, memo)
+        if obj is memo:
+            obj = memo[a] = encode_scalar(ctx, a)
+        return obj
+
     return {
         "field": field_spec(ctx),
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [
-            [encode_scalar(ctx, m[i, j]) for j in range(m.cols)]
-            for i in range(m.rows)
-        ],
+        "entries": [list(map(enc, row)) for row in m.entries],
     }
 
 
@@ -165,8 +172,27 @@ def decode_mat(obj, ctx: Optional[FieldCtx] = None) -> Mat:
             raise SerializationError(f"matrix {key!r} {n!r} is not an integer")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise SerializationError("matrix entries do not match the declared shape")
-    grid = [[decode_scalar(fctx, e) for e in row] for row in entries]
-    return Mat(fctx, grid, cols=cols)
+    return Mat(fctx, _decode_grid(fctx, entries), cols=cols)
+
+
+def _decode_grid(ctx: FieldCtx, entries: list) -> list:
+    """``decode_scalar`` of every entry, called once per distinct JSON value.
+
+    A plain int or str is its own memo key; any other value is keyed by its
+    type and ``repr``, so ``True``, ``1.0``, ``"1"`` and ``1`` (equal or
+    equal-hashing in Python) never share a key.  A refused value raises on
+    its first occurrence, so it is never kept."""
+    memo: Dict[Any, Any] = {}
+
+    def dec(e):
+        t = type(e)
+        key = e if t is int or t is str else (t, repr(e))
+        a = memo.get(key, memo)
+        if a is memo:
+            a = memo[key] = decode_scalar(ctx, e)
+        return a
+
+    return [tuple(map(dec, row)) for row in entries]
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import io
 import json
+import re
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sympdiff.cli import _build_parser, cli_run
+from sympdiff.cli import _build_parser, _dumps_indented, cli_run
 from sympdiff.decide import pair_context
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
@@ -585,3 +587,47 @@ def test_every_subcommand_writes_json_dump_bytes_once_per_answer(
         rows = argv[0] == "enumerate"
         assert text == _reference_encoding(text, rows), argv
         assert out.writes == (text.count("\n") if rows else 1), argv
+
+
+# JSON values as json.dumps takes them: every leaf kind (ints past 2^64,
+# NaN, the infinities and -0.0, control and non-ASCII characters), lists,
+# tuples, dicts with str, int, float, bool and None keys, and equal leaf
+# lists side by side, with bools or floats in place of equal ints
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.lists(st.sampled_from([0, 1, -1, 2**70, True, False, 1.0, 0.0, -0.0])),
+)
+_json_values = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(
+            st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none()),
+            kids,
+        ),
+        kids.map(lambda x: [x, x, [x, [x]]]),
+    ),
+    max_leaves=30,
+)
+
+
+@example(x=[[1, 1], [1, True], [1, 1.0], [[1, 1]], ([1, 1],)])
+@example(x={"é\x00\n\"": -0.0, 1: float("nan"), 2.5: float("-inf"), None: [], False: {}})
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=_json_values)
+def test_indented_writer_equals_json_dumps(x):
+    assert _dumps_indented(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("bad", [object(), [1, {2j}], {"a": {(1, 2): 3}}, {1j: 0}])
+def test_indented_writer_refuses_what_json_refuses(bad):
+    with pytest.raises(TypeError) as want:
+        json.dumps(bad, indent=2)
+    with pytest.raises(TypeError, match=re.escape(str(want.value))):
+        _dumps_indented(bad)

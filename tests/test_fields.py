@@ -99,10 +99,15 @@ def _operands(ctx, op):
 MEMOS = ("add", "sub", "mul", "inv")
 
 
+def _fresh(ctx):
+    """A new context equal to the interned ``ctx``, with empty memos."""
+    return ExtensionField(ctx.p, ctx.k, ctx.modulus)
+
+
 @pytest.mark.parametrize("spec", ["GF(4)|t^2+t+1", "GF(9)|t^2+1", "GF(27)|t^3+2*t+1"])
 def test_memoized_products_match_unmemoized(spec):
     """Products, and also sums, differences and inverses."""
-    ctx = field_make(spec)
+    ctx = _fresh(field_make(spec))  # memos not yet filled by other tests
     for op in MEMOS:
         memo, args = getattr(ctx, op), _operands(ctx, op)
         want = [_unmemoized(ctx, op, *a) for a in args]
@@ -116,8 +121,7 @@ def test_memoized_products_match_unmemoized(spec):
 
 def test_product_memo_is_capped(monkeypatch):
     """Every memo, products, sums, differences and inverses."""
-    spec = "GF(256)|t^8+t^4+t^3+t+1"
-    ctx = field_make(spec)
+    ctx = _fresh(field_make("GF(256)|t^8+t^4+t^3+t+1"))
     for op in MEMOS:
         args = _operands(ctx, op)
         for a in args:
@@ -126,7 +130,7 @@ def test_product_memo_is_capped(monkeypatch):
         assert info.currsize == min(len(args), EXT_MUL_MEMO_MAX)
         assert info.maxsize == EXT_MUL_MEMO_MAX
     monkeypatch.setattr(sympdiff.fields, "EXT_MUL_MEMO_MAX", 100)
-    small = field_make(spec)  # the cap is read when the context is built
+    small = _fresh(ctx)  # the cap is read when the context is built
     for op in MEMOS:
         memo, args = getattr(small, op), _operands(small, op)[:300]
         for a in args:
@@ -140,6 +144,28 @@ def test_product_memo_is_capped(monkeypatch):
         assert (after.hits, after.misses, after.currsize) == (
             full.hits + 1, full.misses + 1, 100
         )
+
+
+def test_field_make_interns_one_context_per_spec():
+    spec = "GF(9)|t^2+1"
+    ctx = field_make(spec)
+    assert field_make(spec) is ctx
+    ctx.mul((1, 1), (1, 2))
+    assert field_make(spec).mul.cache_info().currsize  # the memos come along
+    assert field_make(" GF(9)|t^2+1 ") == ctx  # equal, under another key
+    # a refused spec is not cached: it raises on every call
+    for _ in range(3):
+        with pytest.raises(ReducibleModulus):
+            field_make("GF(9)|t^2+2")
+        with pytest.raises(FieldSpecError):
+            field_make("GF(6)")
+    # bounded: the least recently used spec is dropped
+    cap = sympdiff.fields.FIELD_CTX_MAX
+    assert field_make.cache_info().maxsize == cap
+    for p in [p for p in range(3, 1000) if sympdiff.fields._is_prime(p)][:cap + 1]:
+        field_make(f"GF({p})")
+    assert field_make.cache_info().currsize == cap
+    assert field_make(spec) is not ctx and field_make(spec) == ctx
 
 
 def test_context_with_filled_memo_pickles():

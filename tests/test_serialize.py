@@ -5,6 +5,7 @@ json.dumps and carries the expected keys.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from sympdiff.decide import decide_extension, decide_pair, pair_context
 from sympdiff.errors import DivisionByZero, SerializationError
 from sympdiff.exprparse import parse_poly, parse_scalar
 from sympdiff.fields import field_make, field_spec
-from sympdiff.linalg import companion, direct_sum
+from sympdiff.linalg import Mat, companion, direct_sum
 from sympdiff.oracle import oracle_sweep
 from sympdiff.serialize import (
     decode_mat,
@@ -225,6 +226,60 @@ def test_mat_shape_must_be_a_plain_int(key, bad):
     assert decode_mat(obj).entries == ((1,),)
     with pytest.raises(SerializationError, match=repr(key)):
         decode_mat(dict(obj, **{key: bad}))
+
+
+CODEC_FIELDS = ["GF(3)", "Q", "GF(4)|t^2+t+1", "GF(2)(s)"]
+
+# (refused scalar, an accepted scalar equal to it in Python where one exists)
+REFUSED_AFTER_TWIN = [
+    (True, 1),
+    (1.0, 1),
+    ([1, True], [1, 1]),
+    ({"num": [1], "den": [True]}, {"num": [1], "den": [1]}),
+]
+
+
+@pytest.mark.parametrize("spec", CODEC_FIELDS)
+@pytest.mark.parametrize("refused, twin", REFUSED_AFTER_TWIN)
+def test_mat_refuses_a_scalar_after_its_accepted_twin(spec, refused, twin):
+    """The memoized grid decode keys entries by exact JSON type: a refused
+    scalar equal to an earlier accepted one still raises decode_scalar's
+    error."""
+    ctx = field_make(spec)
+    with pytest.raises(SerializationError) as want:
+        decode_scalar(ctx, refused)
+    try:
+        decode_scalar(ctx, twin)
+    except SerializationError:
+        twin = 1  # not a scalar of this kind: accepted ones before it
+    obj = {"field": spec, "entries": [[twin, twin], [twin, refused]]}
+    with pytest.raises(SerializationError) as got:
+        decode_mat(obj)
+    assert str(got.value) == str(want.value)
+
+
+def _json_scalars(ctx, rng):
+    """A pool of JSON forms of scalars over ``ctx``: ints, grammar strings
+    and the kind's own schema, some equal in value, none refused."""
+    pool = [0, 1, -1, 2, 7, "1", "0", "2", " 1"]
+    if ctx.kind == "rationals":
+        pool += ["1/2", "-3/4", "2/4"]
+    if ctx.kind == "extension":
+        pool += [[1, 0], [0, 1], [1, 1], [1], []]
+    if ctx.kind == "ratfunc":
+        pool += [{"num": [0, 1], "den": [1]}, {"num": [1, 1], "den": [1, 1]},
+                 {"num": [1], "den": [0, 1]}, "s", "s+1"]
+    return [rng.choice(pool) for _ in range(12 * 12)]
+
+
+@pytest.mark.parametrize("spec", CODEC_FIELDS)
+def test_mat_grid_decodes_as_entry_by_entry(spec):
+    ctx = field_make(spec)
+    flat = _json_scalars(ctx, random.Random(spec))
+    grid = [flat[i:i + 12] for i in range(0, len(flat), 12)]
+    want = Mat(ctx, [[decode_scalar(ctx, e) for e in row] for row in grid])
+    assert decode_mat({"field": spec, "entries": grid}) == want
+    assert decode_mat(encode_mat(want)) == want
 
 
 def test_pair_round_trip(F5):
