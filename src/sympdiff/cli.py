@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -33,7 +32,7 @@ from typing import List, Optional
 
 from . import serialize as ser
 from .atlas import indecomposable_reps
-from .decide import decide_extension, decide_pair, pair_context
+from .decide import PairCtx, decide_extension, decide_pair, pair_context
 from .errors import SympdiffError
 from .exprparse import parse_poly
 from .fields import field_make
@@ -59,34 +58,14 @@ _int_text = int.__repr__
 _INT = {int}
 
 
-def _scalar_text(o) -> Optional[str]:
-    """The JSON text of a str, None, bool, int or float as json writes them
-    (NaN and the infinities included), else None."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int_text(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o in (math.inf, -math.inf):
-            return "Infinity" if o > 0 else "-Infinity"
-        return float.__repr__(o)
-    return None
-
-
 def _dumps_indented(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python
     encoder json falls back to for an indent.  A list of plain ints is
     rendered once per distinct value and depth: a matrix repeats its
-    entries.  A value or key of a type json cannot write goes to json.dumps,
-    which raises its TypeError."""
+    entries.  Strings, None, bools and ints, which answers carry on every
+    entry, are written here; a float, a non-str key, or a value or key of a
+    type json cannot write goes to json itself, which raises its TypeError
+    for the last."""
     out: List[str] = []
     write = out.append
     leaves: dict = {}
@@ -119,16 +98,20 @@ def _dumps_indented(obj) -> str:
             inner = nl + "  "
             sep, head = "," + inner, "{" + inner
             for k, x in o.items():
-                key = k if isinstance(k, str) else _scalar_text(k)
-                if key is None:
-                    json.dumps(o)  # raises json's TypeError for the key
-                write(head + _encode_str(key) + ": ")
+                if not isinstance(k, str):  # json's key text: "1", "true", ...
+                    (k,) = json.loads(json.dumps({k: 0}))
+                write(head + _encode_str(k) + ": ")
                 head = sep
                 value(x, inner)
             write(nl + "}")
+        elif isinstance(o, str):
+            write(_encode_str(o))
+        elif isinstance(o, int):
+            write("true" if o is True else "false" if o is False else _int_text(o))
+        elif o is None:
+            write("null")
         else:
-            text = _scalar_text(o)
-            write(json.dumps(o) if text is None else text)  # json raises
+            write(json.dumps(o))
 
     value(obj, "\n")
     return "".join(out)
@@ -218,16 +201,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_classify(args) -> int:
+def _pair_context(args) -> PairCtx:
+    """The pair context of --field, --p and --q."""
     ctx = field_make(args.field)
-    pctx = pair_context(parse_poly(ctx, args.p), parse_poly(ctx, args.q))
-    out = ser.encode_case_tag(pctx.case, ctx)
+    return pair_context(parse_poly(ctx, args.p), parse_poly(ctx, args.q))
+
+
+def _cmd_classify(args) -> int:
+    pctx = _pair_context(args)
+    out = ser.encode_case_tag(pctx.case, pctx.ctx)
     out.update({
         "p": str(pctx.p),
         "q": str(pctx.q),
         "normalized_p": str(pctx.p_norm),
         "normalized_q": str(pctx.q_norm),
-        "delta": str(Poly.constant(ctx, pctx.delta)),
+        "delta": str(Poly.constant(pctx.ctx, pctx.delta)),
         "F": str(pctx.F),
         "Lambda": str(pctx.Lam),
     })
@@ -235,35 +223,28 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _instance(args):
-    """(pctx, v or None, pair or None) from --v/--pair."""
-    ctx = field_make(args.field)
-    pctx = pair_context(parse_poly(ctx, args.p), parse_poly(ctx, args.q))
+def _decision(args):
+    """(pctx, the decision report) for exactly one of --v and --pair."""
+    pctx = _pair_context(args)
     if (args.v is None) == (args.pair is None):
         raise _UsageError("provide exactly one of --v and --pair")
     if args.v is not None:
-        return pctx, _parse_v(ctx, args.v), None
-    return pctx, None, ser.decode_pair(_load_json(args.pair), ctx)
+        return pctx, decide_extension(_parse_v(pctx.ctx, args.v), pctx)
+    return pctx, decide_pair(ser.decode_pair(_load_json(args.pair), pctx.ctx), pctx)
 
 
 def _cmd_decide(args) -> int:
-    pctx, v, pair = _instance(args)
-    report = decide_extension(v, pctx) if v is not None else decide_pair(pair, pctx)
+    pctx, report = _decision(args)
     _emit(ser.encode_decision_report(report, pctx))
     return 0 if report.ok else 2
 
 
-def _emit_no(report, pctx) -> int:
-    _emit({"verdict": "no",
-           "decision": ser.encode_decision_report(report, pctx)})
-    return 2
-
-
 def _cmd_witness(args) -> int:
-    pctx, v, pair = _instance(args)
-    report = decide_extension(v, pctx) if v is not None else decide_pair(pair, pctx)
+    pctx, report = _decision(args)
     if not report.ok:
-        return _emit_no(report, pctx)
+        _emit({"verdict": "no",
+               "decision": ser.encode_decision_report(report, pctx)})
+        return 2
     found = _witness_for_decision(report, pctx, bound=args.bound)
     if found is None:
         _emit({
@@ -284,20 +265,18 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ctx = field_make(args.field)
-    pctx = pair_context(parse_poly(ctx, args.p), parse_poly(ctx, args.q))
-    w = ser.decode_witness(_load_json(args.witness), ctx)
+    pctx = _pair_context(args)
+    w = ser.decode_witness(_load_json(args.witness), pctx.ctx)
     report = verify_witness(w, pctx)
     _emit(ser.encode_verification_report(report))
     return 0 if report.ok else 2
 
 
 def _cmd_enumerate(args) -> int:
-    ctx = field_make(args.field)
-    pctx = pair_context(parse_poly(ctx, args.p), parse_poly(ctx, args.q))
+    pctx = _pair_context(args)
     inventory = None
     if args.inventory is not None:
-        inventory = [parse_poly(ctx, part)
+        inventory = [parse_poly(pctx.ctx, part)
                      for part in args.inventory.split(";") if part.strip()]
     for row in indecomposable_reps(pctx, args.dim, irreducibles=inventory):
         # json.dumps without an indent takes the C encoder; json.dump never does

@@ -227,6 +227,9 @@ class FieldCtx:
     kind: str = "?"
     characteristic: int = 0
     order = None  # int for finite fields, None otherwise
+    # its poly.PolyOps, set by poly.poly_ops; closures do not pickle, so
+    # each context pickles as its constructor arguments (__reduce__)
+    _poly_ops = None
 
     # subclasses fill in: zero, one, add, sub, mul, neg, inv, from_int,
     # elements, format, sort_key
@@ -291,6 +294,9 @@ class RationalField(FieldCtx):
     def sort_key(a):
         return (a.numerator, a.denominator)
 
+    def __reduce__(self):
+        return (RationalField, ())
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -343,6 +349,9 @@ class PrimeField(FieldCtx):
     @staticmethod
     def sort_key(a):
         return (a,)
+
+    def __reduce__(self):
+        return (PrimeField, (self.p,))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -575,6 +584,9 @@ class RationalFunctionField(FieldCtx):
         w_odd = _ztrim(tuple(w[i] for i in range(1, len(w), 2)))
         return (self._canon(w_even, den), self._canon(w_odd, den))
 
+    def __reduce__(self):
+        return (RationalFunctionField, (self.p,))
+
     def __eq__(self, other):
         return isinstance(other, RationalFunctionField) and other.p == self.p
 
@@ -658,10 +670,13 @@ def field_make(spec: str) -> FieldCtx:
     context, memos included, from a ``functools.lru_cache`` of the
     ``FIELD_CTX_MAX`` most recently used specs, so the primality and
     irreducibility tests run once per spec.  A refused spec is not cached
-    and raises on every call.  The memos of the kept contexts hold at most
-    ``FIELD_CTX_MAX * 4 * EXT_MUL_MEMO_MAX`` entries (GF(p^k) sums,
+    and raises on every call.  A context keeps its own memos and polynomial
+    kernels, and nothing else in the package holds it but the 64-entry
+    caches of ``sympform.standard_gram`` and ``witness._gram_inverse``, so
+    at most ``FIELD_CTX_MAX`` + 2 * 64 contexts stay alive.  The memos of
+    each hold at most ``4 * EXT_MUL_MEMO_MAX`` entries (GF(p^k) sums,
     differences, products and inverses), about 260 bytes each over GF(2^8):
-    8.5 MB per context, 136 MB in all at worst.
+    8.5 MB per context, 136 MB for the ``FIELD_CTX_MAX`` interned ones.
     """
     spec = spec.strip()
     if spec == "Q":

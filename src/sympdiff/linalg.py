@@ -77,12 +77,15 @@ def _numpy_exact(ctx: FieldCtx, terms: int) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _regular(ctx: FieldCtx):
-    """The table of :func:`_lift` over GF(p^k), built once per context: row
-    i is the block C^i of g^i, row-major, C the companion of the modulus."""
-    C = companion(Poly(PrimeField(ctx.p), ctx.modulus))
-    table = [sum((C ** i).entries, ()) for i in range(ctx.k)]
-    return _np.array(table, _np.int64 if _numpy_exact(ctx, 1) else object)
+def _regular(p: int, modulus: tuple):
+    """The table of :func:`_lift` over GF(p^k), built once per modulus (a
+    key that holds no context): row i is the block C^i of g^i, row-major, C
+    the companion of the modulus."""
+    Fp, k = PrimeField(p), len(modulus) - 1
+    C = companion(Poly(Fp, modulus))
+    table = [sum((C ** i).entries, ()) for i in range(k)]
+    # k terms over GF(p) bound the same sums as one term over GF(p^k)
+    return _np.array(table, _np.int64 if _numpy_exact(Fp, k) else object)
 
 
 def _lift(ctx: FieldCtx, X):
@@ -94,7 +97,7 @@ def _lift(ctx: FieldCtx, X):
     if k == 1:
         return X[..., 0]
     m, n = X.shape[-3:-1]
-    blocks = (X @ _regular(ctx) % ctx.p).reshape(X.shape[:-1] + (k, k))
+    blocks = (X @ _regular(ctx.p, ctx.modulus) % ctx.p).reshape(X.shape[:-1] + (k, k))
     return blocks.swapaxes(-3, -2).reshape(X.shape[:-3] + (m * k, n * k))
 
 
@@ -197,20 +200,6 @@ class Mat:
         return cls(ctx, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
-    def scalar(cls, ctx, n, c):
-        z = ctx.zero
-        return cls(ctx, [[c if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diag(cls, ctx, scalars):
-        scalars = list(scalars)
-        z = ctx.zero
-        n = len(scalars)
-        return cls(
-            ctx, [[scalars[i] if i == j else z for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
     def block(cls, ctx, grid: Sequence[Sequence["Mat"]]):
         """Assemble from a rectangular grid of matrices with matching shapes."""
         out_rows: List[List] = []
@@ -222,10 +211,6 @@ class Mat:
             for i in range(h):
                 out_rows.append([e for b in brow for e in b.entries[i]])
         return cls(ctx, out_rows, sum(b.cols for b in grid[0]) if grid else 0)
-
-    @classmethod
-    def column(cls, ctx, vec):
-        return cls(ctx, [[x] for x in vec])
 
     # -- shape and access -------------------------------------------------
 

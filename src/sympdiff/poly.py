@@ -155,17 +155,15 @@ def _prime_poly_ops(ctx) -> PolyOps:
     )
 
 
-_OPS_CACHE: dict = {}
-
-
 def poly_ops(ctx: FieldCtx) -> PolyOps:
-    ops = _OPS_CACHE.get(ctx)
+    """ctx's kernels, built on first use and kept on ctx, so they go with it."""
+    ops = ctx._poly_ops
     if ops is None:
         if ctx.kind == "prime":
             ops = _prime_poly_ops(ctx)
         else:
             ops = _generic_poly_ops(ctx)
-        _OPS_CACHE[ctx] = ops
+        ctx._poly_ops = ops
     return ops
 
 
@@ -197,10 +195,6 @@ class Poly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, ())
-
-    @classmethod
     def one(cls, ctx):
         return cls(ctx, (ctx.one,))
 
@@ -211,10 +205,6 @@ class Poly:
     @classmethod
     def constant(cls, ctx, c):
         return cls(ctx, (c,))
-
-    @classmethod
-    def from_ints(cls, ctx, ints: Iterable[int]):
-        return cls(ctx, tuple(ctx.from_int(n) for n in ints))
 
     # -- basic queries ---------------------------------------------------
 

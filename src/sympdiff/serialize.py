@@ -168,8 +168,8 @@ def decode_mat(obj, ctx: Optional[FieldCtx] = None) -> Mat:
     rows = obj.get("rows", len(entries))
     cols = obj.get("cols", len(entries[0]) if entries else 0)
     for key, n in (("rows", rows), ("cols", cols)):
-        if type(n) is not int:  # as in _int_coeffs: no bools, floats or strings
-            raise SerializationError(f"matrix {key!r} {n!r} is not an integer")
+        if type(n) is not int or n < 0:  # as in _int_coeffs: no bools, floats, strings
+            raise SerializationError(f"matrix {key!r} {n!r} is not a nonnegative integer")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise SerializationError("matrix entries do not match the declared shape")
     return Mat(fctx, _decode_grid(fctx, entries), cols=cols)
@@ -255,15 +255,7 @@ def encode_decision_report(report: DecisionReport, pctx: PairCtx) -> Dict[str, A
         "invariant_factors": [str(f) for f in report.invariant_factors],
         "regular_ok": report.regular_ok,
         "exceptional_ok": report.exceptional_ok,
-        "regular": [
-            {
-                "factor": ev.factor,
-                "regular_factor": ev.regular_factor,
-                "base_sigma": ev.base_sigma,
-                "ok": ev.ok,
-            }
-            for ev in report.regular
-        ],
+        "regular": [dataclasses.asdict(ev) for ev in report.regular],
         "exceptional": report.exceptional,
         "pair_level": report.pair_level,
         "failing_evidence": report.failing_evidence,

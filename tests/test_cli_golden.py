@@ -31,6 +31,12 @@ FIELDS = {
     "GF2s": "GF(2)(s)",
 }
 
+# the symplectic extension S(v) of v = C(t^2+2) over GF(3), as --pair JSON
+S_C_T2_PLUS_2 = json.dumps({
+    "B": {"entries": [[0, 0, 2, 0], [0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0]]},
+    "U": {"entries": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]},
+})
+
 # (subcommand, field, p, q, extra argv); "witness" requests whose answer is
 # YES are sent back through verify, once intact and once with U1 and U2
 # swapped (a failed verification)
@@ -60,6 +66,16 @@ REQUESTS = [
     # the answer), and a boolean matrix entry
     ("classify", None, "t^2", "t^2", ["--field", "GF(é)"]),
     ("decide", "GF27", "t^2+1", "t^2+1", ["--v", '{"entries": [[[1], true], [0, 1]]}']),
+    # --pair instead of --v: S(C(t^2+2)) over GF(3)
+    ("decide", "GF3", "t^2+1", "t^2+1", ["--pair", S_C_T2_PLUS_2]),
+    ("witness", "GF3", "t^2+1", "t^2+1", ["--pair", S_C_T2_PLUS_2]),
+    # usage errors: both of --v and --pair, and neither
+    ("decide", "GF3", "t^2+1", "t^2+1", ["--v", "companion:t^2+2", "--pair", S_C_T2_PLUS_2]),
+    ("witness", "GF3", "t^2+1", "t^2+1", ["--v", "companion:t^2+2", "--pair", S_C_T2_PLUS_2]),
+    ("decide", "GF3", "t^2+1", "t^2+1", []),
+    ("witness", "GF3", "t^2+1", "t^2+1", []),
+    # a YES decision without a constructive witness (infinite field)
+    ("witness", "Q", "t^2-t", "t^2-t", ["--v", "companion:t"]),
 ]
 
 

@@ -351,13 +351,13 @@ def test_decide_exceptional_simple_simple(Q):
     # F = t^2 (t-2)(t+2); the involution z -> -z pairs the roots 2 and -2
     two = Poly(Q, (Q.from_int(-2), Q.one))
     # a lone 1-cell at +2 is a legitimate (1,0) representative
-    assert decide_extension(Mat.diag(Q, [Q.from_int(2)]), pc).ok
+    assert decide_extension(Mat.from_ints(Q, [[2]]), pc).ok
     # a size-2 cell at +2 with nothing at -2 breaks the intertwining
     rep = decide_extension(companion(two ** 2), pc)
     assert not rep.ok and rep.regular_ok and not rep.exceptional_ok
     assert "not 1-intertwined" in rep.failing_evidence
     # restore balance with a 1-cell at -2: the (2,1) shape is accepted
-    v_good = direct_sum(companion(two ** 2), Mat.diag(Q, [Q.from_int(-2)]))
+    v_good = direct_sum(companion(two ** 2), Mat.from_ints(Q, [[-2]]))
     assert decide_extension(v_good, pc).ok
 
 

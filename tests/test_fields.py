@@ -1,8 +1,10 @@
 """Field contexts: arithmetic laws, canonical forms, spec round-trips."""
 
+import gc
 import itertools
 import pickle
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from sympdiff.errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
-from sympdiff.exprparse import parse_scalar
+from sympdiff.exprparse import parse_poly, parse_scalar
 from sympdiff.fields import (
     EXT_MUL_MEMO_MAX,
     RATFUNC_MAX_DEGREE,
@@ -27,9 +29,9 @@ from sympdiff.fields import (
     field_make,
     field_spec,
 )
-from sympdiff import linalg
-from sympdiff.linalg import Mat
-from sympdiff.poly import Poly, _pow_mod, poly_ops
+from sympdiff import linalg, sympform, witness
+from sympdiff.linalg import Mat, companion
+from sympdiff.poly import Poly, _pow_mod, is_irreducible, monic_polys, poly_ops
 
 
 def gf7_elems():
@@ -192,7 +194,40 @@ def test_context_with_filled_memo_pickles():
     assert [clone.inv(a) for a in elems[1:]] == [ctx.inv(a) for a in elems[1:]]
     # one lift table per context, shared by its equal clone
     assert linalg._regular.cache_info().misses == 1
-    assert linalg._regular(clone) is linalg._regular(ctx)
+    assert linalg._regular(clone.p, clone.modulus) is linalg._regular(ctx.p, ctx.modulus)
+
+
+def test_contexts_do_not_outlive_field_make():
+    """A context and its memos are kept by field_make, and otherwise only by
+    the capped Gram-matrix caches: the polynomial kernels live on the
+    context and the lift tables are keyed by (p, modulus)."""
+    F3 = field_make("GF(3)")
+    moduli = [f for f in monic_polys(F3, 4) if is_irreducible(f)]
+    assert len(moduli) > sympdiff.fields.FIELD_CTX_MAX
+    refs = []
+    for f in moduli:
+        ctx = field_make(f"GF(3^4)|{f}")
+        pc = pair_context(parse_poly(ctx, "t^2+1"), parse_poly(ctx, "t^2+1"))
+        witness.duplication_witness(pc, parse_poly(ctx, "t+1"))
+        refs.append(weakref.ref(ctx))
+    del ctx, pc
+    field_make.cache_clear()
+    sympform.standard_gram.cache_clear()
+    witness._gram_inverse.cache_clear()
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
+@pytest.mark.parametrize("spec", ["Q", "GF(2)(s)", "GF(3)", "GF(4)|t^2+t+1"])
+def test_polys_and_mats_pickle_after_poly_ops(spec):
+    ctx = field_make(spec)
+    f = parse_poly(ctx, "t^2+t+1")
+    g = f * f  # builds ctx's polynomial kernels
+    assert ctx._poly_ops is not None
+    assert pickle.loads(pickle.dumps(ctx))._poly_ops is None  # not shipped
+    for x in (g, companion(g)):
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.ctx == ctx
 
 
 @pytest.mark.parametrize("spec", ["GF(5)", "GF(9)|t^2+1", "Q"])

@@ -70,7 +70,7 @@ def test_rank_and_product_bound(M, N):
 @given(M=gf5_mat(3), v=st.lists(st.integers(min_value=0, max_value=4), min_size=3, max_size=3))
 def test_solve_and_kernel(M, v):
     ctx = M.ctx
-    rhs = M @ Mat.column(ctx, v)
+    rhs = M @ Mat(ctx, [[x] for x in v])
     x = M.solve(rhs)  # consistent by construction
     assert M @ x == rhs
     K = M.kernel_basis()
@@ -114,12 +114,12 @@ def test_invariant_factors_goldens(F5):
     assert invariant_factors(M).factors == (t, t * t)
 
     # diag(1, 2): coprime linear factors merge into one invariant factor
-    D = Mat.diag(F5, [F5.from_int(1), F5.from_int(2)])
+    D = Mat.from_ints(F5, [[1, 0], [0, 2]])
     lin = (t - one) * (t - Poly.constant(F5, F5.from_int(2)))
     assert invariant_factors(D).factors == (lin,)
 
     # scalar matrix: the factor repeats
-    S = Mat.scalar(F5, 3, F5.from_int(2))
+    S = Mat.identity(F5, 3).scale(F5.from_int(2))
     lin2 = t - Poly.constant(F5, F5.from_int(2))
     assert invariant_factors(S).factors == (lin2, lin2, lin2)
 
@@ -163,7 +163,7 @@ def test_char_poly_is_factor_product(F5):
         n = M.rows
         grid = [
             [
-                (t if i == j else Poly.zero(F5))
+                (t if i == j else Poly(F5))
                 - Poly.constant(F5, M[i, j])
                 for j in range(n)
             ]
@@ -173,7 +173,7 @@ def test_char_poly_is_factor_product(F5):
         def det(g):
             if len(g) == 1:
                 return g[0][0]
-            total = Poly.zero(F5)
+            total = Poly(F5)
             for j in range(len(g)):
                 minor = [row[:j] + row[j + 1 :] for row in g[1:]]
                 term = g[0][j] * det(minor)
@@ -280,8 +280,8 @@ def test_mat_poly_eval_matches_rational_horner(M, cs):
     # over GF(5) Horner's rule runs in int64; the same evaluation over Q,
     # reduced mod 5, is the reference
     Q = field_make("Q")
-    got = mat_poly_eval(Poly.from_ints(M.ctx, cs), M)
-    ref = mat_poly_eval(Poly.from_ints(Q, cs), Mat.from_ints(Q, M.entries))
+    got = mat_poly_eval(Poly(M.ctx, map(M.ctx.from_int, cs)), M)
+    ref = mat_poly_eval(Poly(Q, map(Q.from_int, cs)), Mat.from_ints(Q, M.entries))
     assert got.entries == tuple(
         tuple(int(e) % 5 for e in row) for row in ref.entries
     )
@@ -349,7 +349,7 @@ def oracle_matrices(draw):
             st.lists(scalar, min_size=n, max_size=n), min_size=n, max_size=n
         )))
     if kind == "scalar":
-        return Mat.scalar(ctx, n, draw(scalar))
+        return Mat.identity(ctx, n).scale(draw(scalar))
     if kind == "blocks":
         # repeated small blocks: many equal and shared invariant factors
         b = draw(st.integers(min_value=1, max_value=3))
@@ -499,7 +499,7 @@ def krylov_matrices(draw):
     if shape == "zero":
         return Mat.zeros(ctx, n)
     if shape == "scalar":
-        return Mat.scalar(ctx, n, draw(scalar))
+        return Mat.identity(ctx, n).scale(draw(scalar))
     if shape == "nilpotent":
         # strictly upper triangular: the chain of e_0 hits 0 at once
         return Mat(ctx, [

@@ -219,13 +219,18 @@ def test_mat_shape_defaults_and_mismatch(F3):
 
 
 @pytest.mark.parametrize("key", ["rows", "cols"])
-@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize("bad", [True, 1.0, "1", -3])
 def test_mat_shape_must_be_a_plain_int(key, bad):
     # True == 1 == 1.0, so only the type tells these from the shape 1 x 1
     obj = {"field": "GF(3)", "rows": 1, "cols": 1, "entries": [[1]]}
     assert decode_mat(obj).entries == ((1,),)
     with pytest.raises(SerializationError, match=repr(key)):
         decode_mat(dict(obj, **{key: bad}))
+    # an empty grid has no row to check a (negative) width against
+    empty = {"field": "GF(3)", "rows": 0, "cols": 0, "entries": []}
+    assert decode_mat(empty).cols == 0
+    with pytest.raises(SerializationError, match=repr(key)):
+        decode_mat(dict(empty, **{key: bad}))
 
 
 CODEC_FIELDS = ["GF(3)", "Q", "GF(4)|t^2+t+1", "GF(2)(s)"]

@@ -59,7 +59,7 @@ def test_validate_pair_failure_modes(F5):
     assert not rep.alternating
 
     # B*U not alternating
-    U = Mat.diag(F5, [F5.zero, F5.one])
+    U = Mat.from_ints(F5, [[0, 0], [0, 1]])
     rep = validate_pair(B2, U)
     assert rep.alternating and rep.nondegenerate and not rep.b_alternating
     with pytest.raises(InvalidPair):
@@ -68,7 +68,7 @@ def test_validate_pair_failure_modes(F5):
     # with this Gram matrix, b-alternating forces a scalar endomorphism,
     # whose invariant factors are automatically doubled
     for a in range(5):
-        Ua = Mat.scalar(F5, 2, F5.from_int(a))
+        Ua = Mat.identity(F5, 2).scale(F5.from_int(a))
         assert is_alternating(B2 @ Ua)
         assert validate_pair(B2, Ua).ok
 

@@ -145,7 +145,7 @@ def test_compose_witness_mixed_routes(F3):
     # p = q = t^2 - 1 over GF(3): one sigma-decomposable factor handled by a
     # duplication block, one residual factor handled by brute force
     pc = pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2-1"))
-    v = direct_sum(companion(parse_poly(F3, "t^2+2")), Mat.diag(F3, [F3.from_int(2)]))
+    v = direct_sum(companion(parse_poly(F3, "t^2+2")), Mat.from_ints(F3, [[2]]))
     w = compose_witness(v, pc)
     assert w is not None
     assert w.dimension == 6
@@ -159,7 +159,7 @@ def test_compose_witness_checks_each_fact_once(F3, monkeypatch):
     # residual (t+1): one SNF of v, one verification of the direct sum
     pc = pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2-1"))
     c = companion(parse_poly(F3, "t^2+2"))
-    v = direct_sum(c, c, Mat.diag(F3, [F3.from_int(2)]))
+    v = direct_sum(c, c, Mat.from_ints(F3, [[2]]))
     verified, snf_of_v = [], []
 
     def counting_verify(w, pctx):
@@ -206,13 +206,13 @@ def test_compose_witness_residual_over_infinite_field_is_none(Q):
     # YES instance whose factor is not a polynomial in sigma: no implemented
     # construction over Q, so the witness is declined while the decision stands
     pc = pair_context(parse_poly(Q, "t^2-1"), parse_poly(Q, "t^2-1"))
-    v = Mat.diag(Q, [Q.from_int(2)])
+    v = Mat.from_ints(Q, [[2]])
     assert compose_witness(v, pc) is None
 
 
 def test_compose_witness_residual_bound(F3):
     pc = pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2-1"))
-    v = Mat.diag(F3, [F3.from_int(2)])
+    v = Mat.from_ints(F3, [[2]])
     assert compose_witness(v, pc, bound=1) is None  # residual needs dim 2
     assert compose_witness(v, pc, bound=2) is not None
 
@@ -405,14 +405,14 @@ def test_linearized_search_matches_full_enumeration_dim6(F2):
         if space is not None and len(space[1]) == 15
     ]
     assert len(free15) == 8
-    assert all(P.U.is_zero or P.U == Mat.scalar(F2, 6, F2.one) for _, P in free15)
+    assert all(P.U.is_zero or P.U == Mat.identity(F2, 6) for _, P in free15)
     sample = random.Random(6).sample(instances, 10)
     assert _assert_same_first_hit(sample + free15, 6) == 3 + 6
     # v = I3, p = t^2+1, q = t^2: with every coordinate free, the index of
     # a candidate is its upper triangle of M = B*U1 read in base 2; 1184
     # lies in the fifth chunk of the doubling scan
     pc = pair_context(parse_poly(F2, "t^2+1"), parse_poly(F2, "t^2"))
-    P = symplectic_extension(Mat.scalar(F2, 3, F2.one))
+    P = symplectic_extension(Mat.identity(F2, 3))
     M = P.B @ brute_force_witness(P, pc, bound=6).U1
     upper = [int(M.entries[a][b]) for a in range(6) for b in range(a + 1, 6)]
     assert int("".join(map(str, upper)), 2) == 1184
@@ -435,7 +435,7 @@ def test_prime_search_over_a_prime_near_1000(monkeypatch):
         ("t^2-5", "t^2+10*t+20"),  # 5 is not a square mod 997
     ]:
         pc = pair_context(parse_poly(F, pt), parse_poly(F, qt))
-        P = symplectic_extension(Mat.scalar(F, 1, F.from_int(5)))
+        P = symplectic_extension(Mat.identity(F, 1).scale(F.from_int(5)))
         assert len(_solution_space(P.B, P.U, pc)[1]) == 1
         chunks.clear()
         a = brute_force_witness(P, pc)
@@ -453,7 +453,7 @@ def test_prime_search_over_a_prime_near_1000(monkeypatch):
     # chunks, not one per value of the coordinate
     F = field_make("GF(100003)")
     pc = pair_context(parse_poly(F, "t^2-5"), parse_poly(F, "t^2+10*t+20"))
-    P = symplectic_extension(Mat.scalar(F, 1, F.from_int(5)))
+    P = symplectic_extension(Mat.identity(F, 1).scale(F.from_int(5)))
     chunks.clear()
     assert brute_force_witness(P, pc) is None
     assert len(chunks) == 12
@@ -468,7 +468,7 @@ def test_extension_field_chunks_keep_the_prime_field_size(monkeypatch):
     F = field_make("GF(16)|t^4+t+1")
     p = parse_poly(F, "t^2+t+1")
     pc = pair_context(p, p.compose(Poly.t(F) + Poly.constant(F, F.one)))
-    P = symplectic_extension(Mat.scalar(F, 2, F.one))
+    P = symplectic_extension(Mat.identity(F, 2))
     assert len(_solution_space(P.B, P.U, pc)[1]) == 6
     sizes = []
     digits = witness._digits
@@ -513,7 +513,7 @@ def test_brute_force_over_a_large_prime_field_with_a_free_coordinate():
     w = brute_force_witness(P, pc)
     assert time.monotonic() - start < 1.0
     assert w is not None and verify_witness(w, pc).ok
-    assert w.U1 == Mat.scalar(F, 2, F.from_int(-1))
+    assert w.U1 == Mat.identity(F, 2).scale(F.from_int(-1))
 
 
 def test_brute_force_guards(Q, F3):
@@ -620,7 +620,7 @@ def test_candidate_cap_counts_only_the_solution_space(F5):
     # dimension 8 has 5^28 >= 2^63 alternating Grams, but the linear
     # system leaves a single candidate, so the residual is searched
     pc = pair_context(parse_poly(F5, "t^2-1"), parse_poly(F5, "t^2-1"))
-    v = Mat.scalar(F5, 4, 2)
+    v = Mat.identity(F5, 4).scale(2)
     P = symplectic_extension(v)
     assert _solution_space(P.B, P.U, pc)[1] == []
     w = compose_witness(v, pc, bound=8)

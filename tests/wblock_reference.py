@@ -56,7 +56,7 @@ def r_expansion_block(pctx, r: Poly):
     mult = functools.lru_cache(maxsize=None)(
         lambda e: mat_poly_eval(e, Cr)
         if e.degree > 0
-        else Mat.scalar(ctx, d, e.coefficient(0))
+        else Mat.identity(ctx, d).scale(e.coefficient(0))
     )
 
     def expand(grid: Sequence[Sequence[Poly]]) -> Mat:
