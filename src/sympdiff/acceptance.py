@@ -40,7 +40,7 @@ from .linalg import (
     mat_poly_eval,
 )
 from .oracle import oracle_sweep
-from .poly import Poly, decompose_base_sigma, monic_polys, quad_irreducible, trace_of
+from .poly import Poly, decompose_base_sigma, is_irreducible, monic_polys, trace_of
 from .sympform import (
     SymplecticPair,
     Witness,
@@ -565,7 +565,7 @@ def criterion_12(seed: int = 0, shared: Optional[dict] = None) -> CriterionResul
         if report.pair_dim != 4:
             continue
         for inst in report.instances:
-            if inst.p != inst.q or not quad_irreducible(inst.p):
+            if inst.p != inst.q or not is_irreducible(inst.p):
                 continue
             if not inst.brute_yes:
                 continue

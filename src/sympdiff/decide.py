@@ -477,9 +477,9 @@ def decide_pair(P: SymplecticPair, pctx: PairCtx) -> DecisionReport:
     which are those of the v with P isometric to S(v), decide from them,
     and, in the evenness families, cross-check that the pair's own odd-size
     cell counts are multiples of 4."""
-    inv = require_valid(P.B, P.U).invariant_factors
     if P.ctx != pctx.ctx:
         raise MixedFieldContexts(f"{P.ctx} vs {pctx.ctx}")
+    inv = require_valid(P.B, P.U).invariant_factors
     report = _decide(pctx, inv.doubled_halves(), inv.dimension // 2)
     targets = _even_targets(pctx)
     if targets is None:

@@ -81,10 +81,6 @@ class SingularMatrix(SympdiffError):
     """An invertible matrix was required."""
 
 
-class NotStable(SympdiffError):
-    """A subspace is not stable under the given endomorphism."""
-
-
 # ---------------------------------------------------------------- pairs and decisions
 
 class InvalidPair(SympdiffError):

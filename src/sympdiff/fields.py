@@ -570,20 +570,6 @@ class RationalFunctionField(FieldCtx):
         num, den = a
         return (len(den), den, len(num), num)
 
-    def frobenius_parts(self, a):
-        """Write ``a = u^2 + s*v^2`` and return ``(u, v)`` (characteristic 2 only).
-
-        Over GF(2)(s) the Frobenius image is GF(2)(s^2), of index 2 with basis
-        {1, s}; the decomposition is unique.
-        """
-        if self.p != 2:
-            raise FieldSpecError("frobenius_parts only applies in characteristic 2")
-        num, den = a
-        w = _zmul(num, den, 2)  # a = w / den^2 and den^2 = den(s^2)
-        w_even = _ztrim(tuple(w[i] for i in range(0, len(w), 2)))
-        w_odd = _ztrim(tuple(w[i] for i in range(1, len(w), 2)))
-        return (self._canon(w_even, den), self._canon(w_odd, den))
-
     def __reduce__(self):
         return (RationalFunctionField, (self.p,))
 

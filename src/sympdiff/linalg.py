@@ -945,16 +945,6 @@ def invariant_factors(M: Mat) -> InvFactors:
     return InvFactors(ctx, tuple(Poly(ctx, e) for e in chain if len(e) > 1), n)
 
 
-def similar(M1: Mat, M2: Mat) -> bool:
-    if M1.ctx != M2.ctx:
-        raise MixedFieldContexts(f"{M1.ctx} vs {M2.ctx}")
-    M1._square()
-    M2._square()
-    if M1.rows != M2.rows:
-        return False
-    return invariant_factors(M1).factors == invariant_factors(M2).factors
-
-
 # ----------------------------------------------------------------------
 # cell counts
 # ----------------------------------------------------------------------

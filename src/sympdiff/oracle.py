@@ -97,17 +97,19 @@ class SweepReport:
         return not self.disagreements
 
 
-def _chains_below(g: Poly, total: int) -> List[Tuple[Poly, ...]]:
-    """Divisibility chains (f_1 | ... | f_k | g) of total degree ``total``,
-    excluding g itself."""
+def _chains_below(
+    ctx: FieldCtx, total: int, g: Optional[Poly] = None
+) -> List[Tuple[Poly, ...]]:
+    """Divisibility chains (f_1 | ... | f_k) of total degree ``total`` with
+    f_k dividing g, or all of them when g is None."""
     if total == 0:
         return [()]
     out: List[Tuple[Poly, ...]] = []
-    for m in range(1, min(total, g.degree) + 1):
-        for f in monic_polys(g.ctx, m):
-            if (g % f).is_zero:
-                for rest in _chains_below(f, total - m):
-                    out.append(rest + (f,))
+    top = total if g is None else min(total, g.degree)
+    for m in range(1, top + 1):
+        for f in monic_polys(ctx, m):
+            if g is None or (g % f).is_zero:
+                out.extend(rest + (f,) for rest in _chains_below(ctx, total - m, f))
     return out
 
 
@@ -120,14 +122,7 @@ def admissible_chains(ctx: FieldCtx, half_dim: int) -> List[Tuple[Poly, ...]]:
     """
     if half_dim < 0:
         raise InvalidArgument("half_dim must be >= 0")
-    if half_dim == 0:
-        return [()]
-    out: List[Tuple[Poly, ...]] = []
-    for m in range(1, half_dim + 1):
-        for g in monic_polys(ctx, m):
-            for rest in _chains_below(g, half_dim - m):
-                out.append(rest + (g,))
-    return out
+    return _chains_below(ctx, half_dim)
 
 
 def oracle_sweep(

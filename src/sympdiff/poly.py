@@ -494,13 +494,17 @@ def _sqrt_rational(a):
 
 
 def _sqrt_ratfunc(ctx, a):
-    """A square root of a over GF(p)(s), p odd, or None: for a = N/D it is
-    sqrt(N*D)/D, and the polynomial square root r of w = N*D is matched
-    coefficient by coefficient from the top."""
+    """A square root of a over GF(p)(s), or None: for a = N/D it is
+    sqrt(w)/D, w = N*D.  For p = 2, w = w_0(s)^2 + s*w_1(s)^2 with w_0, w_1
+    its even and odd coefficients, so w is a square exactly when w_1 = 0,
+    and w_0 is its root.  For odd p the polynomial square root r of w is
+    matched coefficient by coefficient from the top."""
     p = ctx.p
     w = fields._zmul(a[0], a[1], p)
     if not w:
         return a
+    if p == 2:
+        return None if any(w[1::2]) else ctx.from_polys(w[::2], a[1])
     if len(w) % 2 == 0:  # odd degree
         return None
     m = len(w) // 2
@@ -520,14 +524,20 @@ def _sqrt_ratfunc(ctx, a):
     return ctx.from_polys(r, a[1])
 
 
-def _sqrt_char2(ctx, c):
-    """The square root of c in characteristic 2, or None: the inverse of
-    Frobenius, c^(2^(k-1)) over GF(2^k); over GF(2)(s), u for
-    c = u^2 + s*v^2 when v = 0."""
+def _sqrt(ctx, a):
+    """A square root of a in ctx, or None: ``isqrt`` of numerator and
+    denominator over Q, a polynomial square root over GF(p)(s), the inverse
+    of Frobenius, a^(q/2), over GF(2^k), and Tonelli-Shanks over the other
+    finite fields."""
+    if ctx.kind == "rationals":
+        return _sqrt_rational(a)
     if ctx.kind == "ratfunc":
-        u, v = ctx.frobenius_parts(c)
-        return u if ctx.is_zero(v) else None
-    return ctx.power(c, ctx.order // 2)
+        return _sqrt_ratfunc(ctx, a)
+    if ctx.order is None:
+        raise InfiniteField(f"cannot find roots over {ctx}")
+    if ctx.characteristic == 2:
+        return ctx.power(a, ctx.order // 2)
+    return _sqrt_finite(ctx, a)
 
 
 def _gf2_solve(columns, target):
@@ -586,14 +596,12 @@ def roots_in_field(f: Poly):
     """All roots of f, of degree at most 2, in its own coefficient field,
     with multiplicity, in ``ctx.sort_key`` order.
 
-    A quadratic costs one square root.  In odd characteristic the quadratic
-    formula takes the square root of the discriminant: Tonelli-Shanks over
-    GF(p) and GF(p^k), ``isqrt`` of numerator and denominator over Q, a
-    polynomial square root over GF(p)(s).  In characteristic 2, x^2 = c
-    inverts Frobenius, and x^2 + b*x + c with b != 0 becomes
-    y^2 + y = c/b^2 (x = b*y), solved by GF(2)-linear algebra.  The roots of
-    the quartic F = Lam(t^2 - delta*t) come in two such stages
-    (:func:`sympdiff.decide.pair_context`).
+    A quadratic costs one square root (:func:`_sqrt`).  In odd
+    characteristic the quadratic formula takes the square root of the
+    discriminant.  In characteristic 2, x^2 + c has the double root sqrt(c),
+    and x^2 + b*x + c with b != 0 becomes y^2 + y = c/b^2 (x = b*y), solved
+    by GF(2)-linear algebra.  The roots of the quartic F = Lam(t^2 - delta*t)
+    come in two such stages (:func:`sympdiff.decide.pair_context`).
     """
     if f.is_zero:
         raise ZeroPolynomial("the zero polynomial has every root")
@@ -609,22 +617,14 @@ def roots_in_field(f: Poly):
     b = f.coeffs[1]
     if ctx.characteristic == 2:
         if ctx.is_zero(b):
-            r = _sqrt_char2(ctx, c)
+            r = _sqrt(ctx, c)
             return [] if r is None else [r, r]
         y = _artin_schreier(ctx, ctx.div(c, ctx.mul(b, b)))
         if y is None:
             return []
         roots = [ctx.mul(b, y), ctx.mul(b, ctx.add(y, ctx.one))]
     else:
-        disc = ctx.sub(ctx.mul(b, b), ctx.mul(ctx.from_int(4), c))
-        if ctx.kind == "rationals":
-            r = _sqrt_rational(disc)
-        elif ctx.kind == "ratfunc":
-            r = _sqrt_ratfunc(ctx, disc)
-        elif ctx.order is not None:
-            r = _sqrt_finite(ctx, disc)
-        else:
-            raise InfiniteField(f"cannot find roots over {ctx}")
+        r = _sqrt(ctx, ctx.sub(ctx.mul(b, b), ctx.mul(ctx.from_int(4), c)))
         if r is None:
             return []
         half, nb = ctx.inv(ctx.from_int(2)), ctx.neg(b)
@@ -729,13 +729,3 @@ def irreducible_polys(ctx: FieldCtx, max_degree: int):
         for f in monic_polys(ctx, d):
             if is_irreducible(f):
                 yield f
-
-
-# ----------------------------------------------------------------------
-# monic quadratics
-# ----------------------------------------------------------------------
-
-
-def quad_irreducible(f: Poly) -> bool:
-    _require_monic_quadratic(f, "f")
-    return not roots_in_field(f)

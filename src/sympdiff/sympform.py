@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     DimensionMismatch,
     InvalidPair,
+    MixedFieldContexts,
     NonMonic,
     NotSquare,
     WrongDegree,
 )
 from .fields import FieldCtx
-from .linalg import InvFactors, Mat, _nil, direct_sum, invariant_factors, kron, similar
+from .linalg import InvFactors, Mat, _nil, direct_sum, invariant_factors, kron
 from .poly import Poly
 
 
@@ -46,29 +47,37 @@ class Witness(SymplecticPair):
     U2: Mat
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    nondegenerate: bool
-    alternating: bool
-    b_alternating: bool
-    doubled: bool
-    invariant_factors: Optional[InvFactors]
+class _Checks:
+    """``ok`` and ``failures()`` of a report of named checks: ``_messages``
+    maps each check to its message when it fails, and a check fails when it
+    is False (None means not checked)."""
+
+    _messages: Dict[str, str]
 
     @property
     def ok(self) -> bool:
         return not self.failures()
 
     def failures(self) -> Tuple[str, ...]:
-        return tuple(msg for name, msg in _PAIR_FAILURES.items() if not getattr(self, name))
+        return tuple(
+            msg for name, msg in self._messages.items() if getattr(self, name) is False
+        )
 
 
-# the message of each check of a ValidityReport when it fails
-_PAIR_FAILURES = {
-    "nondegenerate": "Gram matrix is singular",
-    "alternating": "Gram matrix is not alternating",
-    "b_alternating": "B*U is not alternating (U is not b-alternating)",
-    "doubled": "invariant factors of U are not doubled",
-}
+@dataclass(frozen=True)
+class ValidityReport(_Checks):
+    nondegenerate: bool
+    alternating: bool
+    b_alternating: bool
+    doubled: bool
+    invariant_factors: Optional[InvFactors]
+
+    _messages = {
+        "nondegenerate": "Gram matrix is singular",
+        "alternating": "Gram matrix is not alternating",
+        "b_alternating": "B*U is not alternating (U is not b-alternating)",
+        "doubled": "invariant factors of U are not doubled",
+    }
 
 
 def is_alternating(M: Mat) -> bool:
@@ -123,20 +132,19 @@ def validate_pair(B: Mat, U: Mat) -> ValidityReport:
 def require_valid(B: Mat, U: Mat) -> ValidityReport:
     report = validate_pair(B, U)
     if not report.ok:
-        err = InvalidPair("; ".join(report.failures()))
-        err.report = report
-        raise err
+        raise InvalidPair("; ".join(report.failures()), report=report)
     return report
 
 
 def isometry_test(P1: SymplecticPair, P2: SymplecticPair) -> bool:
     """Scharlau: valid pairs are isometric iff their endomorphisms are
-    similar."""
-    require_valid(P1.B, P1.U)
-    require_valid(P2.B, P2.U)
-    if P1.dimension != P2.dimension:
-        return False
-    return similar(P1.U, P2.U)
+    similar, that is, have the same invariant factors."""
+    if P1.ctx != P2.ctx:
+        raise MixedFieldContexts(f"{P1.ctx} vs {P2.ctx}")
+    # the factors' degrees add up to the dimension, so equal factors mean
+    # equal dimensions
+    factors1 = require_valid(P1.B, P1.U).invariant_factors.factors
+    return factors1 == require_valid(P2.B, P2.U).invariant_factors.factors
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .poly import Poly, decompose_base_sigma, trace_of
 from .sympform import (
     SymplecticPair,
     Witness,
+    _Checks,
     frobenius_symmetrizer,
     is_alternating,
     symplectic_extension,
@@ -43,7 +44,7 @@ DEFAULT_SEARCH_BOUND = 6
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Checks):
     gram_alternating: bool
     gram_invertible: bool
     u1_b_alternating: bool
@@ -55,29 +56,18 @@ class VerificationReport:
     u2_commutes_with_sigma_of_u: bool
     kernel_stable: Optional[bool]  # only checked when p = q
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> Tuple[str, ...]:
-        return tuple(
-            msg for name, msg in _CHECK_FAILURES.items() if getattr(self, name) is False
-        )
-
-
-# the message of each check of a VerificationReport when it fails
-_CHECK_FAILURES = {
-    "gram_alternating": "Gram matrix is not alternating",
-    "gram_invertible": "Gram matrix is singular",
-    "u1_b_alternating": "B*U1 is not alternating",
-    "u2_b_alternating": "B*U2 is not alternating",
-    "p_annihilates_u1": "p(U1) is nonzero",
-    "q_annihilates_u2": "q(U2) is nonzero",
-    "difference_matches": "U1 - U2 differs from U",
-    "u1_commutes_with_sigma_of_u": "U1 does not commute with U^2 - delta*U",
-    "u2_commutes_with_sigma_of_u": "U2 does not commute with U^2 - delta*U",
-    "kernel_stable": "Ker(U1 - U2) is not stable under U1 and U2",
-}
+    _messages = {
+        "gram_alternating": "Gram matrix is not alternating",
+        "gram_invertible": "Gram matrix is singular",
+        "u1_b_alternating": "B*U1 is not alternating",
+        "u2_b_alternating": "B*U2 is not alternating",
+        "p_annihilates_u1": "p(U1) is nonzero",
+        "q_annihilates_u2": "q(U2) is nonzero",
+        "difference_matches": "U1 - U2 differs from U",
+        "u1_commutes_with_sigma_of_u": "U1 does not commute with U^2 - delta*U",
+        "u2_commutes_with_sigma_of_u": "U2 does not commute with U^2 - delta*U",
+        "kernel_stable": "Ker(U1 - U2) is not stable under U1 and U2",
+    }
 
 
 @dataclass(frozen=True)
@@ -186,12 +176,14 @@ def duplication_witness(pctx: PairCtx, r: Poly) -> Witness:
 
 
 def _merge_witnesses(ctx, parts: Sequence[Witness]) -> Witness:
-    return Witness(
-        B=direct_sum(*(w.B for w in parts)) if parts else Mat(ctx, []),
-        U=direct_sum(*(w.U for w in parts)) if parts else Mat(ctx, []),
-        U1=direct_sum(*(w.U1 for w in parts)) if parts else Mat(ctx, []),
-        U2=direct_sum(*(w.U2 for w in parts)) if parts else Mat(ctx, []),
-    )
+    """The direct sum of the parts; of no part, the witness on the zero
+    space."""
+    if not parts:
+        empty = Mat(ctx, [])
+        return Witness(B=empty, U=empty, U1=empty, U2=empty)
+    return Witness(*(
+        direct_sum(*mats) for mats in zip(*((w.B, w.U, w.U1, w.U2) for w in parts))
+    ))
 
 
 def compose_witness(
@@ -256,19 +248,14 @@ def _witness_for_decision(
 
 
 @functools.lru_cache(maxsize=None)
-def _upper(n: int):
-    """``np.triu_indices(n, 1)``: the strict upper triangle of an n x n
-    matrix, row by row, built once per n."""
-    return np.triu_indices(n, 1)
-
-
-@functools.lru_cache(maxsize=None)
 def _alternating_system(n: int):
     """The shape of ``_solution_space``'s system for n x n matrices: its
-    rows, the strict upper triangle (a, b) in order, and the (row, column,
-    i, j) at which U[i][j] is added to (``plus``) or subtracted from
-    (``minus``) a coefficient.  Column k - 1 - f is coordinate f."""
-    upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rows, the strict upper triangle (a, b) in order, also as the index
+    arrays ``np.triu_indices(n, 1)``, and the (row, column, i, j) at which
+    U[i][j] is added to (``plus``) or subtracted from (``minus``) a
+    coefficient.  Column k - 1 - f is coordinate f."""
+    iu = np.triu_indices(n, 1)
+    upper = list(zip(*(a.tolist() for a in iu)))
     k = len(upper)
     at = {ab: r for r, ab in enumerate(upper)}
     plus, minus = [], []
@@ -280,7 +267,7 @@ def _alternating_system(n: int):
         minus += [(at[a, d], col, c, a) for a in range(d)]
         plus += [(at[d, b], col, c, b) for b in range(d + 1, n)]
         plus += [(at[a, c], col, d, a) for a in range(c)]
-    return upper, plus, minus
+    return upper, iu, plus, minus
 
 
 def _solution_space(B: Mat, U: Mat, pctx: PairCtx):
@@ -310,7 +297,7 @@ def _solution_space(B: Mat, U: Mat, pctx: PairCtx):
     ctx = U.ctx
     add, sub = ctx.add, ctx.sub
     n = U.rows
-    upper, plus, minus = _alternating_system(n)
+    upper, _, plus, minus = _alternating_system(n)
     k = len(upper)
     p0, p1 = pctx.p.coeffs[0], pctx.p.coeffs[1]
     q0, q1 = pctx.q.coeffs[0], pctx.q.coeffs[1]
@@ -419,8 +406,7 @@ def brute_force_witness(
     if n > bound:
         raise DimensionBoundExceeded(f"pair dimension {n} exceeds bound {bound}")
     if n == 0:
-        empty = Mat(ctx, [])
-        return Witness(B=empty, U=empty, U1=empty, U2=empty)
+        return _merge_witnesses(ctx, ())
     Binv = _gram_inverse(P.B)
     if not is_alternating(P.B):
         raise InvalidPair("Gram matrix is not alternating")
@@ -445,7 +431,7 @@ def brute_force_witness(
     vals = np.concatenate([vals[:1], steps.transpose(0, 3, 1, 2).reshape(-1, K, k)])
     d = len(vals) - 1
     M = np.zeros((d + 1, n, n, k), dtype=dtype)
-    iu = _upper(n)
+    iu = _alternating_system(n)[1]
     M[:, iu[0], iu[1]] = vals
     M[:, iu[1], iu[0]] = -vals
     UM = (_to_np(Binv, dtype) @ _lift(ctx, M) % pr).reshape(d + 1, nk * nk)

@@ -11,13 +11,17 @@ from typing import Tuple
 from sympdiff.errors import (
     ConstructionInvariantViolated,
     DimensionMismatch,
-    NotStable,
     SingularMatrix,
+    SympdiffError,
     ZeroPolynomial,
 )
 from sympdiff.linalg import Mat, mat_poly_eval
 from sympdiff.poly import Poly
 from sympdiff.sympform import SymplecticPair
+
+
+class NotStable(SympdiffError):
+    """A subspace is not stable under the given endomorphism."""
 
 
 def fitting_split(M: Mat, f: Poly) -> Tuple[Mat, Mat]:

@@ -76,6 +76,11 @@ REQUESTS = [
     ("witness", "GF3", "t^2+1", "t^2+1", []),
     # a YES decision without a constructive witness (infinite field)
     ("witness", "Q", "t^2-t", "t^2-t", ["--v", "companion:t"]),
+    # enumerate up to dimension 6: same-field norm-quadratic rows (table 7),
+    # root pairs (table 3), characteristic-2 special even powers (table 10)
+    ("enumerate", "Q", "t^2+1", "t^2+4", ["--dim", "6", "--inventory", "t-1;t-3"]),
+    ("enumerate", "GF3", "t^2-t", "t^2-t", ["--dim", "6"]),
+    ("enumerate", "GF2s", "t^2+t+1", "t^2+t+s", ["--dim", "6", "--inventory", "t;t+1"]),
 ]
 
 

@@ -45,8 +45,8 @@ from sympdiff.poly import (
     Poly,
     decompose_base_sigma,
     delta_of,
+    is_irreducible,
     monic_polys,
-    quad_irreducible,
     roots_in_field,
 )
 from sympdiff.sympform import (
@@ -381,6 +381,14 @@ def test_decide_pair_rejects_invalid(F5):
         decide_pair(SymplecticPair(Mat.zeros(F5, 2), Mat.zeros(F5, 2)), pc)
 
 
+def test_decide_pair_checks_the_field_before_validity(F3, F5):
+    # B = I is not alternating, but a pair over another field is refused
+    # as such before it is validated
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    with pytest.raises(MixedFieldContexts):
+        decide_pair(SymplecticPair(Mat.identity(F5, 2), Mat.zeros(F5, 2)), pc)
+
+
 def test_decide_mixed_contexts_raise(F3, F5):
     pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
     with pytest.raises(MixedFieldContexts):
@@ -522,7 +530,7 @@ def test_cell_counts_match_rank_drops_on_criterion_12():
     for spec in ("GF(2)", "GF(3)"):
         ctx = field_make(spec)
         for inst in oracle_sweep(ctx, 4).instances:
-            if inst.p != inst.q or not quad_irreducible(inst.p) or not inst.brute_yes:
+            if inst.p != inst.q or not is_irreducible(inst.p) or not inst.brute_yes:
                 continue
             if not (inst.v ** inst.v.rows).is_zero:
                 continue

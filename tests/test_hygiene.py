@@ -1,10 +1,12 @@
 """Source hygiene: no module of the package imports a name it never uses
 or imports again inside a function a module it imports at top level, every
-module-level private function or class has a reference, and every layer the
-benchmark's tracer wraps names a function or ``Mat`` method that exists."""
+module-level private function or class has a reference, every error class
+is raised somewhere in the package, and every layer the benchmark's tracer
+wraps names a function or ``Mat`` method that exists."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -146,6 +148,49 @@ def test_scan_finds_a_redundant_local_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_redundant_local_imports(path):
     assert redundant_local_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def raised_names(tree: ast.Module):
+    """The names of the exceptions raised in the module, by ``raise X``,
+    ``raise X(...)`` or ``raise module.X(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_scan_finds_raised_names():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise A('message')\n"
+        "    try:\n"
+        "        raise errors.B\n"
+        "    except C:\n"
+        "        raise\n"
+        "    D('built, not raised')\n"
+    )
+    assert raised_names(tree) == {"A", "B"}
+
+
+def test_every_error_class_is_raised():
+    from sympdiff import errors
+
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        raised |= raised_names(ast.parse(path.read_text(), filename=str(path)))
+    classes = [
+        name for name, cls in vars(errors).items()
+        if inspect.isclass(cls) and issubclass(cls, errors.SympdiffError)
+        and cls is not errors.SympdiffError
+    ]
+    assert classes
+    assert [name for name in classes if name not in raised] == []
 
 
 def test_tracing_layers_resolve():

@@ -239,6 +239,22 @@ def test_seeded_products_and_irreducibles(Q):
             assert roots_in_field(parse_poly(ctx, text)) == [], text
 
 
+def test_square_roots_over_gf2s_seeded(F2s):
+    # t^2 + c in characteristic 2: c = r^2 has the double root r, and
+    # c = u^2 + s*v^2 with v != 0 is not a square
+    rng = random.Random(7)
+    t2 = Poly(F2s, (F2s.zero, F2s.zero, F2s.one))
+    nonsquares = 0
+    while nonsquares < 40:
+        r, u, v = (_rand_ratfunc(F2s, rng) for _ in range(3))
+        assert roots_in_field(t2 + Poly.constant(F2s, F2s.mul(r, r))) == [r, r]
+        if F2s.is_zero(v):
+            continue
+        c = F2s.add(F2s.mul(u, u), F2s.mul(F2s.gen, F2s.mul(v, v)))
+        assert roots_in_field(t2 + Poly.constant(F2s, c)) == [], c
+        nonsquares += 1
+
+
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)|t^2+t+1", "GF(5)"])
 def test_roots_via_sigma_matches_scan_of_F(spec):
     ctx = field_make(spec)

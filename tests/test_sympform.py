@@ -2,7 +2,9 @@
 
 import pytest
 
-from sympdiff.errors import InvalidPair, NotStable
+import sympdiff.linalg
+import sympdiff.sympform
+from sympdiff.errors import InvalidPair, MixedFieldContexts
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
 from sympdiff.linalg import Mat, companion, direct_sum, invariant_factors
@@ -18,7 +20,7 @@ from sympdiff.sympform import (
     validate_pair,
 )
 
-from subspace_reference import induced_pair
+from subspace_reference import NotStable, induced_pair
 
 
 def test_alternating_is_not_just_skew_in_char2(F2):
@@ -73,7 +75,7 @@ def test_validate_pair_failure_modes(F5):
         assert validate_pair(B2, Ua).ok
 
 
-def test_isometry_test_similarity(F5):
+def test_isometry_test_similarity(F3, F5):
     r = parse_poly(F5, "t^2+2")
     v = companion(r)
     P1 = symplectic_extension(v)
@@ -83,6 +85,24 @@ def test_isometry_test_similarity(F5):
     assert isometry_test(P1, P2)
     P3 = symplectic_extension(companion(parse_poly(F5, "t^2+1")))
     assert not isometry_test(P1, P3)
+    assert not isometry_test(P1, symplectic_extension(companion(parse_poly(F5, "t+1"))))
+    with pytest.raises(MixedFieldContexts):
+        isometry_test(P1, symplectic_extension(companion(parse_poly(F3, "t^2+2"))))
+
+
+def test_isometry_test_computes_invariant_factors_once_per_pair(F5, monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M.rows)
+        return invariant_factors(M)
+
+    for module in (sympdiff.sympform, sympdiff.linalg):
+        monkeypatch.setattr(module, "invariant_factors", counted)
+    P1 = symplectic_extension(companion(parse_poly(F5, "t^2+2")))
+    P2 = symplectic_extension(companion(parse_poly(F5, "t^2+3")))
+    assert not isometry_test(P1, P2)
+    assert calls == [4, 4]
 
 
 def test_frobenius_symmetrizer_properties(F2, F5, Q, F2s):
