@@ -117,10 +117,10 @@ def symplectic_extension(v: Mat) -> SymplecticPair:
 
 
 def validate_pair(B: Mat, U: Mat) -> ValidityReport:
+    if B.ctx != U.ctx:
+        raise MixedFieldContexts(f"{B.ctx} vs {U.ctx}")
     if not B.is_square or not U.is_square or B.rows != U.rows:
         raise DimensionMismatch("pair matrices must be square of equal size")
-    if B.ctx != U.ctx:
-        raise DimensionMismatch("pair matrices over different fields")
     alt = is_alternating(B)
     nondeg = B.is_invertible()
     balt = is_alternating(B @ U)

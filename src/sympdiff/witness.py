@@ -476,17 +476,15 @@ def verify_witness(w: Witness, pctx: PairCtx) -> VerificationReport:
     Ker(U1 - U2) under both U1 and U2."""
     B, U, U1, U2 = w.B, w.U, w.U1, w.U2
     sig = U @ U - U.scale(pctx.delta)
+    diff = U1 - U2
     kernel_stable = None
     if pctx.p == pctx.q:
-        K = (U1 - U2).kernel_basis()
-        if K.cols == 0:
-            kernel_stable = True
-        else:
-            base_rank = K.rank()
-            kernel_stable = all(
-                Mat.block(B.ctx, [[K, M @ K]]).rank() == base_rank
-                for M in (U1, U2)
-            )
+        # a kernel basis has full column rank, so M keeps Ker exactly when
+        # [K | M K] has rank K.cols (rank 0 for an n x 0 block)
+        K = diff.kernel_basis()
+        kernel_stable = all(
+            Mat.block(B.ctx, [[K, M @ K]]).rank() == K.cols for M in (U1, U2)
+        )
     return VerificationReport(
         gram_alternating=is_alternating(B),
         gram_invertible=B.is_invertible(),
@@ -494,7 +492,7 @@ def verify_witness(w: Witness, pctx: PairCtx) -> VerificationReport:
         u2_b_alternating=is_alternating(B @ U2),
         p_annihilates_u1=mat_poly_eval(pctx.p, U1).is_zero,
         q_annihilates_u2=mat_poly_eval(pctx.q, U2).is_zero,
-        difference_matches=(U1 - U2) == U,
+        difference_matches=diff == U,
         u1_commutes_with_sigma_of_u=(U1 @ sig) == (sig @ U1),
         u2_commutes_with_sigma_of_u=(U2 @ sig) == (sig @ U2),
         kernel_stable=kernel_stable,

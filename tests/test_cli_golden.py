@@ -19,6 +19,11 @@ from pathlib import Path
 import pytest
 
 from sympdiff.cli import cli_run
+from sympdiff.exprparse import parse_poly
+from sympdiff.fields import field_make
+from sympdiff.serialize import decode_witness
+
+from witness_reference import check_witness
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -125,6 +130,21 @@ GOLDENS = [] if __name__ == "__main__" else json.loads(GOLDEN.read_text(encoding
 )
 def test_cli_answer_matches_golden(golden):
     assert _record(golden["argv"]) == golden
+
+
+def test_yes_witnesses_pass_the_reference_checker():
+    failures = {}
+    for i, golden in enumerate(GOLDENS):
+        argv = golden["argv"]
+        if argv[0] != "witness" or golden["code"]:
+            continue
+        witness = json.loads(_call(argv)[1])["witness"]
+        if witness is not None:
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            ctx = field_make(opts["--field"])
+            p, q = (parse_poly(ctx, opts[key]) for key in ("--p", "--q"))
+            failures[i] = check_witness(decode_witness(witness, ctx), p, q)
+    assert len(failures) == 7 and not any(failures.values()), failures
 
 
 if __name__ == "__main__":

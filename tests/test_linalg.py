@@ -35,11 +35,9 @@ from sympdiff.sympform import is_alternating
 
 from jordan_reference import jordan_sequence
 from krylov_reference import field_relation_matrix
-from matmul_reference import naive_poly_eval, naive_product
 from rref_reference import (
     dense_entrywise,
     dense_inverse,
-    dense_is_alternating,
     dense_kernel_basis,
     dense_rank,
     dense_rref,
@@ -47,6 +45,7 @@ from rref_reference import (
 )
 from snf_reference import snf_invariant_factors
 from subspace_reference import NotStable, fitting_split, restrict
+from witness_reference import alternating, poly_eval, product
 
 
 def gf5_mat(n):
@@ -633,7 +632,7 @@ def test_generic_product_matches_inner_products(ctx):
     for A, B in _kernel_shapes(ctx, rng):
         P = A @ B
         assert (P.rows, P.cols) == (A.rows, B.cols)
-        _same_entries(P, naive_product(A, B))
+        _same_entries(P, product(ctx, A.entries, B.entries, B.cols))
 
 
 @pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=repr)
@@ -650,7 +649,7 @@ def test_generic_horner_matches_inner_products(ctx):
         for deg in (-1, 0, 1, 3):
             f = Poly(ctx, [_random_scalar(ctx, rng) for _ in range(deg)]
                      + [ctx.one] * (deg >= 0))
-            _same_entries(mat_poly_eval(f, M), naive_poly_eval(f, M))
+            _same_entries(mat_poly_eval(f, M), poly_eval(ctx, f, M.entries))
 
 
 @pytest.mark.parametrize("spec, lifted", [
@@ -696,7 +695,7 @@ def test_lift_is_an_injective_ring_map(ctx):
         for X in (A, B):
             assert _to_np(X).shape == (X.rows * ctx.k, X.cols * ctx.k)
             assert Mat(ctx, _unlift(ctx, _to_np(X)), cols=X.cols) == X
-        AB = Mat(ctx, naive_product(A, B), cols=B.cols)
+        AB = Mat(ctx, product(ctx, A.entries, B.entries, B.cols), cols=B.cols)
         assert ((_to_np(A) @ _to_np(B)) % ctx.p == _to_np(AB)).all()
 
 
@@ -803,10 +802,10 @@ def test_entrywise_ops_match_dense_reference(ctx):
         for c in (_random_scalar(ctx, rng), ctx.zero, ctx.one):
             _same_entries(A.scale(c), dense_entrywise(lambda x: ctx.mul(x, c), A))
         assert A.is_zero == all(x == ctx.zero for row in A.entries for x in row)
-    alternating = _alternating_cases(ctx, rng, cases)
-    assert any(map(is_alternating, alternating))
-    for M in alternating + [A for A in cases if A.is_square]:
-        assert is_alternating(M) == dense_is_alternating(M)
+    alternating_cases = _alternating_cases(ctx, rng, cases)
+    assert any(map(is_alternating, alternating_cases))
+    for M in alternating_cases + [A for A in cases if A.is_square]:
+        assert is_alternating(M) == alternating(M.ctx, M.entries)
 
 
 # ----------------------------------------------------------------------

@@ -75,6 +75,14 @@ def test_validate_pair_failure_modes(F5):
         assert validate_pair(B2, Ua).ok
 
 
+def test_validate_pair_over_two_fields_is_a_field_mismatch(F3, F5):
+    # the fields are compared before the shapes, as in decide_pair
+    with pytest.raises(MixedFieldContexts):
+        validate_pair(Mat.zeros(F3, 2), Mat.zeros(F5, 2))
+    with pytest.raises(MixedFieldContexts):
+        validate_pair(Mat.zeros(F3, 2), Mat.zeros(F5, 4))
+
+
 def test_isometry_test_similarity(F3, F5):
     r = parse_poly(F5, "t^2+2")
     v = companion(r)

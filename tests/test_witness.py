@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from sympdiff import decide, witness
+from sympdiff import decide, oracle, witness
 from sympdiff.decide import pair_context
 from sympdiff.errors import (
     ConstructionInvariantViolated,
@@ -22,12 +22,13 @@ from sympdiff.errors import (
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
 from sympdiff.linalg import Mat, companion, direct_sum, invariant_factors, mat_poly_eval
-from sympdiff.oracle import admissible_chains
+from sympdiff.oracle import admissible_chains, oracle_sweep
 from sympdiff.poly import Poly, monic_polys
 from sympdiff.sympform import (
     SymplecticPair,
     Witness,
     is_alternating,
+    standard_gram,
     symplectic_extension,
 )
 from sympdiff.witness import (
@@ -42,6 +43,7 @@ from sympdiff.witness import (
 
 from search_reference import _generic_search, _n2_solution_space
 from wblock_reference import r_expansion_block
+from witness_reference import check_witness
 
 
 def test_w_block_golden_nilpotent(Q):
@@ -141,6 +143,85 @@ def test_verify_witness_detects_corruption(F3):
     assert not rep2.gram_invertible and not rep2.ok
 
 
+def test_kernel_stable_is_not_checked_when_p_differs_from_q(F5):
+    pc = pair_context(parse_poly(F5, "t^2+2"), parse_poly(F5, "t^2+t+1"))
+    rep = verify_witness(duplication_witness(pc, parse_poly(F5, "t+1")), pc)
+    assert rep.ok and rep.kernel_stable is None
+
+
+def test_kernel_stable_on_empty_full_and_unstable_kernels(F3):
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    # r(0) != 0 and sigma(0) = 0, so U, with factors r(sigma), is invertible
+    w = duplication_witness(pc, parse_poly(F3, "t+1"))
+    assert w.U.is_invertible() and verify_witness(w, pc).kernel_stable is True
+    # criterion 5's witness: U = 0, so Ker(U1 - U2) is the whole space
+    B = standard_gram(F3, 2)
+    w = brute_force_witness(SymplecticPair(B=B, U=Mat.zeros(F3, 4)), pc)
+    assert w.U1 == w.U2 and verify_witness(w, pc).kernel_stable is True
+    # Ker(diag(1, 0, 0, 0)) = span(e1, e2, e3), and U1 sends e1 to e0
+    U = Mat.from_ints(F3, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    U1 = Mat.from_ints(F3, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    rep = verify_witness(Witness(B=B, U=U, U1=U1, U2=U1 - U), pc)
+    assert rep.kernel_stable is False
+    assert "Ker(U1 - U2) is not stable under U1 and U2" in rep.failures()
+
+
+def test_reference_checker_flags_broken_witnesses(F3):
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    w = duplication_witness(pc, parse_poly(F3, "t+1"))
+    n, (p, q) = w.dimension, (pc.p, pc.q)
+    shifted = dataclasses.replace(w, U1=w.U1 + Mat.identity(F3, n))
+    assert check_witness(shifted, p, q) == ["p(U1) = 0", "U1 - U2 = U"]
+    flat = dataclasses.replace(w, B=Mat.zeros(F3, n))
+    assert check_witness(flat, p, q) == ["B invertible"]
+    plain = dataclasses.replace(w, B=Mat.identity(F3, n))  # nor is B U2 = U2
+    assert check_witness(plain, p, q) == ["B alternating", "B U2 alternating"]
+
+
+def test_reference_checker_passes_criteria_witnesses(F3, Q, F2s):
+    # criterion 5's brute-force witness, 6's and 10's composed witnesses
+    pc5 = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    zero4 = SymplecticPair(B=standard_gram(F3, 2), U=Mat.zeros(F3, 4))
+    pc6 = pair_context(parse_poly(Q, "t^2+1"), parse_poly(Q, "t^2+1"))
+    pc10 = pair_context(parse_poly(F2s, "t^2+t+1"), parse_poly(F2s, "t^2+t+s"))
+    f = parse_poly(F2s, "t^2+t+(1+s)")
+    found = [
+        (brute_force_witness(zero4, pc5), pc5),
+        (compose_witness(companion(parse_poly(Q, "t^2+2")), pc6), pc6),
+        (compose_witness(companion(f * f), pc10), pc10),
+    ]
+    # one duplication block per (field, p, q) of criterion 2, r cycling
+    # through its r of degree 1 and 2
+    for spec in ("GF(2)", "GF(3)", "GF(5)"):
+        ctx = field_make(spec)
+        quads = list(monic_polys(ctx, 2))
+        rs = itertools.cycle(list(monic_polys(ctx, 1)) + quads)
+        for p, q in itertools.product(quads, repeat=2):
+            pc = pair_context(p, q)
+            blk = w_algebra_block(pc, next(rs))
+            found.append((Witness(B=blk.H, U=blk.U, U1=blk.A, U2=blk.B), pc))
+    assert len(found) == 3 + 16 + 81 + 625
+    for w, pc in found:
+        assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
+
+
+def test_reference_checker_passes_the_dimension_4_sweep_hits(F2, F3, monkeypatch):
+    hits, search = [], oracle.brute_force_witness
+
+    def collect(pair, pctx, **kw):
+        w = search(pair, pctx, **kw)
+        if w is not None:
+            assert (w.B.entries, w.U.entries) == (pair.B.entries, pair.U.entries)
+            hits.append((w, pctx))
+        return w
+
+    monkeypatch.setattr(oracle, "brute_force_witness", collect)
+    reports = [oracle_sweep(ctx, 4) for ctx in (F2, F3)]
+    assert len(hits) == sum(i.brute_yes for r in reports for i in r.instances) > 0
+    for w, pc in hits:
+        assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
+
+
 def test_compose_witness_mixed_routes(F3):
     # p = q = t^2 - 1 over GF(3): one sigma-decomposable factor handled by a
     # duplication block, one residual factor handled by brute force
@@ -229,8 +310,6 @@ def test_brute_force_golden_first_hit(F3):
 
 
 def test_grams_are_built_and_inverted_once(F3, monkeypatch):
-    from sympdiff.sympform import standard_gram
-
     inverted = []
     inverse = Mat.inverse
     monkeypatch.setattr(Mat, "inverse", lambda M: inverted.append(M) or inverse(M))
