@@ -39,8 +39,6 @@ from itertools import repeat
 from operator import add as _add, mul as _mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-import numpy as _np
-
 from .errors import (
     ConstructionInvariantViolated,
     DegreeBoundExceeded,
@@ -64,6 +62,21 @@ from .fields import (
 )
 from .poly import Poly, poly_ops
 
+# numpy, bound by _numpy() in each function that builds an array from
+# entries (_regular, _to_np, mat_poly_eval, _vector_kernel's lift path and
+# the brute-force scan); every other use holds an array already.  So a
+# request that builds no array never imports numpy.
+_np = None
+
+
+def _numpy():
+    """numpy, imported on first use and bound to ``_np``, which later calls
+    read as a plain global."""
+    global _np
+    if _np is None:
+        import numpy as _np
+    return _np
+
 
 def _nil(ctx: FieldCtx):
     """What a scalar is compared against to test it for zero: the int 0
@@ -84,6 +97,7 @@ def _regular(p: int, modulus: tuple):
     Fp, k = PrimeField(p), len(modulus) - 1
     C = companion(Poly(Fp, modulus))
     table = [sum((C ** i).entries, ()) for i in range(k)]
+    _numpy()
     # k terms over GF(p) bound the same sums as one term over GF(p^k)
     return _np.array(table, _np.int64 if _numpy_exact(Fp, k) else object)
 
@@ -101,13 +115,15 @@ def _lift(ctx: FieldCtx, X):
     return blocks.swapaxes(-3, -2).reshape(X.shape[:-3] + (m * k, n * k))
 
 
-def _to_np(M: "Mat", dtype=_np.int64):
-    """M's lift (:func:`_lift`), the int64 one kept on M, read-only."""
-    if M._arr is None or dtype is not _np.int64:
-        a = _np.array(M.entries, dtype)
+def _to_np(M: "Mat", dtype=None):
+    """M's lift (:func:`_lift`): the int64 one, kept on M read-only, unless
+    ``dtype`` is ``object``."""
+    if M._arr is None or dtype is object:
+        _numpy()
+        a = _np.array(M.entries, dtype or _np.int64)
         if M.ctx.kind != "prime" or not M.rows:  # else a is its own lift
             a = _lift(M.ctx, a.reshape(M.rows, M.cols, M.ctx.k))
-        if dtype is not _np.int64:
+        if dtype is object:
             return a
         a.flags.writeable = False
         object.__setattr__(M, "_arr", a)
@@ -538,6 +554,7 @@ def mat_poly_eval(f: Poly, M: Mat) -> Mat:
         raise MixedFieldContexts(f"{f.ctx} vs {M.ctx}")
     n = M.rows
     if n and f.coeffs and _numpy_exact(M.ctx, n + 1):  # sums < (n+1)k(p-1)^2
+        _numpy()
         k = M.ctx.k
         N = n * k
         cs = f.coeffs if k == 1 else _lift(  # c's k x k block (over GF(p), c)
@@ -641,6 +658,7 @@ def _vector_kernel(M: Mat):
 
     else:
         zero, sub, mul, n = ctx.zero, ctx.sub, ctx.mul, M.rows
+        _numpy()
         dtype = _np.int64 if _numpy_exact(ctx, n) else object
         lift = _to_np(M, dtype)
 

@@ -15,8 +15,6 @@ import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .decide import DecisionReport, PairCtx, decide_extension
 from .errors import (
     ConstructionInvariantViolated,
@@ -29,7 +27,7 @@ from .errors import (
     WrongDegree,
 )
 from .linalg import Mat, companion, direct_sum, invariant_factors, kron, mat_poly_eval
-from .linalg import _lift, _numpy_exact, _to_np, _unlift
+from .linalg import _lift, _numpy, _numpy_exact, _to_np, _unlift
 from .poly import Poly, decompose_base_sigma, trace_of
 from .sympform import (
     SymplecticPair,
@@ -254,7 +252,7 @@ def _alternating_system(n: int):
     arrays ``np.triu_indices(n, 1)``, and the (row, column, i, j) at which
     U[i][j] is added to (``plus``) or subtracted from (``minus``) a
     coefficient.  Column k - 1 - f is coordinate f."""
-    iu = np.triu_indices(n, 1)
+    iu = _numpy().triu_indices(n, 1)
     upper = list(zip(*(a.tolist() for a in iu)))
     k = len(upper)
     at = {ab: r for r, ab in enumerate(upper)}
@@ -346,6 +344,7 @@ _FIRST_CHUNK, _LAST_CHUNK = 64, 1 << 15
 def _digits(idx, pr: int, width: int):
     """The ``width`` base-``pr`` digits of each index, most significant
     first."""
+    np = _numpy()
     return idx[:, None] // pr ** np.arange(width - 1, -1, -1, dtype=np.int64) % pr
 
 
@@ -420,6 +419,7 @@ def brute_force_witness(
         raise DimensionBoundExceeded(
             f"pair dimension {n} over {ctx} leaves at least 2^63 candidates"
         )
+    np = _numpy()
     pr, k = ctx.characteristic, ctx.k
     nk = n * k
     K = n * (n - 1) // 2

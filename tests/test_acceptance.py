@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, with pinned wall-clock budgets.
 
 The suite runs once per session (the duplication sweep dominates: criterion
-2 took 29.5 s in run_all on a 2-CPU Xeon with Python 3.11.7); each test then
+2 took 16.1 s in run_all on a 2-CPU Xeon with Python 3.11.7); each test then
 asserts its criterion passed and stayed within budget, and prints the
 one-line summary for -s / failure output.
 """

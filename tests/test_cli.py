@@ -2,9 +2,12 @@
 
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -631,3 +634,44 @@ def test_indented_writer_refuses_what_json_refuses(bad):
         json.dumps(bad, indent=2)
     with pytest.raises(TypeError, match=re.escape(str(want.value))):
         _dumps_indented(bad)
+
+
+# Each request runs through cli_run in one fresh interpreter, which prints
+# [exit code, numpy imported after it?, stdout] per request.
+_FRESH_SCRIPT = """
+import contextlib, io, json, sys
+from sympdiff.cli import cli_run
+answers = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_run(argv)
+    answers.append([code, "numpy" in sys.modules, out.getvalue()])
+print(json.dumps(answers))
+"""
+
+
+def test_numpy_is_imported_by_the_first_request_that_builds_an_array(capsys):
+    gf27 = "GF(27)|t^3+2*t+1"
+    light = [
+        ["classify", "--field", "Q", "--p", "t^2+1", "--q", "(t-1)*(t-2)"],
+        ["classify", "--field", gf27, "--p", "t^2+1", "--q", "t^2+t+2"],
+        ["decide", "--field", "Q", "--p", "t^2+2", "--q", "t^2+2",
+         "--v", "companion:t+1"],
+        ["decide", "--field", "GF(3)", "--p", "t^2+1", "--q", "t^2+1",
+         "--v", "companion:t^2+2"],
+    ]
+    search = ["witness", "--field", "GF(3)", "--p", "t^2+1", "--q", "t^2+1",
+              "--v", "companion:t^2"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_SCRIPT, json.dumps(light + [search])],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    answers = json.loads(done.stdout)
+    assert [(code, numpy) for code, numpy, _ in answers] == [
+        (0, False), (0, False), (2, False), (0, False), (0, True)
+    ]
+    assert answers[-1][2] == run(capsys, search)[1]

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses
-or imports again inside a function a module it imports at top level, every
-module-level private function or class has a reference, every error class
-is raised somewhere in the package, and every layer the benchmark's tracer
-wraps names a function or ``Mat`` method that exists."""
+or imports again inside a function a module it imports at top level, numpy
+is imported only inside ``linalg._numpy``, every module-level private
+function or class has a reference, every error class is raised somewhere
+in the package, and every layer the benchmark's tracer wraps names a
+function or ``Mat`` method that exists."""
 
 import ast
 import importlib.util
@@ -148,6 +149,53 @@ def test_scan_finds_a_redundant_local_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_redundant_local_imports(path):
     assert redundant_local_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def numpy_imports(tree: ast.Module):
+    """For each import of numpy in the module, in source order, the name of
+    the innermost function that holds it, or None when it runs at import
+    (at module level or in a class body)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and any(
+                module.split(".")[0] == "numpy" for module in _imported_modules([child])
+            ):
+                found.append(func)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_scan_finds_numpy_imports():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy.linalg import det\n"
+        "import numpyro, os\n"
+        "from .numpy import x\n"
+        "class C:\n"
+        "    import numpy\n"
+        "def helper():\n"
+        "    import numpy as _np\n"
+        "    def inner():\n"
+        "        from numpy import int64\n"
+        "if True:\n"
+        "    import os, numpy.random\n"
+    )
+    assert numpy_imports(tree) == [None, None, None, "helper", "inner", None]
+
+
+def test_numpy_is_imported_on_first_use_only():
+    found = {
+        path.stem: numpy_imports(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {module: funcs for module, funcs in found.items() if funcs} == {
+        "linalg": ["_numpy"]
+    }
 
 
 def raised_names(tree: ast.Module):

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from sympdiff import decide, oracle, witness
+from sympdiff import acceptance, decide, oracle, witness
 from sympdiff.decide import pair_context
 from sympdiff.errors import (
     ConstructionInvariantViolated,
@@ -196,17 +196,45 @@ def test_reference_checker_passes_criteria_witnesses(F3, Q, F2s):
         ctx = field_make(spec)
         quads = list(monic_polys(ctx, 2))
         rs = itertools.cycle(list(monic_polys(ctx, 1)) + quads)
-        for p, q in itertools.product(quads, repeat=2):
-            pc = pair_context(p, q)
-            blk = w_algebra_block(pc, next(rs))
-            found.append((Witness(B=blk.H, U=blk.U, U1=blk.A, U2=blk.B), pc))
+        found += _block_witnesses(itertools.product(quads, repeat=2), rs)
     assert len(found) == 3 + 16 + 81 + 625
     for w, pc in found:
         assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
 
 
-def test_reference_checker_passes_the_dimension_4_sweep_hits(F2, F3, monkeypatch):
-    hits, search = [], oracle.brute_force_witness
+def _block_witnesses(pairs, rs):
+    """(witness, context) of the duplication block for each (p, q) of
+    ``pairs`` and the next r of ``rs``."""
+    found = []
+    for (p, q), r in zip(pairs, rs):
+        pc = pair_context(p, q)
+        blk = w_algebra_block(pc, r)
+        found.append((Witness(B=blk.H, U=blk.U, U1=blk.A, U2=blk.B), pc))
+    return found
+
+
+def test_reference_checker_passes_extension_field_blocks():
+    # every product of these blocks goes through the lift to GF(p):
+    # all 256 (p, q) over GF(4), and 27 seeded ones over GF(27), with r
+    # cycling through degree 1 and 2
+    F4 = field_make("GF(4)|t^2+t+1")
+    quads = list(monic_polys(F4, 2))
+    rs = itertools.cycle(list(monic_polys(F4, 1)) + quads)
+    found = _block_witnesses(itertools.product(quads, repeat=2), rs)
+    F27 = field_make("GF(27)|t^3+2*t+1")
+    lins, quads = list(monic_polys(F27, 1)), list(monic_polys(F27, 2))
+    rng = random.Random(27)
+    pairs = [(rng.choice(quads), rng.choice(quads)) for _ in range(27)]
+    found += _block_witnesses(pairs, [rng.choice(quads if i % 2 else lins) for i in range(27)])
+    assert len(found) == 256 + 27
+    for w, pc in found:
+        assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
+
+
+def _collect_hits(module, monkeypatch):
+    """The list that every witness ``module``'s brute-force search finds
+    from now on goes to, with its context."""
+    hits, search = [], module.brute_force_witness
 
     def collect(pair, pctx, **kw):
         w = search(pair, pctx, **kw)
@@ -215,9 +243,22 @@ def test_reference_checker_passes_the_dimension_4_sweep_hits(F2, F3, monkeypatch
             hits.append((w, pctx))
         return w
 
-    monkeypatch.setattr(oracle, "brute_force_witness", collect)
+    monkeypatch.setattr(module, "brute_force_witness", collect)
+    return hits
+
+
+def test_reference_checker_passes_the_dimension_4_sweep_hits(F2, F3, monkeypatch):
+    hits = _collect_hits(oracle, monkeypatch)
     reports = [oracle_sweep(ctx, 4) for ctx in (F2, F3)]
     assert len(hits) == sum(i.brute_yes for r in reports for i in r.instances) > 0
+    for w, pc in hits:
+        assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
+
+
+def test_reference_checker_passes_criterion_8_hits(monkeypatch):
+    hits = _collect_hits(acceptance, monkeypatch)
+    assert acceptance.criterion_8().passed
+    assert hits
     for w, pc in hits:
         assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
 
