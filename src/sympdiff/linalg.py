@@ -386,14 +386,37 @@ class Mat:
     def is_invertible(self) -> bool:
         return self.is_square and self.rank() == self.rows
 
+    def _solutions(self, width: int):
+        """The solutions of A X = R, read off one rref of self = [A | R]
+        with R its last ``width`` columns: None when the system is
+        inconsistent, else ``(X0, kernel)``, X0 the rows of the solution
+        with every free variable zero and ``kernel`` one vector of A's
+        kernel per free column, free columns in ascending order."""
+        ctx = self.ctx
+        n = self.cols - width
+        rows, pivots = self._rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        X0 = [[ctx.zero] * width for _ in range(n)]
+        kernel = []
+        for row, c in zip(rows, pivots):
+            X0[c] = row[n:]
+        for j in range(n):
+            if j not in pivots:
+                v = [ctx.zero] * n
+                v[j] = ctx.one
+                for row, c in zip(rows, pivots):
+                    v[c] = ctx.neg(row[j])
+                kernel.append(v)
+        return X0, kernel
+
     def inverse(self) -> "Mat":
+        # [A | I] has rank n, so it is inconsistent exactly when A is singular
         self._square()
-        n = self.rows
-        aug = Mat.block(self.ctx, [[self, Mat.identity(self.ctx, n)]])
-        rows, pivots = aug._rref()
-        if pivots != list(range(n)):
-            raise SingularMatrix("matrix is not invertible")
-        return Mat(self.ctx, [row[n:] for row in rows])
+        try:
+            return self.solve(Mat.identity(self.ctx, self.rows))
+        except SingularMatrix:
+            raise SingularMatrix("matrix is not invertible") from None
 
     def solve(self, rhs: "Mat") -> "Mat":
         """X with self @ X = rhs; raises when no solution exists.
@@ -404,33 +427,16 @@ class Mat:
         self._check(rhs)
         if self.rows != rhs.rows:
             raise DimensionMismatch("solve: row counts differ")
-        n = self.cols
-        aug = Mat.block(self.ctx, [[self, rhs]])
-        rows, pivots = aug._rref()
-        zero = self.ctx.zero
-        for p in pivots:
-            if p >= n:
-                raise SingularMatrix("inconsistent linear system")
-        out = [[zero] * rhs.cols for _ in range(n)]
-        for i, c in enumerate(pivots):
-            out[c] = rows[i][n:]
-        return Mat(self.ctx, out)
+        solved = Mat.block(self.ctx, [[self, rhs]])._solutions(rhs.cols)
+        if solved is None:
+            raise SingularMatrix("inconsistent linear system")
+        return Mat(self.ctx, solved[0], cols=rhs.cols)
 
     def kernel_basis(self) -> "Mat":
         """Columns form a basis of the nullspace (free-variable convention,
         free columns in ascending order)."""
-        ctx = self.ctx
-        rows, pivots = self._rref()
-        n = self.cols
-        free = [j for j in range(n) if j not in pivots]
-        cols = []
-        for j in free:
-            v = [ctx.zero] * n
-            v[j] = ctx.one
-            for i, c in enumerate(pivots):
-                v[c] = ctx.neg(rows[i][j])
-            cols.append(v)
-        return Mat(ctx, [[col[i] for col in cols] for i in range(n)])
+        kernel = self._solutions(0)[1]
+        return Mat(self.ctx, [[v[i] for v in kernel] for i in range(self.cols)])
 
     def column_space_basis(self) -> "Mat":
         """Columns of self at the rref pivot positions."""

@@ -10,19 +10,9 @@ every pair of monic quadratics (p, q) over the field, then runs both the
 decision procedure and the brute-force search on ``S(v)`` and tallies the
 agreement matrix.  A correct implementation reports zero disagreements.
 
-The search (``brute_force_witness``) does not scan every candidate: given
-p(U1) = 0, the condition q(U1 - U) = 0 is linear in U1.  With U1 = B^{-1} * M,
-M alternating, and B*U alternating, B times q(U1 - U) is alternating, so the
-condition is k = n(n-1)/2 equations, one per strict-upper entry, whose
-coefficients are entries of U.  The search solves them once and scans only
-their solutions, in the full enumeration's order, in growing chunks that
-stop at the first hit.  Over GF(p^k) it scans the same candidates as
-matrices over GF(p), through ``linalg``'s lift (the regular representation,
-which ``Mat`` products and polynomial evaluation over every small finite
-field use too), so one scan serves every finite field.  It finds the same first witness.  The k equations, like the
-rest of the search, use only the definition of a witness -- p(U1) = 0,
-q(U2) = 0, B*U1 and B*U2 alternating -- and never the decision procedure,
-so the two routes stay independent.
+The search, ``witness.brute_force_witness``, uses only the definition of a
+witness and never the decision procedure, so the two routes stay
+independent; its docstring describes how it scans the candidates.
 """
 
 from __future__ import annotations

@@ -304,10 +304,6 @@ class Poly:
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
 
-    def sort_key(self):
-        ctx = self.ctx
-        return (len(self.coeffs), tuple(ctx.sort_key(c) for c in self.coeffs))
-
     def __str__(self):
         ctx = self.ctx
         if not self.coeffs:

@@ -262,28 +262,24 @@ def encode_decision_report(report: DecisionReport, pctx: PairCtx) -> Dict[str, A
     }
 
 
-def encode_verification_report(report: VerificationReport) -> Dict[str, Any]:
+def _encode_checks(report, **encoded) -> Dict[str, Any]:
+    """``ok``, each check in field order (``encoded`` in place of the raw
+    value), then ``failures``."""
     return {
         "ok": report.ok,
-        **dataclasses.asdict(report),
+        **{f.name: getattr(report, f.name) for f in dataclasses.fields(report)},
+        **encoded,
         "failures": list(report.failures()),
     }
+
+
+def encode_verification_report(report: VerificationReport) -> Dict[str, Any]:
+    return _encode_checks(report)
 
 
 def encode_validity_report(report: ValidityReport) -> Dict[str, Any]:
-    return {
-        "ok": report.ok,
-        "nondegenerate": report.nondegenerate,
-        "alternating": report.alternating,
-        "b_alternating": report.b_alternating,
-        "doubled": report.doubled,
-        "invariant_factors": (
-            None
-            if report.invariant_factors is None
-            else [str(f) for f in report.invariant_factors.factors]
-        ),
-        "failures": list(report.failures()),
-    }
+    factors = [str(f) for f in report.invariant_factors.factors]
+    return _encode_checks(report, invariant_factors=factors)
 
 
 def encode_table_row(row: TableRow) -> Dict[str, Any]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -70,7 +70,7 @@ class ValidityReport(_Checks):
     alternating: bool
     b_alternating: bool
     doubled: bool
-    invariant_factors: Optional[InvFactors]
+    invariant_factors: InvFactors
 
     _messages = {
         "nondegenerate": "Gram matrix is singular",

@@ -308,29 +308,18 @@ def _solution_space(B: Mat, U: Mat, pctx: PairCtx):
         rows[r][col] = add(rows[r][col], Ue[i][j])
     for r, col, i, j in minus:
         rows[r][col] = sub(rows[r][col], Ue[i][j])
-    g = Poly(ctx, (sub(q0, p0), ctx.neg(q1), ctx.one))
-    G = (B @ mat_poly_eval(g, U)).entries
+    # the right-hand side is -B*g(U) = B*(-g)(U)
+    minus_g = Poly(ctx, (sub(p0, q0), q1, ctx.neg(ctx.one)))
+    G = (B @ mat_poly_eval(minus_g, U)).entries
     for r, (a, b) in enumerate(upper):
         rows[r][k] = G[a][b]
-    # the system is reduced with B*g(U) in place of its negation, the
-    # right-hand side, which negates the last column of the result
-    rows, pivots = Mat(ctx, rows)._rref()
-    if pivots and pivots[-1] == k:
+    # the columns are reversed, so solution row k - 1 - f and entry f of a
+    # reversed kernel vector are coordinate f
+    solved = Mat(ctx, rows)._solutions(1)
+    if solved is None:
         return None
-    base = [ctx.zero] * k
-    for row, c in zip(rows, pivots):
-        base[k - 1 - c] = ctx.neg(row[k])
-    directions = []
-    for f in range(k):
-        c_f = k - 1 - f
-        if c_f in pivots:
-            continue
-        d = [ctx.zero] * k
-        d[f] = ctx.one
-        for row, c in zip(rows, pivots):
-            d[k - 1 - c] = ctx.neg(row[c_f])
-        directions.append(d)
-    return base, directions
+    X0, kernel = solved
+    return [x for x, in reversed(X0)], [v[::-1] for v in reversed(kernel)]
 
 
 # The search scans its candidates in chunks that double from the first

@@ -332,6 +332,25 @@ def serial_pool(monkeypatch):
     return pools
 
 
+def test_oracle_reports_a_disagreement_and_exits_1(capsys, monkeypatch):
+    # over GF(2) at p = q = t^2, S(C(t)) is a YES and S(C(t+1)) a NO; a
+    # search that finds no witness makes the YES the one disagreement
+    from sympdiff import oracle
+
+    monkeypatch.setattr(oracle, "brute_force_witness", lambda *args, **kwargs: None)
+    code, out = run(capsys, [
+        "oracle", "--field", "GF(2)", "--dim", "2", "--p", "t^2", "--q", "t^2",
+    ])
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False and report["total"] == 2
+    assert report["matrix"] == {"yes/yes": 0, "yes/no": 1, "no/yes": 0, "no/no": 1}
+    (record,) = report["disagreements"]
+    assert record == {
+        "p": "t^2", "q": "t^2", "chain": ["t"], "decide": "yes", "brute": "no",
+    }
+    assert list(record) == ["p", "q", "chain", "decide", "brute"]
+
+
 def test_oracle_jobs_bounded_by_polys_and_cpus(capsys, monkeypatch, serial_pool):
     import os
 

@@ -299,6 +299,29 @@ def test_ratfunc_field_laws(F2s):
             assert lhs == rhs
 
 
+_ZCOEFFS = st.lists(st.integers(min_value=0, max_value=4), max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    spec=st.sampled_from(["GF(2)(s)", "GF(3)(s)", "GF(5)(s)"]),
+    parts=st.lists(
+        st.tuples(_ZCOEFFS, _ZCOEFFS, st.integers(min_value=1, max_value=4)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_ratfunc_text_round_trips_with_denominators(spec, parts):
+    """Scalars num/den (den with a nonzero leading coefficient) come back
+    from parse_scalar(format(a)), and the polynomial with them as
+    coefficients from parse_poly(str(f))."""
+    ctx = field_make(spec)
+    coeffs = [ctx.from_polys(num, den + [lead % ctx.p or 1]) for num, den, lead in parts]
+    for a in coeffs:
+        assert parse_scalar(ctx, ctx.format(a)) == a
+    f = Poly(ctx, coeffs)
+    assert parse_poly(ctx, str(f)) == f
+
+
 def test_field_spec_round_trip():
     for spec in ("Q", "GF(2)", "GF(3)", "GF(5)", "GF(2)(s)", "GF(4)|t^2+t+1"):
         ctx = field_make(spec)

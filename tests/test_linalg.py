@@ -727,7 +727,8 @@ RREF_CONTEXTS = [
 
 
 def _rref_cases(ctx, rng):
-    """Dense and <= 20%-nonzero matrices: square, singular, rectangular."""
+    """Dense and <= 20%-nonzero matrices: square, singular, rectangular;
+    then the empty shapes 0 x 0, 3 x 0 and 0 x 3."""
     out = [Mat.zeros(ctx, 3, 4), Mat.identity(ctx, 4)]
     for density in (1.0, 0.2):
         out += [
@@ -740,7 +741,7 @@ def _rref_cases(ctx, rng):
         c = _random_scalar(ctx, rng)
         rows[4] = [ctx.add(ctx.mul(c, x), y) for x, y in zip(rows[0], rows[1])]
         out.append(Mat(ctx, rows))
-    return out
+    return out + [Mat.zeros(ctx, m, n) for m, n in ((0, 0), (3, 0), (0, 3))]
 
 
 def _alternating_cases(ctx, rng, cases):
@@ -776,7 +777,7 @@ def test_elimination_matches_dense_reference(ctx):
         if M.is_square:
             want = dense_inverse(M)
             if want is None:
-                with pytest.raises(SingularMatrix):
+                with pytest.raises(SingularMatrix, match="^matrix is not invertible$"):
                     M.inverse()
             else:
                 _same_entries(M.inverse(), want)
@@ -784,10 +785,16 @@ def test_elimination_matches_dense_reference(ctx):
         for rhs in (M @ X, _random_mat(ctx, rng, M.rows, 2, 0.5)):
             want = dense_solve(M, rhs)
             if want is None:
-                with pytest.raises(SingularMatrix):
+                with pytest.raises(SingularMatrix, match="^inconsistent linear system$"):
                     M.solve(rhs)
             else:
                 _same_entries(M.solve(rhs), want)
+
+
+@pytest.mark.parametrize("ctx", RREF_CONTEXTS, ids=repr)
+def test_solve_with_no_unknowns_keeps_the_rhs_width(ctx):
+    X = Mat.zeros(ctx, 3, 0).solve(Mat.zeros(ctx, 3, 2))
+    assert (X.rows, X.cols) == (0, 2)
 
 
 @pytest.mark.parametrize("ctx", RREF_CONTEXTS, ids=repr)

@@ -33,6 +33,7 @@ from sympdiff.sympform import (
 )
 from sympdiff.witness import (
     DEFAULT_SEARCH_BOUND,
+    VerificationReport,
     _solution_space,
     brute_force_witness,
     compose_witness,
@@ -176,6 +177,23 @@ def test_reference_checker_flags_broken_witnesses(F3):
     assert check_witness(flat, p, q) == ["B invertible"]
     plain = dataclasses.replace(w, B=Mat.identity(F3, n))  # nor is B U2 = U2
     assert check_witness(plain, p, q) == ["B alternating", "B U2 alternating"]
+
+
+def test_session_hook_rechecks_every_accepted_witness(
+    F3, reference_checked_witnesses, monkeypatch
+):
+    # conftest wraps witness._verified: each witness it accepts is checked
+    # again by the reference, and one that fools verify_witness fails
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    r = parse_poly(F3, "t+1")
+    before = len(reference_checked_witnesses)
+    w = duplication_witness(pc, r)
+    assert reference_checked_witnesses[before:] == [f"duplication witness for r={r}"]
+    shifted = dataclasses.replace(w, U1=w.U1 + Mat.identity(F3, w.dimension))
+    passing = VerificationReport(*[True] * len(dataclasses.fields(VerificationReport)))
+    monkeypatch.setattr(witness, "verify_witness", lambda w, pctx: passing)
+    with pytest.raises(AssertionError, match=r"^shifted fails the reference checker"):
+        witness._verified(shifted, pc, "shifted")
 
 
 def test_reference_checker_passes_criteria_witnesses(F3, Q, F2s):
