@@ -222,14 +222,18 @@ def _power(x, e: int, one, mul):
 
 
 class FieldCtx:
-    """Common interface of all field contexts."""
+    """Common interface of all field contexts.
+
+    A context is its spec: ``spec`` is the canonical string that
+    ``field_make`` reads back, and contexts are equal, hash and print as
+    their specs.  A context pickles as its spec and is rebuilt fresh, with
+    no memo and no polynomial kernels (closures do not pickle)."""
 
     kind: str = "?"
+    spec: str
     characteristic: int = 0
     order = None  # int for finite fields, None otherwise
-    # its poly.PolyOps, set by poly.poly_ops; closures do not pickle, so
-    # each context pickles as its constructor arguments (__reduce__)
-    _poly_ops = None
+    _poly_ops = None  # its poly.PolyOps, set by poly.poly_ops
 
     # subclasses fill in: zero, one, add, sub, mul, neg, inv, from_int,
     # elements, format, sort_key
@@ -248,14 +252,24 @@ class FieldCtx:
     def elements(self) -> Iterator:
         raise InfiniteField(f"cannot enumerate elements of {self}")
 
+    def __eq__(self, other):
+        return self is other or (isinstance(other, FieldCtx) and other.spec == self.spec)
+
+    def __hash__(self):
+        return hash(self.spec)
+
     def __repr__(self):
-        return field_spec(self)
+        return self.spec
+
+    def __reduce__(self):
+        return (_field_from_spec, (self.spec,))
 
 
 class RationalField(FieldCtx):
     """The rational numbers; scalars are ``fractions.Fraction``."""
 
     kind = "rationals"
+    spec = "Q"
     characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
@@ -294,15 +308,6 @@ class RationalField(FieldCtx):
     def sort_key(a):
         return (a.numerator, a.denominator)
 
-    def __reduce__(self):
-        return (RationalField, ())
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
 
 class PrimeField(FieldCtx):
     """GF(p); scalars are ints in [0, p)."""
@@ -314,6 +319,7 @@ class PrimeField(FieldCtx):
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         self.p = p
+        self.spec = f"GF({p})"
         self.characteristic = p
         self.order = p
         self.zero = 0
@@ -350,15 +356,6 @@ class PrimeField(FieldCtx):
     def sort_key(a):
         return (a,)
 
-    def __reduce__(self):
-        return (PrimeField, (self.p,))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
 
 # cap on each scalar memo of an ExtensionField context (sums, differences,
 # products, inverses): each keeps its most recently used operands, so every
@@ -374,9 +371,9 @@ class ExtensionField(FieldCtx):
     modulo the modulus.  ``add``, ``sub``, ``mul`` and ``inv`` are memoized
     per context (``functools.lru_cache``), each keeping the
     ``EXT_MUL_MEMO_MAX`` most recently used operands; a context pickles as
-    its ``(p, k, modulus)`` and so starts over with empty memos.  Matrix
-    products and the Krylov step of ``linalg`` run on the lift to GF(p)
-    instead (``linalg._lift``).  ``elements`` counts through the coordinate
+    its spec and so starts over with empty memos.  Matrix products and the
+    Krylov step of ``linalg`` run on the lift to GF(p) instead
+    (``linalg._lift``).  ``elements`` counts through the coordinate
     tuples one at a time, so it costs nothing up front over a large field.
     """
 
@@ -401,6 +398,7 @@ class ExtensionField(FieldCtx):
         self.p = p
         self.k = k
         self.modulus = modulus
+        self.spec = f"GF({p}^{k})|{_zformat(modulus, 't')}"
         self.characteristic = p
         self.order = p ** k
         self.zero = (0,) * k
@@ -408,9 +406,6 @@ class ExtensionField(FieldCtx):
         memo = functools.lru_cache(maxsize=EXT_MUL_MEMO_MAX)
         self.add, self.sub = memo(self._add), memo(self._sub)
         self.mul, self.inv = memo(self._mul), memo(self._inv)
-
-    def __reduce__(self):
-        return (ExtensionField, (self.p, self.k, self.modulus))
 
     def _pad(self, cs):
         return tuple(cs) + (0,) * (self.k - len(cs))
@@ -463,16 +458,6 @@ class ExtensionField(FieldCtx):
     def sort_key(a):
         return tuple(a)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("GFext", self.p, self.modulus))
-
 
 # cap on the numerator and denominator degrees of a GF(p)(s) scalar
 RATFUNC_MAX_DEGREE = 256
@@ -494,6 +479,7 @@ class RationalFunctionField(FieldCtx):
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         self.p = p
+        self.spec = f"GF({p})(s)"
         self.characteristic = p
         self.zero = ((), (1,))
         self.one = ((1,), (1,))
@@ -570,15 +556,6 @@ class RationalFunctionField(FieldCtx):
         num, den = a
         return (len(den), den, len(num), num)
 
-    def __reduce__(self):
-        return (RationalFunctionField, (self.p,))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("ratfunc", self.p))
-
 
 # ----------------------------------------------------------------------
 # field specification strings
@@ -639,8 +616,7 @@ def _spec_int(digits: str) -> int:
 FIELD_CTX_MAX = 16
 
 
-@functools.lru_cache(maxsize=FIELD_CTX_MAX)
-def field_make(spec: str) -> FieldCtx:
+def _field_from_spec(spec: str) -> FieldCtx:
     """The field context of a specification string.
 
     Grammar::
@@ -701,14 +677,11 @@ def field_make(spec: str) -> FieldCtx:
     raise FieldSpecError(f"cannot parse field spec {spec!r}")
 
 
+# interned; FieldCtx.__reduce__ calls _field_from_spec, so an unpickled
+# context is a fresh one
+field_make = functools.lru_cache(maxsize=FIELD_CTX_MAX)(_field_from_spec)
+
+
 def field_spec(ctx: FieldCtx) -> str:
     """Inverse of :func:`field_make` (round-trips on supported kinds)."""
-    if ctx.kind == "rationals":
-        return "Q"
-    if ctx.kind == "prime":
-        return f"GF({ctx.p})"
-    if ctx.kind == "extension":
-        return f"GF({ctx.p}^{ctx.k})|{_zformat(ctx.modulus, 't')}"
-    if ctx.kind == "ratfunc":
-        return f"GF({ctx.p})(s)"
-    raise FieldSpecError(f"unknown field kind {ctx.kind!r}")
+    return ctx.spec

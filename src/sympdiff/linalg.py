@@ -460,19 +460,6 @@ class Mat:
     def __hash__(self):
         return hash((self.ctx, self.rows, self.cols, self.entries))
 
-    def __str__(self):
-        fmt = self.ctx.format
-        rows = [[fmt(e) for e in row] for row in self.entries]
-        if not rows:
-            return "[]"
-        widths = [
-            max(len(rows[i][j]) for i in range(self.rows)) for j in range(self.cols)
-        ]
-        return "\n".join(
-            "[" + "  ".join(e.rjust(w) for e, w in zip(row, widths)) + "]"
-            for row in rows
-        )
-
     def __repr__(self):
         return f"Mat({self.ctx!r}, {self.rows}x{self.cols})"
 
@@ -623,9 +610,6 @@ class InvFactors:
                 return None
             half.append(fs[i])
         return tuple(half)
-
-    def __str__(self):
-        return "[" + ", ".join(str(f) for f in self.factors) + "]"
 
 
 def _vector_kernel(M: Mat):

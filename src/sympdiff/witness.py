@@ -68,40 +68,25 @@ class VerificationReport(_Checks):
     }
 
 
-@dataclass(frozen=True)
-class WBlock:
-    """The duplication block for (p, q) and a monic r of degree d: 4x4
-    matrices over R = F[t]/(r), expanded to 4d x 4d over F in the basis
+def w_algebra_block(pctx: PairCtx, r: Poly) -> Witness:
+    """The duplication block for (p, q) and a monic r of degree d, as the
+    witness (B = H, U = A - B, U1 = A, U2 = B) of dimension 4d.
+
+    A and B are 4x4 matrices over R = F[t]/(r) with p(A) = 0, q(B) = 0 and
+    AB + BA = mu*A + lambda*B - x*I4, x = (p(0) + q(0)) + class(t), and H
+    is their alternating Gram.  They are expanded over F in the basis
     grouped by module generator, powers of the class of t within each
-    group; U = A - B.  Every entry has degree at most 1 in t, so X0 + X1*t
-    (X0, X1 over F) expands to kron(X0, I_d) + kron(X1, C(r)), and the
-    Gram is kron(H4, s), s the Hankel symmetrizer of r."""
-
-    r: Poly
-    A: Mat
-    B: Mat
-    C: Mat
-    H: Mat
-    U: Mat
-
-    @property
-    def dimension(self) -> int:
-        return 4 * self.r.degree
-
-
-def w_algebra_block(pctx: PairCtx, r: Poly) -> WBlock:
-    """The four-generator algebra block: matrices A, B with p(A) = 0,
-    q(B) = 0, AB + BA = mu*A + lambda*B - x*I4 over R = F[t]/(r) with
-    x = (p(0) + q(0)) + class(t), together with C = AB and the alternating
-    Gram H, expanded over F as Kronecker products (``WBlock``): X0 + X1*t
-    becomes kron(X0, I_d) + kron(X1, C(r)), and H is kron(H4, s).
+    group: every entry has degree at most 1 in t, so X0 + X1*t (X0, X1
+    over F) becomes kron(X0, I_d) + kron(X1, C(r)), and H is kron(H4, s),
+    s the Hankel symmetrizer of r.
 
     Checks only the two facts that ``verify_witness`` cannot see on the
-    witness (H, A - B, A, B): the relation AB + BA = mu*A + lambda*B - x*I
-    and the invariant factors (r(sigma), r(sigma)) of A - B.  Everything
-    else -- p(A) = 0, q(B) = 0, H alternating and invertible, HA and HB
-    alternating -- is left to ``verify_witness``, which every caller that
-    returns a witness runs.  A failure signals a bug, not bad input.
+    witness: the relation AB + BA = mu*A + lambda*B - x*I and the invariant
+    factors (r(sigma), r(sigma)) of A - B.  Everything else -- p(A) = 0,
+    q(B) = 0, H alternating and invertible, HA and HB alternating -- is
+    left to ``verify_witness``, which every caller that returns a witness
+    runs.  A failure raises ConstructionInvariantViolated and signals a
+    bug, not bad input.
     """
     if not r.is_monic:
         raise NonMonic(f"r must be monic, got {r}")
@@ -115,7 +100,6 @@ def w_algebra_block(pctx: PairCtx, r: Poly) -> WBlock:
     lmx = ctx.sub(mul(lam, mu), x0)  # the F-part of lambda*mu - x; its t-part is -1
     z, o, m1 = ctx.zero, ctx.one, neg(ctx.one)
     ident, Cr = Mat.identity(ctx, r.degree), companion(r)
-    zr, t1, t3 = (z,) * 4, (z, m1, z, z), (z, z, z, m1)  # the rows of the t-parts
     A = kron(Mat(ctx, [
         (z, neg(alpha), z, z), (o, lam, z, z), (z, z, z, neg(alpha)), (z, z, o, lam)
     ]), ident)
@@ -124,13 +108,7 @@ def w_algebra_block(pctx: PairCtx, r: Poly) -> WBlock:
         (z, mu, z, beta),
         (o, lam, mu, lmx),
         (z, m1, z, z),
-    ]), ident) + kron(Mat(ctx, [t1, zr, t3, zr]), Cr)
-    C = kron(Mat(ctx, [
-        (z, neg(mul(alpha, mu)), z, neg(mul(alpha, beta))),
-        (z, lmx, neg(beta), z),
-        (z, alpha, z, z),
-        (o, z, mu, lmx),
-    ]), ident) + kron(Mat(ctx, [zr, t1, zr, t3]), Cr)
+    ]), ident) + kron(Mat(ctx, [(z, m1, z, z), (z,) * 4, (z, z, z, m1), (z,) * 4]), Cr)
     H = kron(Mat(ctx, [
         (z, z, z, o), (z, z, o, lam), (z, m1, z, z), (m1, neg(lam), z, z)
     ]), frobenius_symmetrizer(r))
@@ -146,11 +124,7 @@ def w_algebra_block(pctx: PairCtx, r: Poly) -> WBlock:
             f"duplication block for r={r}: A - B does not have doubled "
             f"invariant factor r(t^2 - delta*t)"
         )
-    return WBlock(r=r, A=A, B=B, C=C, H=H, U=U)
-
-
-def _block_witness(block: WBlock) -> Witness:
-    return Witness(B=block.H, U=block.U, U1=block.A, U2=block.B)
+    return Witness(B=H, U=U, U1=A, U2=B)
 
 
 def _verified(
@@ -168,8 +142,7 @@ def duplication_witness(pctx: PairCtx, r: Poly) -> Witness:
     """A verified witness whose endomorphism has exactly two invariant
     factors, both r(t^2 - delta*t)."""
     return _verified(
-        _block_witness(w_algebra_block(pctx, r)), pctx,
-        f"duplication witness for r={r}",
+        w_algebra_block(pctx, r), pctx, f"duplication witness for r={r}"
     )[0]
 
 
@@ -221,7 +194,7 @@ def _witness_for_decision(
     for f in report.invariant_factors:
         rr = decompose_base_sigma(f, pctx.delta)
         if rr is not None:
-            parts.append(_block_witness(w_algebra_block(pctx, rr)))
+            parts.append(w_algebra_block(pctx, rr))
         else:
             residual.append(f)
     if residual:

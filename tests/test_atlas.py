@@ -185,6 +185,9 @@ def test_inventory_regular_rows_over_rationals(Q):
     pc = pair_context(parse_poly(Q, "t^2+1"), parse_poly(Q, "t^2+4"))
     t = Poly.t(Q)
     rows = indecomposable_reps(pc, 4, irreducibles=[t])
+    # irreducibility of a quartic over Q is not decided, so t^4 + 2 is
+    # trusted, and then skipped: its rows need dimension 8 > 4
+    assert indecomposable_reps(pc, 4, irreducibles=[t, parse_poly(Q, "t^4+2")]) == rows
     regular = [r for r in rows if r.table == 1]
     assert [(r.params["r"], r.params["n"]) for r in regular] == [("t", 1), ("t", 2)]
     assert regular[0].rep == companion(parse_poly(Q, "t^2"))

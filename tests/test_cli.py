@@ -466,6 +466,7 @@ _ZERO = {"field": {}, "entries": [[0, 0], [0, 0]]}
     (["verify", "--field", "GF(3)", *_PQ, "--witness", json.dumps({
         "B": {"entries": [[0, 1], [2, 0]]}, "U": _ZERO, "U1": _ZERO, "U2": _ZERO,
     })], "SerializationError"),
+    (["decide", "--field", "GF(3)", *_PQ, "--v", "companion:;"], "_UsageError"),
 ])
 def test_malformed_arguments_are_structured_errors(capsys, argv, error_type):
     code, out = run(capsys, argv)

@@ -320,6 +320,8 @@ def test_intertwined_sequences():
     # ...but depth 2 needs support on the other side at depth 1
     assert not intertwined([1, 1], [], 1)
     assert intertwined([1, 1], [1], 1)
+    # trailing zero counts are dropped
+    assert intertwined([2, 1, 0], [1, 0], 1) == intertwined([2, 1], [1], 1)
     with pytest.raises(NotNonIncreasing):
         intertwined([1, 2], [1], 1)
     with pytest.raises(ValueError):

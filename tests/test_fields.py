@@ -197,6 +197,32 @@ def test_context_with_filled_memo_pickles():
     assert linalg._regular(clone.p, clone.modulus) is linalg._regular(ctx.p, ctx.modulus)
 
 
+_ONE_OF_EACH_KIND = ["Q", "GF(5)", "GF(9)|t^2+1", "GF(2)(s)"]
+
+
+def test_contexts_are_equal_exactly_when_their_specs_are():
+    a, b = field_make("GF(4)|t^2+t+1"), field_make("GF(2^2)|t^2+t+1")
+    assert a is not b and a == b and hash(a) == hash(b)
+    # the same characteristic, or the same order, in another kind
+    for x, y in [("GF(3)", "GF(3^1)|t+1"), ("GF(2)", "GF(2)(s)")]:
+        assert field_make(x) != field_make(y) and field_make(y) != field_make(x)
+    for spec in _ONE_OF_EACH_KIND:
+        ctx = field_make(spec)
+        assert repr(ctx) == field_spec(ctx)
+        assert ctx != field_spec(ctx)  # a context is not its spec string
+
+
+@pytest.mark.parametrize("spec", _ONE_OF_EACH_KIND)
+def test_every_field_kind_pickles_as_a_fresh_equal_context(spec):
+    ctx = field_make(spec)
+    clone = pickle.loads(pickle.dumps(ctx))
+    assert clone is not ctx and type(clone) is type(ctx)
+    assert clone == ctx and hash(clone) == hash(ctx) and repr(clone) == repr(ctx)
+    assert (clone.zero, clone.one, clone.characteristic, clone.order) == (
+        ctx.zero, ctx.one, ctx.characteristic, ctx.order
+    )
+
+
 def test_contexts_do_not_outlive_field_make():
     """A context and its memos are kept by field_make, and otherwise only by
     the capped Gram-matrix caches: the polynomial kernels live on the
@@ -337,6 +363,13 @@ def test_field_make_rejections():
         field_make("R")
     with pytest.raises(NonPrimeCharacteristic):
         field_make("GF(4^2)|t^2+t+1")
+    for spec, message in [
+        ("GF(1)", "1 is neither a prime nor a prime power"),
+        ("GF(0)", "0 is neither a prime nor a prime power"),
+        ("GF(6)|t+1", "6 is not a prime power"),
+    ]:
+        with pytest.raises(FieldSpecError, match=message):
+            field_make(spec)
 
 
 def test_large_prime_fields_build_quickly():

@@ -179,6 +179,12 @@ def test_roots_in_field_double_root(Q, F3, F2, F2s):
         assert roots_in_field(parse_poly(ctx, text)) == [root, root]
 
 
+def test_roots_in_field_below_degree_2(Q, F3):
+    assert roots_in_field(parse_poly(Q, "3")) == []
+    assert roots_in_field(parse_poly(Q, "2*t+3")) == [Fraction(-3, 2)]
+    assert roots_in_field(parse_poly(F3, "2*t+1")) == [1]
+
+
 def test_roots_via_sigma_repeated_roots(Q):
     # p = t^2, q = t^2 - 1: F = (t - 1)^2 (t + 1)^2, two distinct roots
     p, q = parse_poly(Q, "t^2"), parse_poly(Q, "t^2-1")

@@ -50,24 +50,23 @@ from witness_reference import check_witness
 def test_w_block_golden_nilpotent(Q):
     # p = q = t^2, r = t: the 4x4 generators in closed form
     pc = pair_context(parse_poly(Q, "t^2"), parse_poly(Q, "t^2"))
-    blk = w_algebra_block(pc, Poly.t(Q))
-    assert blk.dimension == 4
-    assert blk.A == Mat.from_ints(
+    w = w_algebra_block(pc, Poly.t(Q))
+    assert w.dimension == 4
+    assert w.U1 == Mat.from_ints(
         Q, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
     )
-    assert blk.B == Mat.from_ints(
+    assert w.U2 == Mat.from_ints(
         Q, [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]]
     )
-    assert blk.C == blk.A @ blk.B
 
 
 def _matches_r_expansion(pc, r):
     """The Kronecker-built block equals the per-entry expansion over R as
     entry tuples, value and type."""
-    blk = w_algebra_block(pc, r)
-    A, B, C, H = r_expansion_block(pc, r)
-    got = [M.entries for M in (blk.A, blk.B, blk.C, blk.H, blk.U)]
-    want = [M.entries for M in (A, B, C, H, A - B)]
+    block = w_algebra_block(pc, r)
+    A, B, H = r_expansion_block(pc, r)
+    got = [M.entries for M in (block.U1, block.U2, block.B, block.U)]
+    want = [M.entries for M in (A, B, H, A - B)]
     assert got == want, (pc.p, pc.q, r)
     assert [[type(e) for row in g for e in row] for g in got] == [
         [type(e) for row in w for e in row] for w in want
@@ -214,21 +213,11 @@ def test_reference_checker_passes_criteria_witnesses(F3, Q, F2s):
         ctx = field_make(spec)
         quads = list(monic_polys(ctx, 2))
         rs = itertools.cycle(list(monic_polys(ctx, 1)) + quads)
-        found += _block_witnesses(itertools.product(quads, repeat=2), rs)
+        pcs = itertools.starmap(pair_context, itertools.product(quads, repeat=2))
+        found += [(w_algebra_block(pc, r), pc) for pc, r in zip(pcs, rs)]
     assert len(found) == 3 + 16 + 81 + 625
     for w, pc in found:
         assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
-
-
-def _block_witnesses(pairs, rs):
-    """(witness, context) of the duplication block for each (p, q) of
-    ``pairs`` and the next r of ``rs``."""
-    found = []
-    for (p, q), r in zip(pairs, rs):
-        pc = pair_context(p, q)
-        blk = w_algebra_block(pc, r)
-        found.append((Witness(B=blk.H, U=blk.U, U1=blk.A, U2=blk.B), pc))
-    return found
 
 
 def test_reference_checker_passes_extension_field_blocks():
@@ -238,12 +227,15 @@ def test_reference_checker_passes_extension_field_blocks():
     F4 = field_make("GF(4)|t^2+t+1")
     quads = list(monic_polys(F4, 2))
     rs = itertools.cycle(list(monic_polys(F4, 1)) + quads)
-    found = _block_witnesses(itertools.product(quads, repeat=2), rs)
+    pcs = itertools.starmap(pair_context, itertools.product(quads, repeat=2))
+    found = [(w_algebra_block(pc, r), pc) for pc, r in zip(pcs, rs)]
     F27 = field_make("GF(27)|t^3+2*t+1")
     lins, quads = list(monic_polys(F27, 1)), list(monic_polys(F27, 2))
     rng = random.Random(27)
     pairs = [(rng.choice(quads), rng.choice(quads)) for _ in range(27)]
-    found += _block_witnesses(pairs, [rng.choice(quads if i % 2 else lins) for i in range(27)])
+    rs = [rng.choice(quads if i % 2 else lins) for i in range(27)]
+    pcs = itertools.starmap(pair_context, pairs)
+    found += [(w_algebra_block(pc, r), pc) for pc, r in zip(pcs, rs)]
     assert len(found) == 256 + 27
     for w, pc in found:
         assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
@@ -279,6 +271,63 @@ def test_reference_checker_passes_criterion_8_hits(monkeypatch):
     assert hits
     for w, pc in hits:
         assert check_witness(w, pc.p, pc.q) == [], (pc.p, pc.q)
+
+
+def _short_dup_sweep(monkeypatch):
+    """Cuts criteria 2-3's sweep to two quadratics and four r per field,
+    and returns the (label, p, q, r) of its blocks in sweep order."""
+
+    def short(ctx, degree):
+        return list(monic_polys(ctx, degree))[:2]
+
+    monkeypatch.setattr(acceptance, "monic_polys", short)
+    return [
+        (f"{spec} p={p} q={q} r={r}", p, q, r)
+        for spec in ("GF(2)", "GF(3)", "GF(5)")
+        for p, q in itertools.product(short(field_make(spec), 2), repeat=2)
+        for r in short(field_make(spec), 1) + short(field_make(spec), 2)
+    ]
+
+
+def test_dup_sweep_runs_one_factor_check_per_block(monkeypatch):
+    blocks = _short_dup_sweep(monkeypatch)
+    calls = []
+
+    def counted(M):
+        calls.append(M.rows)
+        return invariant_factors(M)
+
+    for module in (acceptance, witness):
+        monkeypatch.setattr(module, "invariant_factors", counted)
+    sweep = acceptance._dup_sweep(None)
+    assert sweep["total"] == len(blocks) == 48
+    assert sweep["witness_bad"] == sweep["relation_bad"] == []
+    assert calls == [4 * r.degree for _, _, _, r in blocks]
+
+
+def test_dup_sweep_records_a_block_with_wrong_factors(monkeypatch):
+    # the first GF(3) block's own factor check fails: the sweep goes on and
+    # lists that block as failing both criteria
+    blocks = _short_dup_sweep(monkeypatch)
+    bad = next(label for label, p, _, _ in blocks if p.ctx == field_make("GF(3)"))
+    wrong = []
+
+    def first_gf3_block_wrong(M):
+        inv = invariant_factors(M)
+        if not wrong and M.ctx == field_make("GF(3)"):
+            wrong.append(M)
+            return dataclasses.replace(
+                inv, factors=inv.factors[:1], dimension=inv.dimension // 2
+            )
+        return inv
+
+    monkeypatch.setattr(witness, "invariant_factors", first_gf3_block_wrong)
+    sweep = acceptance._dup_sweep(None)
+    assert len(wrong) == 1
+    assert sweep["total"] == len(blocks)
+    assert sweep["witness_bad"] == sweep["relation_bad"] == [bad]
+    assert not acceptance.criterion_2(shared={"dup": sweep}).passed
+    assert not acceptance.criterion_3(shared={"dup": sweep}).passed
 
 
 def test_compose_witness_mixed_routes(F3):

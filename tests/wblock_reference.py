@@ -17,7 +17,7 @@ from sympdiff.sympform import frobenius_symmetrizer
 
 
 def r_expansion_block(pctx, r: Poly):
-    """(A, B, C, H) of the duplication block for (p, q) and the monic r."""
+    """(A, B, H) of the duplication block for (p, q) and the monic r."""
     ctx = pctx.ctx
     p, q = pctx.p, pctx.q
     lam, mu = trace_of(p), trace_of(q)
@@ -44,13 +44,6 @@ def r_expansion_block(pctx, r: Poly):
         [one, cst(lam), cst(mu), lmx],
         [zero, cst(ctx.neg(ctx.one)), zero, zero],
     ]
-    c4 = [
-        [zero, cst(ctx.neg(ctx.mul(alpha, mu))), zero,
-         cst(ctx.neg(ctx.mul(alpha, beta)))],
-        [zero, lmx, cst(ctx.neg(beta)), zero],
-        [zero, cst(alpha), zero, zero],
-        [one, zero, cst(mu), lmx],
-    ]
     # multiplication matrix of an R-entry on the power basis, once per entry
     # (a constant c multiplies as c*I)
     mult = functools.lru_cache(maxsize=None)(
@@ -62,7 +55,7 @@ def r_expansion_block(pctx, r: Poly):
     def expand(grid: Sequence[Sequence[Poly]]) -> Mat:
         return Mat.block(ctx, [[mult(e) for e in row] for row in grid])
 
-    A, B, C = expand(a4), expand(b4), expand(c4)
+    A, B = expand(a4), expand(b4)
     s = frobenius_symmetrizer(r)
     zd = Mat.zeros(ctx, d)
     ls = s.scale(lam)
@@ -75,4 +68,4 @@ def r_expansion_block(pctx, r: Poly):
             [-s, -ls, zd, zd],
         ],
     )
-    return A, B, C, H
+    return A, B, H
