@@ -12,6 +12,7 @@ sequences, and evenness conditions on cell counts.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -207,14 +208,36 @@ def _classify(p: Poly, q: Poly, p_roots, q_roots, Lam_roots, F_roots) -> CaseTag
     return CaseTag(Family.IRR_DISTINCT_GENERIC, swapped)
 
 
+# cap on each per-context memo of this module (pair contexts, extension
+# decisions): each keeps its most recently used inputs
+DECIDE_MEMO_MAX = 16
+
+
+def _ctx_memo(ctx: FieldCtx, name: str, fn):
+    """ctx's memo of fn, built on first use and kept on ctx, so it goes
+    with it; a context pickles without it.  An input whose call raises is
+    not cached."""
+    memo = getattr(ctx, name)
+    if memo is None:
+        memo = functools.lru_cache(maxsize=DECIDE_MEMO_MAX)(fn)
+        setattr(ctx, name, memo)
+    return memo
+
+
 def pair_context(p: Poly, q: Poly) -> PairCtx:
     """Classify (p, q) and derive its invariants, solving each of p, q and
     Lam once.  A root z of F has z^2 - delta*z = s for a root s of Lam, so
     F's roots are those of t^2 - delta*t - s over the distinct s: two
-    quadratic stages instead of a quartic."""
+    quadratic stages instead of a quartic.  The context is a pure function
+    of (p, q): after the argument checks, the field context's memo of the
+    ``DECIDE_MEMO_MAX`` most recently used (p, q) answers a repeat."""
     p._check(q)
     _require_quadratic(p, "p")
     _require_quadratic(q, "q")
+    return _ctx_memo(p.ctx, "_pair_memo", _pair_context)(p, q)
+
+
+def _pair_context(p: Poly, q: Poly) -> PairCtx:
     ctx = p.ctx
     F = fundamental_poly(p, q)
     Lam = lambda_poly(p, q)
@@ -466,9 +489,17 @@ def _decide(pctx: PairCtx, factors: Tuple[Poly, ...], dimension: int) -> Decisio
 
 def decide_extension(v: Mat, pctx: PairCtx) -> DecisionReport:
     """Decide whether the standard extension S(v) is a symplectic
-    (p,q)-difference, from the invariant factors of v."""
+    (p,q)-difference, from the invariant factors of v.  The report is a
+    pure function of (v, pctx): after the argument checks, the field
+    context's memo of the ``DECIDE_MEMO_MAX`` most recently used (v, pctx)
+    answers a repeat, such as a witness request for the v just decided."""
     if v.ctx != pctx.ctx:
         raise MixedFieldContexts(f"{v.ctx} vs {pctx.ctx}")
+    v._square()
+    return _ctx_memo(pctx.ctx, "_decision_memo", _decide_extension)(v, pctx)
+
+
+def _decide_extension(v: Mat, pctx: PairCtx) -> DecisionReport:
     return _decide(pctx, invariant_factors(v).factors, v.rows)
 
 

@@ -234,6 +234,7 @@ class FieldCtx:
     characteristic: int = 0
     order = None  # int for finite fields, None otherwise
     _poly_ops = None  # its poly.PolyOps, set by poly.poly_ops
+    _pair_memo = _decision_memo = None  # its decide memos, set by decide
 
     # subclasses fill in: zero, one, add, sub, mul, neg, inv, from_int,
     # elements, format, sort_key
@@ -639,6 +640,11 @@ def _field_from_spec(spec: str) -> FieldCtx:
     each hold at most ``4 * EXT_MUL_MEMO_MAX`` entries (GF(p^k) sums,
     differences, products and inverses), about 260 bytes each over GF(2^8):
     8.5 MB per context, 136 MB for the ``FIELD_CTX_MAX`` interned ones.
+    ``decide`` adds two memos per context, of pair contexts and of
+    extension decisions, each of at most ``decide.DECIDE_MEMO_MAX`` (16)
+    entries.  A pair context takes about 0.5-1.5 kB; a decision keeps its
+    v, so it grows with dim(v)^2: 1-10 kB for the n <= 14 requests of the
+    benchmark's cli_queries, at most about 0.2 MB per context there.
     """
     spec = spec.strip()
     if spec == "Q":

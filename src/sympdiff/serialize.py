@@ -21,6 +21,7 @@ human-facing output and have no decoder.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import Any, Dict, Optional
 
@@ -246,6 +247,8 @@ def encode_case_tag(tag: CaseTag, ctx: FieldCtx) -> Dict[str, Any]:
 
 
 def encode_decision_report(report: DecisionReport, pctx: PairCtx) -> Dict[str, Any]:
+    """The report as a fresh dictionary.  The evidence is copied: decisions
+    are memoized, so an edit of the answer must not reach the memo."""
     return {
         "verdict": report.verdict,
         "case": encode_case_tag(report.case, pctx.ctx),
@@ -256,8 +259,8 @@ def encode_decision_report(report: DecisionReport, pctx: PairCtx) -> Dict[str, A
         "regular_ok": report.regular_ok,
         "exceptional_ok": report.exceptional_ok,
         "regular": [dataclasses.asdict(ev) for ev in report.regular],
-        "exceptional": report.exceptional,
-        "pair_level": report.pair_level,
+        "exceptional": copy.deepcopy(report.exceptional),
+        "pair_level": copy.deepcopy(report.pair_level),
         "failing_evidence": report.failing_evidence,
     }
 

@@ -53,6 +53,20 @@ def F2s():
 
 
 @pytest.fixture
+def cold():
+    """cold(ctx) empties ctx's decide memos (pair contexts, extension
+    decisions), so the next call computes afresh and the memos' counters
+    start from zero."""
+
+    def clear(ctx):
+        for memo in (ctx._pair_memo, ctx._decision_memo):
+            if memo is not None:
+                memo.cache_clear()
+
+    return clear
+
+
+@pytest.fixture
 def poly():
     """poly(ctx, text) shorthand."""
     return parse_poly

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sympdiff.cli import _build_parser, _dumps_indented, cli_run
+from sympdiff.cli import _build_parser, _dumps_indented, _parse_v, cli_run
 from sympdiff.decide import pair_context
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
@@ -182,6 +182,70 @@ def test_witness_pair_decides_once(capsys, monkeypatch, F3):
     obj = json.loads(out)
     assert obj["verdict"] == "yes" and obj["verification"]["ok"] is True
     assert len(calls) == 1
+
+
+# a YES instance answered by a duplication block, used by no other test here
+MEMO_ARGS = ["--field", "GF(5)", "--p", "t^2+1", "--q", "t^2+2"]
+MEMO_V = ["--v", "companion:t^2+3"]
+
+
+def test_decide_then_witness_factors_v_once(capsys, monkeypatch, cold):
+    import sympdiff.linalg
+
+    ctx = field_make("GF(5)")
+    cold(ctx)
+    v = companion(parse_poly(ctx, "t^2+3"))
+    original, of_v = sympdiff.linalg.invariant_factors, []
+
+    def counting(M):
+        if M == v:
+            of_v.append(M)
+        return original(M)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("sympdiff") and vars(mod).get("invariant_factors") is original:
+            monkeypatch.setattr(mod, "invariant_factors", counting)
+    assert run(capsys, ["decide", *MEMO_ARGS, *MEMO_V])[0] == 0
+    code, out = run(capsys, ["witness", *MEMO_ARGS, *MEMO_V])
+    assert code == 0 and json.loads(out)["verification"]["ok"] is True
+    assert len(of_v) == 1
+    info = ctx._decision_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_request_sequence_builds_one_pair_context(capsys, cold):
+    ctx = field_make("GF(5)")
+    cold(ctx)
+    assert run(capsys, ["classify", *MEMO_ARGS])[0] == 0
+    assert run(capsys, ["decide", *MEMO_ARGS, *MEMO_V])[0] == 0
+    code, out = run(capsys, ["witness", *MEMO_ARGS, *MEMO_V])
+    witness = json.dumps(json.loads(out)["witness"])
+    code, out = run(capsys, ["verify", *MEMO_ARGS, "--witness", witness])
+    assert code == 0 and json.loads(out)["ok"] is True
+    info = ctx._pair_memo.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_editing_an_encoded_decision_leaves_the_next_answer(capsys, F3):
+    from sympdiff.decide import decide_extension
+    from sympdiff.serialize import encode_decision_report
+
+    # a NO in the intertwined-pairs shape: dicts and lists in the evidence
+    argv = ["decide", "--field", "GF(3)", "--p", "t^2-1", "--q", "t^2+t",
+            "--v", "companion:t^2+2;(t-1)^3"]
+    first = run(capsys, argv)
+    assert first[0] == 2
+    pc = pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2+t"))
+    v = _parse_v(F3, argv[-1])
+    hits = F3._decision_memo.cache_info().hits
+    report = decide_extension(v, pc)
+    assert F3._decision_memo.cache_info().hits == hits + 1  # the memo's report
+    encoded = encode_decision_report(report, pc)
+    encoded["exceptional"]["pairs"][0]["partner_counts"].append(9)
+    encoded["exceptional"]["pairs"].clear()
+    encoded["exceptional"]["unconstrained_fixed_points"].append("1")
+    encoded["exceptional"]["criterion"] = "edited"
+    assert run(capsys, argv) == first
 
 
 def test_witness_residual_above_candidate_cap_is_null(capsys):

@@ -132,6 +132,13 @@ def test_cli_answer_matches_golden(golden):
     assert _record(golden["argv"]) == golden
 
 
+def test_goldens_replay_twice_in_one_process():
+    """Each answer is the same bytes again when the field contexts already
+    hold the pair contexts and decisions of the first pass."""
+    for _ in range(2):
+        assert [_record(golden["argv"]) for golden in GOLDENS] == GOLDENS
+
+
 def test_yes_witnesses_pass_the_reference_checker():
     failures = {}
     for i, golden in enumerate(GOLDENS):

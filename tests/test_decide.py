@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 import sys
 from dataclasses import replace
@@ -10,7 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sympdiff.decide
 from sympdiff.decide import (
+    DECIDE_MEMO_MAX,
     Family,
     PairCtx,
     _root_orbits,
@@ -26,10 +29,13 @@ import sympdiff.linalg
 import sympdiff.poly
 from sympdiff.atlas import indecomposable_reps
 from sympdiff.errors import (
+    DegreeBoundExceeded,
     InvalidArgument,
     InvalidPair,
     MixedFieldContexts,
     NotNonIncreasing,
+    NotSquare,
+    WrongDegree,
 )
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
@@ -477,17 +483,21 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_pair_context_solves_each_quadratic_once(monkeypatch, Q, F3):
+def test_pair_context_solves_each_quadratic_once(monkeypatch, cold, Q, F3):
     calls = _count_calls(monkeypatch, sympdiff.poly, "roots_in_field")
     pairs = [(parse_poly(Q, "t^2+1"), parse_poly(Q, "t^2+4"))]
     for ctx in (F3, field_make("GF(4)|t^2+t+1")):
         pairs += itertools.product(monic_polys(ctx, 2), repeat=2)
     for p, q in pairs:
+        cold(p.ctx)
         calls.clear()
         pc = pair_context(p, q)
         assert len(calls) <= 5, (p, q)
         # p, q, Lambda and t^2 - delta*t - s per distinct root s of Lambda
         assert len(calls) == 3 + len(set(pc.Lam_roots)), (p, q)
+        calls.clear()
+        assert pair_context(p, q) is pc  # warm: the memo answers
+        assert calls == [], (p, q)
 
 
 def test_decide_and_catalogue_solve_no_roots(monkeypatch, F3):
@@ -501,6 +511,65 @@ def test_decide_and_catalogue_solve_no_roots(monkeypatch, F3):
     decide_pair(pair, pc)
     assert indecomposable_reps(pc, 4)
     assert calls == []
+
+
+def test_memos_hold_at_most_the_bound(cold, F5):
+    cold(F5)
+    quads = list(monic_polys(F5, 2))
+    pairs = list(itertools.product(quads, repeat=2))[: DECIDE_MEMO_MAX + 5]
+    for p, q in pairs:
+        pair_context(p, q)
+    assert F5._pair_memo.cache_info().currsize == DECIDE_MEMO_MAX
+    pc = pair_context(*pairs[0])  # evicted, so computed again
+    assert F5._pair_memo.cache_info().misses == len(pairs) + 1
+    for f in quads[: DECIDE_MEMO_MAX + 5]:
+        decide_extension(companion(f), pc)
+    assert F5._decision_memo.cache_info().currsize == DECIDE_MEMO_MAX
+    assert F5._decision_memo.cache_info().misses == DECIDE_MEMO_MAX + 5
+
+
+def test_memos_key_by_value(cold, F3):
+    cold(F3)
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2-1"))
+    assert pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+2")) is pc
+    assert pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2+1")) is not pc
+    report = decide_extension(companion(parse_poly(F3, "t^2+2")), pc)
+    assert decide_extension(companion(parse_poly(F3, "t^2-1")), pc) is report
+    # the pair context over a rebuilt context is equal and shares no memo
+    pc_g = pickle.loads(pickle.dumps(pc))
+    G3 = pc_g.ctx
+    assert pc_g == pc and G3 is not F3 and G3._decision_memo is None
+    fresh = decide_extension(companion(parse_poly(G3, "t^2+2")), pc_g)
+    assert fresh == report and fresh is not report
+
+
+def test_raising_inputs_are_not_cached(monkeypatch, cold, F3, F5):
+    cold(F3)
+    pc = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    for _ in range(2):  # the checks run before the lookup, every time
+        with pytest.raises(WrongDegree):
+            pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^3"))
+        with pytest.raises(MixedFieldContexts):
+            pair_context(parse_poly(F3, "t^2+1"), parse_poly(F5, "t^2+1"))
+        with pytest.raises(NotSquare):
+            decide_extension(Mat.zeros(F3, 2, 3), pc)
+        with pytest.raises(MixedFieldContexts):
+            decide_extension(Mat.zeros(F5, 2, 2), pc)
+    assert F3._pair_memo.cache_info().currsize == 1
+    assert F3._decision_memo.cache_info().currsize == 0
+
+    def failing(M):
+        raise DegreeBoundExceeded("refused once")
+
+    v = companion(parse_poly(F3, "t^2+2"))
+    monkeypatch.setattr(sympdiff.decide, "invariant_factors", failing)
+    for _ in range(2):
+        with pytest.raises(DegreeBoundExceeded):
+            decide_extension(v, pc)
+    assert F3._decision_memo.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert decide_extension(v, pc).ok
+    assert F3._decision_memo.cache_info().currsize == 1
 
 
 def test_decide_pair_runs_one_snf(monkeypatch, F3):

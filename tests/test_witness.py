@@ -343,9 +343,10 @@ def test_compose_witness_mixed_routes(F3):
     assert invariant_factors(w.U).doubled_halves() == invariant_factors(v).factors
 
 
-def test_compose_witness_checks_each_fact_once(F3, monkeypatch):
+def test_compose_witness_checks_each_fact_once(F3, monkeypatch, cold):
     # two duplication-block factors (t^2+2 twice) and a brute-forced
     # residual (t+1): one SNF of v, one verification of the direct sum
+    cold(F3)
     pc = pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2-1"))
     c = companion(parse_poly(F3, "t^2+2"))
     v = direct_sum(c, c, Mat.from_ints(F3, [[2]]))
