@@ -9,15 +9,17 @@ This module enumerates those representatives up to a dimension bound on
 * **regular rows** (family id 1, present in every case): ``C(r^n(s))`` with
   ``s = t^2 - delta*t`` and ``r`` monic irreducible such that ``r(s)`` is
   coprime to the fundamental quartic ``F``;
-* **exceptional rows** (family ids 2-10, one id per case), each family
-  built from three shapes: the powers ``C(g^n)`` of one polynomial ``g``;
-  the *even powers*, ``g^n`` doubled for odd ``n`` and single for even
-  ``n``; and the *root pairs*, Jordan blocks at a root ``x`` of ``F`` and
-  at its partner ``delta - x`` with sizes ``(n, n)`` up to ``(n + gap, n)``.
-  ``g`` is a linear factor ``t - x`` at a root of ``F``, a translate
-  ``p(t + y)`` by a root of ``q``, a norm quadratic, ``F`` itself, or the
-  quadratic factor of ``F``.  Only the distinct translates of the
-  split-irreducible case pair two polynomials, in a loop of their own.  A
+* **exceptional rows** (family ids 2-10, one id per case), built per
+  entry of the case's table ``decide.exceptional_shapes``, in its order,
+  from three shapes: the powers ``C(g^n)`` of an unconstrained ``g``; the
+  *even powers* of an even ``g``, ``g^n`` doubled for odd ``n`` and single
+  for even ``n``; and the *pairs* of a partnered ``g``, blocks ``g^(n+j)``
+  and ``h^n`` at ``g`` and its partner ``h`` with sizes ``(n, n)`` up to
+  ``(n + shift, n)``.  Each root ``x`` of ``F`` is an entry of its own,
+  partnered with ``delta - x``, so a pair's rows are listed at both of
+  its roots.  The distinct translates ``p(t + y)`` of the
+  split-irreducible case are one entry, so their rows are built in a
+  loop of their own: ``(n, n)`` once, then each translate the larger.  A
   norm quadratic is ``h = t^2 - delta*t - s`` for a root ``s`` of ``Lam``
   (``F = Lam(t^2 - delta*t)``) where ``h`` has no root in the field: its
   roots are a difference ``x - y`` of roots of ``p`` and ``q`` and its
@@ -33,15 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from .decide import (
-    ROOT_PAIR_SHIFT,
-    Family,
-    PairCtx,
-    _fmt,
-    _linear,
-    decide_extension,
-    special_quadratic,
-)
+from .decide import Family, PairCtx, _fmt, decide_extension
 from .errors import (
     ConstructionInvariantViolated,
     DifferenceInBaseField,
@@ -111,7 +105,7 @@ def _inventory(pctx: PairCtx, dim_bound: int, irreducibles) -> List[Poly]:
         return list(irreducible_polys(ctx, dim_bound // 2))
     pool = []
     for r in irreducibles:
-        if r.ctx is not ctx:
+        if r.ctx != ctx:
             raise InvalidArgument("inventory polynomial over the wrong field")
         if r.degree < 1 or not r.is_monic:
             raise InvalidArgument(f"inventory entry {r} is not monic of degree >= 1")
@@ -144,7 +138,7 @@ def _regular_rows(pctx: PairCtx, dim_bound: int, irreducibles) -> List[TableRow]
 
 
 # ----------------------------------------------------------------------
-# exceptional rows (family ids 2-10), built from three shapes
+# exceptional rows (family ids 2-10), per entry of exceptional_shapes
 # ----------------------------------------------------------------------
 
 
@@ -168,80 +162,40 @@ def _even_powers(pctx: PairCtx, table: int, g: Poly, bound: int, **params) -> Li
     return rows
 
 
-def _root_pairs(pctx: PairCtx, table: int, gap: int, bound: int) -> List[TableRow]:
-    """Per root x of F: Jordan blocks at x and its partner delta - x with
-    sizes (n, n), then (n + j, n) for j = 1..gap; a single block at a
-    fixed point x = delta - x."""
-    ctx = pctx.ctx
-    rows: List[TableRow] = []
-    for z in pctx.F_roots:
-        w = ctx.sub(pctx.delta, z)
-        lin_z, lin_w = _linear(ctx, z), _linear(ctx, w)
-        if z == w:
-            rows.extend(_powers(pctx, table, lin_z, bound, x=_fmt(ctx, z)))
-            continue
-        base = {"x": _fmt(ctx, z), "partner": _fmt(ctx, w)}
-        for j in range(gap + 1):
-            for n in range(0 if j else 1, (bound - j) // 2 + 1):
-                blocks = (lin_z ** (n + j),) + ((lin_w ** n,) if n else ())
-                rows.append(_row(pctx, table, {**base, "sizes": (n + j, n)}, *blocks))
-    return rows
+def _sized_pairs(
+    pctx: PairCtx, table: int, g: Poly, h: Poly, j: int, bound: int, **params
+) -> List[TableRow]:
+    """Blocks g^(n + j) and h^n with sizes (n + j, n), n >= 1 for j = 0
+    and n >= 0 otherwise, within the bound."""
+    return [
+        _row(pctx, table, {**params, "sizes": (n + j, n)}, g ** (n + j), *([h ** n] if n else []))
+        for n in range(0 if j else 1, (bound // g.degree - j) // 2 + 1)
+    ]
 
 
 def _exceptional_rows(pctx: PairCtx, bound: int) -> List[TableRow]:
-    """The rows of the case's own family."""
-    ctx = pctx.ctx
-    family = pctx.case.family
-    table = _EXCEPTIONAL_ID[family]
-    if family in ROOT_PAIR_SHIFT:
-        return _root_pairs(pctx, table, ROOT_PAIR_SHIFT[family], bound)
-    if family is Family.SPLIT_DOUBLE_DOUBLE:
-        # the single root difference z = x - y
-        (z,) = pctx.F_roots
-        return _powers(pctx, table, _linear(ctx, z), bound, x=_fmt(ctx, z))
-    if family is Family.IRR_SPLIT_EQ:
-        # equal translates g = p(t + y1) = p(t + y2)
-        rows: List[TableRow] = []
-        for y in pctx.case.ys:
-            g = pctx.p_norm.translate(y)
-            rows.extend(_powers(pctx, table, g, bound, y=_fmt(ctx, y), translate=str(g)))
-        return rows
-    if family is Family.IRR_SPLIT_NEQ:
-        # distinct translates g1, g2: exponents (n, n), (n + 1, n) and its
-        # mirror
-        g1, g2 = (pctx.p_norm.translate(y) for y in pctx.case.ys)
-        base = {"translates": (str(g1), str(g2))}
-        rows = [
-            _row(pctx, table, {**base, "sizes": (n, n)}, g1 ** n, g2 ** n)
-            for n in range(1, bound // 4 + 1)
-        ]
-        for first, second, label in ((g1, g2, "first"), (g2, g1, "second")):
-            for n in range(0, (bound - 2) // 4 + 1):
-                blocks = (first,) if n == 0 else (first ** (n + 1), second ** n)
-                rows.append(
-                    _row(pctx, table, {**base, "larger": label, "sizes": (n + 1, n)}, *blocks)
-                )
-        return rows
-    if family is Family.IRR_SAME_FIELD:
-        # a root s of Lam whose norm quadratic h has no root in the field,
-        # then the in-field differences z (translation shifts)
-        rows = []
-        for s in dict.fromkeys(pctx.Lam_roots):
-            h = pctx.sigma - Poly.constant(ctx, s)
-            if not any(ctx.is_zero(h.eval(z)) for z in pctx.F_roots):
-                rows.extend(_powers(pctx, table, h, bound, norm_quadratic=str(h)))
-        for z in pctx.case.zs:
-            rows.extend(_even_powers(pctx, table, _linear(ctx, z), bound, shift=_fmt(ctx, z)))
-        return rows
-    if family is Family.IRR_DISTINCT_GENERIC:
-        return _powers(pctx, table, pctx.F, bound)
-    if family is Family.IRR_DISTINCT_INSEP:
-        # t^2 - p(0) - q(0)
-        c = ctx.neg(ctx.add(pctx.p_norm.coeffs[0], pctx.q_norm.coeffs[0]))
-        g = Poly(ctx, (c, ctx.zero, ctx.one))
-        return _powers(pctx, table, g, bound, quadratic=str(g))
-    g = special_quadratic(pctx)  # IRR_DISTINCT_SPECIAL
-    return _even_powers(pctx, table, g, bound, quadratic=str(g))
+    """The rows of the case's own family, per entry of its
+    ``exceptional_shapes`` table."""
+    table = _EXCEPTIONAL_ID[pctx.case.family]
+    listed = {s.g for s in pctx.shapes}
+    rows: List[TableRow] = []
+    for s in pctx.shapes:
+        labels = dict(s.labels)
+        if s.partner is None or s.partner == s.g:
+            rows += (_even_powers if s.even else _powers)(pctx, table, s.g, bound, **labels)
+        elif s.partner in listed:
+            # a root x of F, listed at each root: sizes (n, n), then
+            # (n + j, n) for j = 1..shift, with x the larger
+            for j in range(s.shift + 1):
+                rows += _sized_pairs(pctx, table, s.g, s.partner, j, bound, **labels)
+        else:
+            # the distinct translates, one entry: (n, n) once, then
+            # (n + j, n) with each one the larger
+            rows += _sized_pairs(pctx, table, s.g, s.partner, 0, bound, **labels)
+            for g, h, larger in ((s.g, s.partner, "first"), (s.partner, s.g, "second")):
+                for j in range(1, s.shift + 1):
+                    rows += _sized_pairs(pctx, table, g, h, j, bound, **labels, larger=larger)
+    return rows
 
 
 def indecomposable_reps(

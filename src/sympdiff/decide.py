@@ -6,7 +6,9 @@ regular criterion (every invariant factor of the part coprime to the
 fundamental quartic F_{p,q} must be a polynomial in sigma = t^2 - delta*t)
 and an exceptional criterion that depends on how p and q factor: always-yes
 families, intertwining inequalities between Jordan or primary count
-sequences, and evenness conditions on cell counts.
+sequences, and evenness conditions on cell counts.  ``exceptional_shapes``
+is the one place that names each family's exceptional polynomials and
+their criteria; the decision and the catalogue (``atlas``) both read it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     ConstructionInvariantViolated,
@@ -61,12 +63,6 @@ class Family(enum.Enum):
         )
 
 
-# the split families whose root pairs {z, delta - z} carry intertwined
-# Jordan counts, with the shift: a_{n+shift} <= b_n and b_{n+shift} <= a_n;
-# their indecomposable block pairs have sizes (n + j, n) for j <= shift.
-ROOT_PAIR_SHIFT = {Family.SPLIT_SIMPLE_SIMPLE: 1, Family.SPLIT_MIXED: 2}
-
-
 @dataclass(frozen=True)
 class CaseTag:
     family: Family
@@ -76,6 +72,24 @@ class CaseTag:
     ys: Optional[Tuple[object, object]] = None
     # base-field translation shifts z with q(t) = p(t+z), same-field case
     zs: Optional[Tuple[object, ...]] = None
+
+
+@dataclass(frozen=True)
+class Shape:
+    """An exceptional polynomial g of a family and its criterion.
+
+    With a ``partner``, the count sequences of g and the partner must be
+    ``shift``-intertwined, a_{n+shift} <= b_n and b_{n+shift} <= a_n; a
+    root of F that is its own partner is unconstrained.  With ``even``,
+    the odd-size cell counts of g must be even.  With neither, g is
+    unconstrained.  ``labels`` name g in its catalogue rows.
+    """
+
+    g: Poly
+    labels: Tuple[Tuple[str, object], ...]
+    partner: Optional[Poly] = None
+    shift: int = 0
+    even: bool = False
 
 
 @dataclass(frozen=True)
@@ -103,6 +117,13 @@ class PairCtx:
     def ctx(self) -> FieldCtx:
         return self.p.ctx
 
+    @functools.cached_property
+    def shapes(self) -> Tuple[Shape, ...]:
+        """The family's ``exceptional_shapes`` table, built on first read
+        and kept on the context.  It derives from the fields, so it takes
+        no part in equality, hashing or ``repr``."""
+        return exceptional_shapes(self)
+
     @property
     def sigma(self) -> Poly:
         return sigma_poly(self.ctx, self.delta)
@@ -117,6 +138,39 @@ class RegularEvidence:
 
 
 @dataclass(frozen=True)
+class PairCounts:
+    """The count sequences at a polynomial and at its partner."""
+
+    at: str
+    partner: str
+    counts: Tuple[int, ...]
+    partner_counts: Tuple[int, ...]
+    ok: bool
+
+
+@dataclass(frozen=True)
+class CellCounts:
+    """The exact cell counts at a target and its odd sizes in violation."""
+
+    at: str
+    cell_counts: Tuple[int, ...]
+    odd_size_violations: Tuple[int, ...]
+    ok: bool
+
+
+@dataclass(frozen=True)
+class ExceptionalEvidence:
+    """The exceptional criterion with, by its kind, the intertwined
+    ``pairs`` and ``unconstrained_fixed_points`` or the even ``parts``;
+    the fields of the other kinds are None."""
+
+    criterion: str
+    pairs: Optional[Tuple[PairCounts, ...]] = None
+    unconstrained_fixed_points: Optional[Tuple[str, ...]] = None
+    parts: Optional[Tuple[CellCounts, ...]] = None
+
+
+@dataclass(frozen=True)
 class DecisionReport:
     ok: bool
     regular_ok: bool
@@ -125,9 +179,9 @@ class DecisionReport:
     dimension: int
     invariant_factors: Tuple[Poly, ...]
     regular: Tuple[RegularEvidence, ...]
-    exceptional: Dict[str, object]
+    exceptional: ExceptionalEvidence
     failing_evidence: Optional[str] = None
-    pair_level: Optional[Dict[str, object]] = None
+    pair_level: Optional[ExceptionalEvidence] = None
 
     @property
     def verdict(self) -> str:
@@ -327,38 +381,72 @@ def _linear(ctx: FieldCtx, z) -> Poly:
     return Poly(ctx, (ctx.neg(z), ctx.one))
 
 
-def _root_orbits(pctx: PairCtx):
-    """Distinct base-field roots of F, grouped into {z, delta-z} pairs and
-    fixed points of the involution."""
-    ctx = pctx.ctx
-    distinct = pctx.F_roots
-    pairs, fixed, seen = [], [], []
-    for z in distinct:
-        if z in seen:
-            continue
+def _label(g: Poly) -> str:
+    """How the evidence names g: a linear t - z by its root z."""
+    return _fmt(g.ctx, g.ctx.neg(g.coeffs[0])) if g.degree == 1 else str(g)
+
+
+def exceptional_shapes(pctx: PairCtx) -> Tuple[Shape, ...]:
+    """The exceptional polynomials of the case's family, in catalogue order.
+
+    * split: t - z at each root z of F, partnered with t - (delta - z),
+      shift 1 (simple-simple) or 2 (mixed); the double-double family's
+      single root is its own partner;
+    * p irreducible, q split: the translates p(t + y) by the roots y of q,
+      one entry per translate when they are equal, else one entry pairing
+      them with shift 1;
+    * same splitting field: each norm quadratic t^2 - delta*t - s (s a root
+      of Lam) without a root in the field, then t - z, even, at each
+      translation shift z;
+    * distinct fields: F (generic), t^2 - p(0) - q(0) (inseparable), or,
+      even, the special quadratic t^2 - (tr p) t + p(0) + q(0), which is the
+      repeated factor of F in the characteristic-2 equal-trace family.
+
+    So a family that is not always-yes either has a partnered entry and
+    intertwines, or flags its constrained entries even.
+    """
+    ctx, case = pctx.ctx, pctx.case
+    family = case.family
+    p, q = pctx.p_norm, pctx.q_norm
+    if case.ys is not None:
+        g1, g2 = (p.translate(y) for y in case.ys)
+        if family is Family.IRR_SPLIT_EQ:
+            return tuple(
+                Shape(g, (("y", _fmt(ctx, y)), ("translate", str(g))))
+                for y, g in zip(case.ys, (g1, g2))
+            )
+        return (Shape(g1, (("translates", (str(g1), str(g2))),), partner=g2, shift=1),)
+    if family is Family.IRR_SAME_FIELD:
+        norms = (pctx.sigma - Poly.constant(ctx, s) for s in dict.fromkeys(pctx.Lam_roots))
+        return tuple(
+            Shape(h, (("norm_quadratic", str(h)),))
+            for h in norms
+            if not any(ctx.is_zero(h.eval(z)) for z in pctx.F_roots)
+        ) + tuple(
+            Shape(_linear(ctx, z), (("shift", _fmt(ctx, z)),), even=True)
+            for z in case.zs
+        )
+    if family is Family.IRR_DISTINCT_GENERIC:
+        return (Shape(pctx.F, ()),)
+    c0 = ctx.add(p.coeffs[0], q.coeffs[0])
+    if family is Family.IRR_DISTINCT_INSEP:
+        g = Poly(ctx, (ctx.neg(c0), ctx.zero, ctx.one))
+        return (Shape(g, (("quadratic", str(g)),)),)
+    if family is Family.IRR_DISTINCT_SPECIAL:
+        g = Poly(ctx, (c0, ctx.neg(trace_of(p)), ctx.one))
+        return (Shape(g, (("quadratic", str(g)),), even=True),)
+    # the split families
+    shift = 2 if family is Family.SPLIT_MIXED else 1
+    shapes = []
+    for z in pctx.F_roots:
         w = ctx.sub(pctx.delta, z)
-        if w == z:
-            fixed.append(z)
-            seen.append(z)
-            continue
-        if w not in distinct:
+        if w not in pctx.F_roots:
             raise ConstructionInvariantViolated(
                 f"root {_fmt(ctx, z)} of F has partner outside the root set"
             )
-        pairs.append((z, w))
-        seen.extend((z, w))
-    return pairs, fixed
-
-
-def special_quadratic(pctx: PairCtx) -> Poly:
-    """t^2 - (tr p) t + (p(0) + q(0)), the repeated irreducible factor of F
-    in the characteristic-2 equal-nonzero-trace family."""
-    ctx = pctx.ctx
-    p, q = pctx.p_norm, pctx.q_norm
-    return Poly(
-        ctx,
-        (ctx.add(p.coeffs[0], q.coeffs[0]), ctx.neg(trace_of(p)), ctx.one),
-    )
+        labels = (("x", _fmt(ctx, z)),) + ((("partner", _fmt(ctx, w)),) if w != z else ())
+        shapes.append(Shape(_linear(ctx, z), labels, partner=_linear(ctx, w), shift=shift))
+    return tuple(shapes)
 
 
 # ----------------------------------------------------------------------
@@ -388,85 +476,59 @@ def _regular_evidence(pctx: PairCtx, factors: Sequence[Poly]):
     return tuple(out), failing
 
 
-def _intertwined_parts(factors: Sequence[Poly], pairs, shift: int):
-    """The ``shift``-intertwining criterion on the count sequences of g and
-    h among the factors, for each (g, h, at, partner) in ``pairs``."""
-    details, failing = [], None
-    for g, h, at, partner in pairs:
-        a, b = list(count_sequence(factors, g)), list(count_sequence(factors, h))
-        good = intertwined(a, b, shift)
-        details.append(
-            {"at": at, "partner": partner, "counts": a, "partner_counts": b, "ok": good}
-        )
-        if not good and failing is None:
-            failing = (
-                f"count sequences {a} at {at} and {b} at {partner} are not "
-                f"{shift}-intertwined"
-            )
-    return {
-        "criterion": f"{shift}-intertwined count sequences at each pair",
-        "pairs": details,
-    }, failing
+def _intertwined_parts(factors: Sequence[Poly], shapes):
+    """The intertwining criterion on the count sequences of each partnered
+    g and its partner among the factors, once per pair."""
+    pairs, fixed, seen, failing = [], [], set(), None
+    for s in shapes:
+        if s.partner == s.g:
+            fixed.append(_label(s.g))
+        elif s.partner not in seen:
+            at, partner = _label(s.g), _label(s.partner)
+            a, b = count_sequence(factors, s.g), count_sequence(factors, s.partner)
+            good = intertwined(a, b, s.shift)
+            pairs.append(PairCounts(at, partner, a, b, good))
+            if not good and failing is None:
+                failing = (
+                    f"count sequences {list(a)} at {at} and {list(b)} at "
+                    f"{partner} are not {s.shift}-intertwined"
+                )
+        seen.add(s.g)
+    return ExceptionalEvidence(
+        criterion=f"{shapes[0].shift}-intertwined count sequences at each pair",
+        pairs=tuple(pairs),
+        unconstrained_fixed_points=tuple(fixed),
+    ), failing
 
 
-def _even_parts(factors: Sequence[Poly], targets, m: int):
-    """For each (g, at) in ``targets``: the exact cell counts of g among the
+def _even_parts(factors: Sequence[Poly], shapes, m: int):
+    """For each g flagged even: the exact cell counts of g among the
     factors, whose odd-size entries must be multiples of m."""
-    details, failing = [], None
-    for g, at in targets:
-        cells = exact_cell_counts(count_sequence(factors, g))
-        bad = [k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % m]
-        details.append(
-            {"at": at, "cell_counts": list(cells), "odd_size_violations": bad,
-             "ok": not bad}
-        )
+    parts, failing = [], None
+    for s in shapes:
+        if not s.even:
+            continue
+        at = _label(s.g)
+        cells = tuple(exact_cell_counts(count_sequence(factors, s.g)))
+        bad = tuple(k for k in range(1, len(cells) + 1, 2) if cells[k - 1] % m)
+        parts.append(CellCounts(at, cells, bad, not bad))
         if bad and failing is None:
             failing = (
                 f"{cells[bad[0] - 1]} cells of odd size {bad[0]} at {at}; "
                 f"a multiple of {m} is required"
             )
-    return {
-        "criterion": f"odd-size cell counts at each target are multiples of {m}",
-        "parts": details,
-    }, failing
-
-
-def _even_targets(pctx: PairCtx):
-    """The (prime, label) targets of the evenness families: t - z for each
-    in-field translation shift z, or the special quadratic; None for the
-    other families."""
-    ctx = pctx.ctx
-    if pctx.case.family is Family.IRR_SAME_FIELD:
-        return [(_linear(ctx, z), _fmt(ctx, z)) for z in pctx.case.zs]
-    if pctx.case.family is Family.IRR_DISTINCT_SPECIAL:
-        g = special_quadratic(pctx)
-        return [(g, str(g))]
-    return None
+    return ExceptionalEvidence(
+        criterion=f"odd-size cell counts at each target are multiples of {m}",
+        parts=tuple(parts),
+    ), failing
 
 
 def _exceptional_evidence(pctx: PairCtx, factors: Sequence[Poly]):
-    family = pctx.case.family
-    ctx = pctx.ctx
-    if family.always_yes:
-        return {"criterion": "none (always satisfied)"}, None
-    if family in ROOT_PAIR_SHIFT:
-        orbits, fixed = _root_orbits(pctx)
-        pairs = [
-            (_linear(ctx, z), _linear(ctx, w), _fmt(ctx, z), _fmt(ctx, w))
-            for z, w in orbits
-        ]
-        shift = ROOT_PAIR_SHIFT[family]
-    elif family is Family.IRR_SPLIT_NEQ:
-        g1, g2 = (pctx.p_norm.translate(y) for y in pctx.case.ys)
-        pairs, fixed, shift = [(g1, g2, str(g1), str(g2))], [], 1
-    else:
-        targets = _even_targets(pctx)
-        if targets is None:
-            raise ConstructionInvariantViolated(f"unhandled family {family}")
-        return _even_parts(factors, targets, 2)
-    evidence, failing = _intertwined_parts(factors, pairs, shift)
-    evidence["unconstrained_fixed_points"] = [_fmt(ctx, z) for z in fixed]
-    return evidence, failing
+    if pctx.case.family.always_yes:
+        return ExceptionalEvidence("none (always satisfied)"), None
+    if any(s.partner is not None for s in pctx.shapes):
+        return _intertwined_parts(factors, pctx.shapes)
+    return _even_parts(factors, pctx.shapes, 2)
 
 
 def _decide(pctx: PairCtx, factors: Tuple[Poly, ...], dimension: int) -> DecisionReport:
@@ -512,10 +574,9 @@ def decide_pair(P: SymplecticPair, pctx: PairCtx) -> DecisionReport:
         raise MixedFieldContexts(f"{P.ctx} vs {pctx.ctx}")
     inv = require_valid(P.B, P.U).invariant_factors
     report = _decide(pctx, inv.doubled_halves(), inv.dimension // 2)
-    targets = _even_targets(pctx)
-    if targets is None:
+    if report.exceptional.parts is None:
         return report
-    pair_level, pair_fail = _even_parts(inv.factors, targets, 4)
+    pair_level, pair_fail = _even_parts(inv.factors, pctx.shapes, 4)
     if (pair_fail is None) != report.exceptional_ok:
         raise ConstructionInvariantViolated(
             "pair-level multiple-of-4 criterion disagrees with the halved "

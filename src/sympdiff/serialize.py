@@ -21,7 +21,6 @@ human-facing output and have no decoder.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from typing import Any, Dict, Optional
 
@@ -246,9 +245,19 @@ def encode_case_tag(tag: CaseTag, ctx: FieldCtx) -> Dict[str, Any]:
     }
 
 
+def _encode_evidence(value):
+    """Exceptional evidence as fresh JSON values: a dataclass becomes the
+    dict of its fields that are not None, a tuple a list."""
+    if isinstance(value, tuple):
+        return [_encode_evidence(v) for v in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    fields = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    return {name: _encode_evidence(v) for name, v in fields if v is not None}
+
+
 def encode_decision_report(report: DecisionReport, pctx: PairCtx) -> Dict[str, Any]:
-    """The report as a fresh dictionary.  The evidence is copied: decisions
-    are memoized, so an edit of the answer must not reach the memo."""
+    """The report as a fresh dictionary of fresh lists and dicts."""
     return {
         "verdict": report.verdict,
         "case": encode_case_tag(report.case, pctx.ctx),
@@ -259,8 +268,8 @@ def encode_decision_report(report: DecisionReport, pctx: PairCtx) -> Dict[str, A
         "regular_ok": report.regular_ok,
         "exceptional_ok": report.exceptional_ok,
         "regular": [dataclasses.asdict(ev) for ev in report.regular],
-        "exceptional": copy.deepcopy(report.exceptional),
-        "pair_level": copy.deepcopy(report.pair_level),
+        "exceptional": _encode_evidence(report.exceptional),
+        "pair_level": _encode_evidence(report.pair_level),
         "failing_evidence": report.failing_evidence,
     }
 

@@ -1,5 +1,8 @@
 """Catalogue enumeration: golden row lists, norm quadratics, inventories."""
 
+import pickle
+import random
+
 import pytest
 
 from sympdiff.atlas import indecomposable_reps, norm_quadratic
@@ -7,8 +10,8 @@ from sympdiff.decide import decide_extension, pair_context
 from sympdiff.errors import DifferenceInBaseField, NeedsIrreducibleInventory
 from sympdiff.exprparse import parse_poly
 from sympdiff.fields import field_make
-from sympdiff.linalg import companion
-from sympdiff.poly import Poly
+from sympdiff.linalg import companion, direct_sum
+from sympdiff.poly import Poly, monic_polys
 from sympdiff.sympform import isometry_test, symplectic_extension, validate_pair
 
 
@@ -203,6 +206,72 @@ def test_inventory_validation(Q, F3):
         indecomposable_reps(pc, 4, irreducibles=[parse_poly(F3, "t")])
     with pytest.raises(ValueError):
         indecomposable_reps(pc, 0)
+
+
+def test_inventory_over_an_equal_field_context(Q):
+    # an unpickled Q is equal to Q but another object: the decision accepts
+    # polynomials over it, and so does the inventory
+    Q2 = pickle.loads(pickle.dumps(Q))
+    assert Q2 == Q and Q2 is not Q
+    inventory = [parse_poly(Q, "t-1")]
+
+    def rows(ctx):
+        pc = pair_context(parse_poly(ctx, "t^2+1"), parse_poly(ctx, "t^2+4"))
+        found = indecomposable_reps(pc, 4, irreducibles=inventory)
+        return [(r.table, r.params, r.rep) for r in found]
+
+    assert rows(Q2) == rows(Q)
+    assert {"r": "t-1", "n": 2} in [params for _, params, _ in rows(Q2)]
+
+
+def _sum_relation_plans():
+    """(pair context, row bound, inventory): every (p, q) over GF(2), GF(3),
+    GF(4) and GF(5), then criterion 11's Q and GF(2)(s) pairs with its
+    inventories."""
+    plans = []
+    for spec, bound in (("GF(2)", 3), ("GF(3)", 3), ("GF(4)|t^2+t+1", 2), ("GF(5)", 2)):
+        quads = list(monic_polys(field_make(spec), 2))
+        plans += [(pair_context(p, q), bound, None) for p in quads for q in quads]
+    for spec, inventory, pairs in (
+        ("Q", ("t", "t+1", "t^2-2"), (
+            ("t^2-2*t+1", "t^2"), ("t^2-t", "t^2-t"), ("t^2-t", "t^2"),
+            ("t^2+1", "t^2"), ("t^2+1", "t^2-1"), ("t^2+1", "t^2+4"),
+            ("t^2+1", "t^2-2"),
+        )),
+        ("GF(2)(s)", ("t", "t+1", "t^2+t+s"), (
+            ("t^2+t+1", "t^2+t+s"), ("t^2+t+1", "t^2+s*t+s"),
+            ("t^2+s", "t^2+s^3"), ("t^2+t+1", "t^2+t+1"),
+        )),
+    ):
+        ctx = field_make(spec)
+        inv = [parse_poly(ctx, r) for r in inventory]
+        plans += [
+            (pair_context(parse_poly(ctx, p), parse_poly(ctx, q)), 4, inv)
+            for p, q in pairs
+        ]
+    return plans
+
+
+def test_sums_of_rows_decide_yes():
+    """The sum relation: a direct sum of catalogue rows is a direct sum of
+    symplectic (p,q)-differences, so it decides YES.  The rows come from
+    the exceptional-shapes table through the catalogue and the decision
+    reads the same table, so the two readers are checked against each
+    other on v of dimension 12 and more, beyond the reach of brute force."""
+    rng = random.Random(31)
+    plans = _sum_relation_plans()
+    sums = dims = 0
+    for pc, bound, inventory in plans:
+        rows = indecomposable_reps(pc, bound, irreducibles=inventory)
+        for _ in range(2):
+            picked = [rng.choice(rows) for _ in range(rng.randint(2, 4))]
+            v = direct_sum(*(row.rep for row in picked))
+            report = decide_extension(v, pc)
+            assert report.ok, (
+                pc.p, pc.q, [row.params for row in picked], report.failing_evidence
+            )
+            sums, dims = sums + 1, max(dims, v.rows)
+    assert sums == 2 * len(plans) == 1978 and dims >= 12
 
 
 def test_regular_rows_skip_factors_sharing_roots_with_F(F2):

@@ -1,5 +1,6 @@
 """Case classification and the two-route decision procedure."""
 
+import dataclasses
 import itertools
 import math
 import pickle
@@ -16,7 +17,6 @@ from sympdiff.decide import (
     DECIDE_MEMO_MAX,
     Family,
     PairCtx,
-    _root_orbits,
     classify_case,
     count_sequence,
     decide_extension,
@@ -114,12 +114,16 @@ def experimental_synthesis_check(v: Mat, pctx: PairCtx):
         return reg_ok
     if family in (Family.SPLIT_SIMPLE_SIMPLE, Family.SPLIT_MIXED):
         shift = 1 if family is Family.SPLIT_SIMPLE_SIMPLE else 2
-        pairs, _ = _root_orbits(pctx)
+        # each root z of F with its partner delta - z; the criterion is
+        # symmetric in the two, so each pair is checked from both ends
+        ctx = pctx.ctx
         exc_ok = all(
             intertwined(
-                jordan_sequence(v_exc, z), jordan_sequence(v_exc, w), shift
+                jordan_sequence(v_exc, z),
+                jordan_sequence(v_exc, ctx.sub(pctx.delta, z)),
+                shift,
             )
-            for z, w in pairs
+            for z in pctx.F_roots
         )
         return reg_ok and exc_ok
     # p irreducible, q split with distinct translates
@@ -570,6 +574,46 @@ def test_raising_inputs_are_not_cached(monkeypatch, cold, F3, F5):
     monkeypatch.undo()
     assert decide_extension(v, pc).ok
     assert F3._decision_memo.cache_info().currsize == 1
+
+
+def _mutable_parts(value, path):
+    """The paths below ``path`` to values that an edit could change in
+    place: anything but frozen dataclasses, tuples, strings, ints and
+    None."""
+    if dataclasses.is_dataclass(value):
+        if not type(value).__dataclass_params__.frozen:
+            return [path]
+        return [
+            found
+            for f in dataclasses.fields(value)
+            for found in _mutable_parts(getattr(value, f.name), f"{path}.{f.name}")
+        ]
+    if isinstance(value, tuple):
+        return [found for i, v in enumerate(value) for found in _mutable_parts(v, f"{path}[{i}]")]
+    return [] if isinstance(value, (str, int, type(None))) else [path]
+
+
+def test_an_edit_of_a_decision_cannot_reach_the_memo(cold, F3):
+    """Decisions are memoized, so their evidence is immutable all through:
+    an intertwined-pairs NO, and an even-parts pair decision with its
+    pair-level evidence."""
+    cold(F3)
+    pc = pair_context(parse_poly(F3, "t^2-1"), parse_poly(F3, "t^2+t"))
+    v = direct_sum(companion(parse_poly(F3, "t^2+2")), companion(parse_poly(F3, "(t-1)^3")))
+    report = decide_extension(v, pc)
+    assert not report.ok and report.exceptional.pairs
+    with pytest.raises(AttributeError):
+        report.exceptional.pairs.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.exceptional.pairs[0].ok = True
+    assert decide_extension(v, pc) is report
+    even = pair_context(parse_poly(F3, "t^2+1"), parse_poly(F3, "t^2+1"))
+    P = symplectic_extension(companion(parse_poly(F3, "t^2+2")))
+    pair_report = decide_pair(P, even)
+    assert pair_report.pair_level.parts
+    for evidence in ("exceptional", "pair_level"):
+        assert _mutable_parts(getattr(report, evidence), evidence) == []
+        assert _mutable_parts(getattr(pair_report, evidence), evidence) == []
 
 
 def test_decide_pair_runs_one_snf(monkeypatch, F3):

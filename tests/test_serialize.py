@@ -325,7 +325,7 @@ def test_decision_report_encoding(F3):
     assert obj["invariant_factors"] == ["t^2+2"]
     assert obj["case"]["family"] == "irreducible-same-splitting-field"
     assert obj["regular"][0]["ok"] is True
-    # the evidence is copied: an edit of the answer leaves the report as it was
+    # the answer is built fresh: an edit of it leaves the report as it was
     pair_rep = decide_pair(symplectic_extension(companion(parse_poly(F3, "t^2+2"))), pctx)
     pair_obj = encode_decision_report(pair_rep, pctx)
     before = [json.dumps(obj), json.dumps(pair_obj)]
